@@ -12,7 +12,7 @@ from .ingest import (ItemMetadata, PriceBuckets, SplitDataset,
 from .model import (EmbeddingTables, LayerStack, ModelConfig,
                     cold_item_embedding, final_embeddings, forward,
                     load_checkpoint, save_checkpoint, score)
-from .training import bpr_loss, sample_negatives, train
+from .training import bpr_loss, train
 
 __all__ = [
     "BipartiteGraph", "GraphBundle", "Vocabulary",
@@ -23,6 +23,6 @@ __all__ = [
     "EmbeddingTables", "LayerStack", "ModelConfig", "cold_item_embedding",
     "final_embeddings", "forward", "load_checkpoint", "save_checkpoint",
     "score",
-    "bpr_loss", "sample_negatives", "train",
+    "bpr_loss", "train",
     "__version__",
 ]

@@ -54,10 +54,6 @@ def _ratios(text: str) -> tuple[float, ...]:
     return parts
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return _ratios(text)
-
-
 def _resolve(args, spec: dict) -> dict:
     """Merge defaults < config file < explicit flags, per-key."""
     file_cfg = read_config_file(args.config) if getattr(args, "config", None) else {}
@@ -222,7 +218,7 @@ def cmd_train(args) -> int:
         "val_k": (int, 50),
         "patience": (int, 5),
         "init_scale": (float, 0.1),
-        "alpha": (_floats, None),
+        "alpha": (_ratios, None),
         "checkpoint_every": (int, 0),
     }
     cfg = _resolve(args, spec)
@@ -387,11 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-k", dest="val_k", type=int)
     p.add_argument("--patience", type=int)
     p.add_argument("--init-scale", dest="init_scale", type=float)
-    p.add_argument("--alpha", type=_floats)
+    p.add_argument("--alpha", type=_ratios)
     p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
     p.add_argument("--log")
-    p.add_argument("--threads", type=int, help="accepted for symmetry; the "
-                   "reference training loop is single-threaded")
     p.add_argument("--force", action="store_true")
     p.add_argument("--config")
     p.set_defaults(func=cmd_train)
@@ -403,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--cold-start", dest="cold_start", action="store_true")
     p.add_argument("--out")
-    p.add_argument("--threads", type=int)
     p.add_argument("--config")
     p.set_defaults(func=cmd_evaluate)
 
@@ -421,8 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # inside the try: a flag's type function may raise ConfigError
+        args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,8 @@
 The model works on two attribute graphs: items x item-attribute keywords,
 and a user graph stored as two bipartite relations (users x items,
 users x aesthetic keywords) sharing the user vertex set. All propagation
-coefficients are 1/sqrt(deg_left * deg_right), precomputed per edge.
+coefficients are 1/sqrt(deg_left * deg_right), precomputed per edge, and
+the relations combine into one sparse propagation operator per bundle.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -154,6 +156,68 @@ class GraphBundle:
             raise GraphError("item-attribute vertex count mismatch")
         if self.g_uiaa.right_count != len(self.vocab_iaa):
             raise GraphError("aesthetic vertex count mismatch")
+
+    @cached_property
+    def operator(self) -> "PropagationOperator":
+        """The union propagation operator, built on first use."""
+        return build_operator(self)
+
+
+@dataclass(frozen=True)
+class PropagationOperator:
+    """One propagation layer as a sparse matrix M over the stacked vertex
+    index [users | items | item_attrs | aesthetics].
+
+    A COO triplet sorted by (row, col): x -> M x is
+    ``gather_rows(rows, cols, coef, x, size)``, and the same triplet with
+    rows and cols swapped is the transpose, which backpropagation applies.
+    ``bounds`` are the class boundaries in the stacked index.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    coef: np.ndarray
+    bounds: tuple[int, int, int, int, int]
+
+    @property
+    def size(self) -> int:
+        return self.bounds[-1]
+
+    def split(self, stacked: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per-class row views of a stacked table, in stacking order."""
+        b = self.bounds
+        return tuple(stacked[b[j]:b[j + 1]] for j in range(4))
+
+
+def build_operator(bundle: GraphBundle) -> PropagationOperator:
+    """Stack the relations into M (LightGCN's operator view, He et al. 2020).
+
+    Users gather items and aesthetic keywords, items gather their
+    attributes, attributes gather items and aesthetic keywords gather users;
+    every entry is its relation's 1/sqrt(deg_left * deg_right).
+    """
+    g_ui, g_uiaa, g_iia = bundle.g_ui, bundle.g_uiaa, bundle.g_iia
+    counts = (g_ui.left_count, g_iia.left_count, g_iia.right_count,
+              g_uiaa.right_count)
+    bounds = tuple(int(b) for b in np.cumsum((0,) + counts))
+    u, i, ia, iaa = bounds[:4]
+    rows, cols, coef = [], [], []
+    for g, left_off, right_off, both_ways in ((g_ui, u, i, False),
+                                              (g_uiaa, u, iaa, True),
+                                              (g_iia, i, ia, True)):
+        left = np.repeat(np.arange(g.left_count), g.left_deg) + left_off
+        right = g.left_indices + right_off
+        rows.append(left)
+        cols.append(right)
+        coef.append(g.left_coef)
+        if both_ways:
+            rows.append(right)
+            cols.append(left)
+            coef.append(g.left_coef)
+    rows, cols, coef = (np.concatenate(parts) for parts in (rows, cols, coef))
+    order = np.lexsort((cols, rows))
+    return PropagationOperator(rows=rows[order], cols=cols[order],
+                               coef=coef[order], bounds=bounds)
 
 
 def build_item_attribute_graph(

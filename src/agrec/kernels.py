@@ -1,112 +1,38 @@
-"""Hot numeric kernels: CSR-style weighted row gather and row scatter-add.
+"""Hot numeric kernels: COO weighted row gather and row scatter-add.
 
-Every propagation step (forward and backward) reduces to one of these two
-primitives, so they carry numba @njit implementations with a pure-numpy
-fallback. Selection happens once at import time:
-
-  * ``AGREC_KERNELS=numpy``  -> force the numpy path
-  * ``AGREC_KERNELS=numba``  -> force numba (ImportError if unavailable)
-  * unset / ``auto``         -> numba when importable, else numpy
-
-Both paths perform the per-row additions in ascending edge order, so their
-results are bitwise identical; see tests/test_kernels.py and
-benchmarks/bench_kernels.py.
+Every propagation step, forward and backward, is one `gather_rows` over the
+union operator (see graphs.PropagationOperator). Both kernels accumulate in
+a fixed order, so their results are exactly reproducible.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_ENV_FLAG = "AGREC_KERNELS"
-
-
-def _gather_rows_numpy(indptr, indices, coef, src, out):
-    if indices.size:
-        rows = np.repeat(np.arange(out.shape[0]), np.diff(indptr))
-        np.add.at(out, rows, src[indices] * coef[:, None])
-    return out
-
-
-def _scatter_rows_numpy(out, idx, rows):
-    np.add.at(out, idx, rows)
-    return out
-
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-
-    @njit(cache=True)
-    def _gather_rows_numba(indptr, indices, coef, src, out):
-        n = indptr.shape[0] - 1
-        d = src.shape[1]
-        for i in range(n):
-            for e in range(indptr[i], indptr[i + 1]):
-                j = indices[e]
-                c = coef[e]
-                for col in range(d):
-                    out[i, col] += c * src[j, col]
-        return out
-
-    @njit(cache=True)
-    def _scatter_rows_numba(out, idx, rows):
-        d = out.shape[1]
-        for t in range(idx.shape[0]):
-            i = idx[t]
-            for col in range(d):
-                out[i, col] += rows[t, col]
-        return out
-
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-    _gather_rows_numba = None
-    _scatter_rows_numba = None
-
-
-def _select_backend() -> str:
-    choice = os.environ.get(_ENV_FLAG, "auto").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if HAS_NUMBA else "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise ImportError(f"{_ENV_FLAG}=numba but numba is not importable")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    raise ValueError(f"{_ENV_FLAG} must be 'numba', 'numpy' or 'auto', got {choice!r}")
-
-
-_BACKEND = _select_backend()
-
-if _BACKEND == "numba":
-    _gather_impl = _gather_rows_numba
-    _scatter_impl = _scatter_rows_numba
-else:
-    _gather_impl = _gather_rows_numpy
-    _scatter_impl = _scatter_rows_numpy
 
 
 def active_backend() -> str:
-    """Name of the kernel backend selected at import time."""
-    return _BACKEND
+    """Name of the kernel implementation, stamped into benchmark records."""
+    return "numpy"
 
 
-def gather_rows(indptr, indices, coef, src, n_out: int):
-    """out[i] = sum over edges e of row i of coef[e] * src[indices[e]].
+def gather_rows(rows, indices, coef, src, n_out: int):
+    """out[rows[e]] += coef[e] * src[indices[e]] for every edge e.
 
-    ``indptr``/``indices``/``coef`` form a CSR view of a bipartite relation;
-    rows with no edges yield zero vectors. Summation order within a row is
-    ascending edge index, which fixes the floating-point result exactly.
+    ``rows``/``indices``/``coef`` form a COO view of a sparse matrix; rows
+    with no edges yield zero vectors. It runs one weighted bincount per
+    column, and bincount adds its weights in input order, so each output row
+    sums its edges in ascending edge index, exactly as np.add.at would.
     """
-    out = np.zeros((n_out, src.shape[1]), dtype=np.float64)
-    return _gather_impl(indptr, indices, coef, src, out)
+    out = np.empty((n_out, src.shape[1]), dtype=np.float64)
+    src_t = np.ascontiguousarray(src.T)
+    for c in range(src.shape[1]):
+        out[:, c] = np.bincount(rows, weights=coef * src_t[c, indices],
+                                minlength=n_out)
+    return out
 
 
 def scatter_rows(out, idx, rows):
     """out[idx[t]] += rows[t], accumulated in ascending t order, in place."""
     if idx.size:
-        _scatter_impl(out, idx, rows)
+        np.add.at(out, idx, rows)
     return out

@@ -3,8 +3,9 @@
 Per layer, all four vertex classes advance simultaneously from the previous
 layer's values (Jacobi-style): items gather from item attributes, item
 attributes from items, aesthetic keywords from users, and users from both
-aesthetic keywords and items. Final user/item embeddings are the
-alpha-weighted sum over layers 0..K. Everything is linear; there are no
+aesthetic keywords and items. That is one sparse operator M applied to the
+stacked tables (graphs.PropagationOperator). Final user/item embeddings are
+the alpha-weighted sum over layers 0..K. Everything is linear; there are no
 activations, attention weights, self-loops or dropout.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -49,7 +51,13 @@ class ModelConfig:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
         if self.layers < 0:
             raise ConfigError(f"layers must be >= 0, got {self.layers}")
+        for name in ("learning_rate", "l2_weight", "init_scale"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         alpha = self.alpha()
+        if not np.isfinite(alpha).all():
+            raise ConfigError("layer weights must be finite")
         if alpha.shape[0] != self.layers + 1:
             raise ConfigError(
                 f"need {self.layers + 1} layer weights, got {alpha.shape[0]}")
@@ -113,57 +121,28 @@ def init_tables(bundle: GraphBundle, config: ModelConfig,
     )
 
 
-def propagate_items(e_ia: np.ndarray, g_iia: BipartiteGraph) -> np.ndarray:
-    """Items gather their attributes: out[i] = sum_a e_ia[a]/sqrt(deg_i*deg_a)."""
-    return gather_rows(g_iia.left_indptr, g_iia.left_indices, g_iia.left_coef,
-                       e_ia, g_iia.left_count)
-
-
-def propagate_item_attributes(e_i: np.ndarray, g_iia: BipartiteGraph) -> np.ndarray:
-    """Attributes gather their items (transpose of propagate_items)."""
-    return gather_rows(g_iia.right_indptr, g_iia.right_indices, g_iia.right_coef,
-                       e_i, g_iia.right_count)
-
-
-def propagate_aesthetics(e_u: np.ndarray, g_uiaa: BipartiteGraph) -> np.ndarray:
-    """Aesthetic keywords gather the users linked to them."""
-    return gather_rows(g_uiaa.right_indptr, g_uiaa.right_indices, g_uiaa.right_coef,
-                       e_u, g_uiaa.right_count)
-
-
-def propagate_users(e_iaa: np.ndarray, e_i: np.ndarray,
-                    g_uiaa: BipartiteGraph, g_ui: BipartiteGraph) -> np.ndarray:
-    """Users gather aesthetics and items; degrees are taken per relation."""
-    out = gather_rows(g_uiaa.left_indptr, g_uiaa.left_indices, g_uiaa.left_coef,
-                      e_iaa, g_uiaa.left_count)
-    out += gather_rows(g_ui.left_indptr, g_ui.left_indices, g_ui.left_coef,
-                       e_i, g_ui.left_count)
-    return out
-
-
 def _check_finite(name: str, layer: int, arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values in {name} embeddings at layer {layer}")
 
 
+_CLASS_NAMES = ("user", "item", "item-attribute", "aesthetic")
+
+
 def forward(tables: EmbeddingTables, bundle: GraphBundle,
             config: ModelConfig) -> LayerStack:
-    """Run K propagation layers; layer 0 is the tables themselves."""
+    """Run K propagation layers x_{k+1} = M x_k on the stacked tables;
+    layer 0 is the tables themselves."""
+    op = bundle.operator
     stack = LayerStack(users=[tables.users], items=[tables.items],
                        item_attrs=[tables.item_attrs], aesthetics=[tables.aesthetics])
+    x = np.concatenate([arr for _, arr in tables.classes()])
     for k in range(config.layers):
-        nxt_i = propagate_items(stack.item_attrs[k], bundle.g_iia)
-        nxt_ia = propagate_item_attributes(stack.items[k], bundle.g_iia)
-        nxt_iaa = propagate_aesthetics(stack.users[k], bundle.g_uiaa)
-        nxt_u = propagate_users(stack.aesthetics[k], stack.items[k],
-                                bundle.g_uiaa, bundle.g_ui)
-        for name, arr in (("user", nxt_u), ("item", nxt_i),
-                          ("item-attribute", nxt_ia), ("aesthetic", nxt_iaa)):
+        x = gather_rows(op.rows, op.cols, op.coef, x, op.size)
+        for name, arr, layers in zip(_CLASS_NAMES, op.split(x), (
+                stack.users, stack.items, stack.item_attrs, stack.aesthetics)):
             _check_finite(name, k + 1, arr)
-        stack.users.append(nxt_u)
-        stack.items.append(nxt_i)
-        stack.item_attrs.append(nxt_ia)
-        stack.aesthetics.append(nxt_iaa)
+            layers.append(arr)
     return stack
 
 
@@ -245,7 +224,17 @@ def save_checkpoint(path, tables: EmbeddingTables, bundle: GraphBundle,
                     config: ModelConfig, extra: dict | None = None) -> None:
     """Write magic, length-prefixed JSON header, then the four tables as
     float32 little-endian row-major blocks in order users, items,
-    item-attributes, aesthetics."""
+    item-attributes, aesthetics.
+
+    Refuses, before touching `path`, tables that are not finite in float32.
+    """
+    with np.errstate(over="ignore"):  # overflow is caught just below
+        blocks = [np.ascontiguousarray(arr, dtype="<f4")
+                  for _, arr in tables.classes()]
+    for (name, _), block in zip(tables.classes(), blocks):
+        if not np.isfinite(block).all():
+            raise NumericError(f"refusing to save checkpoint: {name} table "
+                               "is not finite in float32")
     header = {
         "dim": config.dim,
         "layers": config.layers,
@@ -266,8 +255,8 @@ def save_checkpoint(path, tables: EmbeddingTables, bundle: GraphBundle,
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for _, arr in tables.classes():
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        for block in blocks:
+            fh.write(block.tobytes())
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -102,11 +102,31 @@ def load_dataset(data_dir, attrs_path=None) -> PreparedDataset:
 
     warm_pairs = [(iid, kw) for iid in item_order if iid in train_items
                   for kw in item_keywords[iid]]
-    g_iia, vocab_i, vocab_ia = build_item_attribute_graph(warm_pairs)
-
     aes_pairs = [(iid, kw) for iid, kws in aesthetic_keywords.items() for kw in kws]
+    cold_keywords = {iid: item_keywords[iid] for iid in item_order
+                     if iid not in train_items}
+    bundle, split, cold = build_bundle(
+        id_split, warm_pairs, aes_pairs, cold_keywords,
+        cold_pairs=[(u, i) for u, i in id_split.test if i in cold_keywords])
+    return PreparedDataset(manifest=manifest, dataset_hash=dataset_hash,
+                           id_split=id_split, bundle=bundle, split=split,
+                           item_keywords=item_keywords, cold=cold)
+
+
+def build_bundle(id_split: SplitDataset, item_keyword_pairs, aesthetic_pairs,
+                 cold_keywords: dict[str, list[str]], cold_pairs,
+                 ) -> tuple[GraphBundle, SplitDataset, ColdCandidates]:
+    """Graphs, index-level split and cold candidates from ID-level data.
+
+    `item_keyword_pairs` fix the item and item-attribute vocabularies in
+    order of first appearance; users and aesthetic keywords are indexed as
+    the training pairs reach them. `cold_keywords` lists the cold items in
+    order, and `cold_pairs` are the (user_id, item_id) pairs that hit them,
+    kept as cold test pairs when the user has trained.
+    """
+    g_iia, vocab_i, vocab_ia = build_item_attribute_graph(item_keyword_pairs)
     g_ui, g_uiaa, vocab_u, vocab_iaa = build_user_graph(
-        id_split.train, aes_pairs, vocab_i)
+        id_split.train, aesthetic_pairs, vocab_i)
     bundle = GraphBundle(g_iia=g_iia, g_ui=g_ui, g_uiaa=g_uiaa,
                          vocab_u=vocab_u, vocab_i=vocab_i,
                          vocab_ia=vocab_ia, vocab_iaa=vocab_iaa)
@@ -126,14 +146,8 @@ def load_dataset(data_dir, attrs_path=None) -> PreparedDataset:
     split = SplitDataset(train=train_idx, validation=_indexed(id_split.validation),
                          test=_indexed(id_split.test), user_positives=positives,
                          split_seed=id_split.split_seed)
-
-    cold_ids = [iid for iid in item_order if iid not in train_items]
-    cold_set = set(cold_ids)
     cold = ColdCandidates(
-        ids=cold_ids,
-        keywords={iid: item_keywords[iid] for iid in cold_ids},
-        test_pairs=[(vocab_u.index_of(u), i) for u, i in id_split.test
-                    if i in cold_set and u in vocab_u])
-    return PreparedDataset(manifest=manifest, dataset_hash=dataset_hash,
-                           id_split=id_split, bundle=bundle, split=split,
-                           item_keywords=item_keywords, cold=cold)
+        ids=list(cold_keywords), keywords=cold_keywords,
+        test_pairs=[(vocab_u.index_of(u), i) for u, i in cold_pairs
+                    if u in vocab_u])
+    return bundle, split, cold

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluation import ColdCandidates
-from .graphs import GraphBundle, build_item_attribute_graph, build_user_graph
+from .graphs import GraphBundle
 from .ingest import SplitDataset, split_dataset
+from .pipeline import build_bundle
 
 
 @dataclass
@@ -118,38 +119,12 @@ def assemble_world(world: PlantedWorld, ratios=(0.8, 0.1, 0.1), seed: int = 0,
     cold_inter = [(u, i) for u, i in world.interactions if i in cold_set]
 
     id_split = split_dataset(warm_inter, ratios=ratios, seed=seed)
-
-    g_iia, vocab_i, vocab_ia = build_item_attribute_graph(
-        attribute_pairs(world, exclude=cold_set))
-    g_ui, g_uiaa, vocab_u, vocab_iaa = build_user_graph(
-        id_split.train, aesthetic_pairs(world, exclude=cold_set), vocab_i)
-    bundle = GraphBundle(g_iia=g_iia, g_ui=g_ui, g_uiaa=g_uiaa,
-                         vocab_u=vocab_u, vocab_i=vocab_i,
-                         vocab_ia=vocab_ia, vocab_iaa=vocab_iaa)
-    bundle.validate()
-
-    def _indexed(pairs):
-        out = []
-        for u, i in pairs:
-            if u in vocab_u and i in vocab_i:
-                out.append((vocab_u.index_of(u), vocab_i.index_of(i)))
-        return out
-
-    train_idx = _indexed(id_split.train)
-    positives: dict[int, set[int]] = {}
-    for u, i in train_idx:
-        positives.setdefault(u, set()).add(i)
-    split = SplitDataset(train=train_idx, validation=_indexed(id_split.validation),
-                         test=_indexed(id_split.test), user_positives=positives,
-                         split_seed=seed)
-
-    cold_ids = [iid for iid in world.items if iid in cold_set]
-    cold = ColdCandidates(
-        ids=cold_ids,
-        keywords={iid: list(world.item_keywords[iid]) for iid in cold_ids},
-        test_pairs=[(vocab_u.index_of(u), i) for u, i in cold_inter
-                    if u in vocab_u])
-    return bundle, split, cold
+    return build_bundle(
+        id_split, attribute_pairs(world, exclude=cold_set),
+        aesthetic_pairs(world, exclude=cold_set),
+        cold_keywords={iid: list(world.item_keywords[iid])
+                       for iid in world.items if iid in cold_set},
+        cold_pairs=cold_inter)
 
 
 def write_world_files(world: PlantedWorld, directory) -> dict[str, str]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .graphs import GraphBundle
 from .ingest import SplitDataset
 from .kernels import gather_rows, scatter_rows
@@ -44,23 +44,6 @@ def sigmoid(x):
 def bpr_loss(s_pos, s_neg):
     """-ln sigmoid(s_pos - s_neg), in overflow-safe softplus form."""
     return softplus(-(np.asarray(s_pos, dtype=np.float64) - s_neg))
-
-
-def sample_negatives(user, n_n: int, item_count: int, user_positives: dict,
-                     rng: np.random.Generator) -> list[int]:
-    """Draw n_n uniform non-positive items for `user` by rejection, with
-    replacement across the n_n draws."""
-    positives = user_positives.get(user, frozenset())
-    if item_count <= len(positives):
-        raise DataError(f"no negatives available for user {user!r}")
-    out = []
-    for _ in range(n_n):
-        while True:
-            j = int(rng.integers(item_count))
-            if j not in positives:
-                out.append(j)
-                break
-    return out
 
 
 def _sample_negatives_block(users: np.ndarray, item_count: int,
@@ -129,8 +112,8 @@ def backward(users, pos, negs, stack: LayerStack, bundle: GraphBundle,
     """Exact gradients of the batch objective w.r.t. the four layer-0 tables.
 
     Returns (gradients, bpr_mean, reg_mean). The adjoint recursion mirrors the
-    forward: each layer-k gradient is the transposed propagation of layer k+1
-    plus alpha_k times the loss gradient on the final embeddings.
+    forward: z_K = alpha_K G and z_k = alpha_k G + Mᵀ z_{k+1}, where G is the
+    loss gradient on the final embeddings and Mᵀ the transposed operator.
     """
     users = np.asarray(users, dtype=np.int64)
     pos = np.asarray(pos, dtype=np.int64)
@@ -143,32 +126,20 @@ def backward(users, pos, negs, stack: LayerStack, bundle: GraphBundle,
     delta = s_pos - s_neg
     g = (-sigmoid(-delta) / n_triples)[:, None]
 
-    grad_final_u = np.zeros_like(e_u)
-    grad_final_i = np.zeros_like(e_i)
-    scatter_rows(grad_final_u, users, g * (e_i[pos] - e_i[negs]))
-    scatter_rows(grad_final_i, pos, g * u_rows)
-    scatter_rows(grad_final_i, negs, -g * u_rows)
+    # gradient on the final embeddings, stacked like the tables; attribute
+    # rows stay zero because only users and items are scored
+    op = bundle.operator
+    grad_final = np.zeros((op.size, e_u.shape[1]))
+    grad_u, grad_i, _, _ = op.split(grad_final)
+    scatter_rows(grad_u, users, g * (e_i[pos] - e_i[negs]))
+    scatter_rows(grad_i, pos, g * u_rows)
+    scatter_rows(grad_i, negs, -g * u_rows)
 
-    g_iia, g_ui, g_uiaa = bundle.g_iia, bundle.g_ui, bundle.g_uiaa
-    k = config.layers
-    z_u = alpha[k] * grad_final_u
-    z_i = alpha[k] * grad_final_i
-    z_ia = np.zeros_like(stack.item_attrs[0])
-    z_iaa = np.zeros_like(stack.aesthetics[0])
+    z = alpha[config.layers] * grad_final
     for k in range(config.layers - 1, -1, -1):
-        nz_u = alpha[k] * grad_final_u + gather_rows(
-            g_uiaa.left_indptr, g_uiaa.left_indices, g_uiaa.left_coef,
-            z_iaa, g_uiaa.left_count)
-        nz_i = alpha[k] * grad_final_i + gather_rows(
-            g_ui.right_indptr, g_ui.right_indices, g_ui.right_coef,
-            z_u, g_ui.right_count)
-        nz_i += gather_rows(g_iia.left_indptr, g_iia.left_indices,
-                            g_iia.left_coef, z_ia, g_iia.left_count)
-        nz_ia = gather_rows(g_iia.right_indptr, g_iia.right_indices,
-                            g_iia.right_coef, z_i, g_iia.right_count)
-        nz_iaa = gather_rows(g_uiaa.right_indptr, g_uiaa.right_indices,
-                             g_uiaa.right_coef, z_u, g_uiaa.right_count)
-        z_u, z_i, z_ia, z_iaa = nz_u, nz_i, nz_ia, nz_iaa
+        z = alpha[k] * grad_final + gather_rows(op.cols, op.rows, op.coef, z,
+                                                op.size)
+    z_u, z_i, z_ia, z_iaa = op.split(z)
 
     reg_mean = 0.0
     if config.l2_weight:
@@ -216,6 +187,10 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
     from .model import save_checkpoint
 
     config.validate()
+    if epochs < 1:
+        raise ConfigError(f"epochs must be >= 1, got {epochs}")
+    if batch_size < 1:
+        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     rng = np.random.default_rng(config.seed)
     tables = init_tables(bundle, config, rng)
 

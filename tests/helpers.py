@@ -50,6 +50,23 @@ def dense_propagation_matrix(g):
     return out
 
 
+def dense_union_matrix(bundle):
+    """Dense block matrix of one layer over [users | items | attrs | aesthetics]."""
+    n_u, n_i = len(bundle.vocab_u), len(bundle.vocab_i)
+    n_ia, n_iaa = len(bundle.vocab_ia), len(bundle.vocab_iaa)
+    u, i, ia, iaa = 0, n_u, n_u + n_i, n_u + n_i + n_ia
+    out = np.zeros((iaa + n_iaa,) * 2)
+    p_ui = dense_propagation_matrix(bundle.g_ui)
+    p_uiaa = dense_propagation_matrix(bundle.g_uiaa)
+    p_iia = dense_propagation_matrix(bundle.g_iia)
+    out[u:i, i:ia] = p_ui
+    out[u:i, iaa:] = p_uiaa
+    out[i:ia, ia:iaa] = p_iia
+    out[ia:iaa, i:ia] = p_iia.T
+    out[iaa:, u:i] = p_uiaa.T
+    return out
+
+
 def dense_forward(tables, bundle, layers):
     """Reference forward pass as explicit dense matrix products."""
     prop_ia_to_i = dense_propagation_matrix(bundle.g_iia)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -122,6 +124,46 @@ class TestTrain:
                      "--out", out]) == 0
 
 
+    def _train(self, pipeline_dir, tmp_path, *flags):
+        out = tmp_path / "bad.agr"
+        code = main(["train", "--data", pipeline_dir["data"],
+                     "--attrs", pipeline_dir["attrs"], "--dim", "4",
+                     "--epochs", "2", "--out", str(out), *flags])
+        return code, out
+
+    def test_nan_lr_exit_2(self, pipeline_dir, tmp_path):
+        code, out = self._train(pipeline_dir, tmp_path, "--lr", "nan")
+        assert code == 2
+        assert not out.exists()
+
+    def test_batch_zero_exit_2(self, pipeline_dir, tmp_path):
+        code, out = self._train(pipeline_dir, tmp_path, "--batch", "0")
+        assert code == 2
+        assert not out.exists()
+
+    def test_zero_epochs_exit_2(self, pipeline_dir, tmp_path):
+        code, out = self._train(pipeline_dir, tmp_path, "--epochs", "0")
+        assert code == 2
+        assert not out.exists()
+
+    def test_unparsable_alpha_exit_2(self, pipeline_dir, tmp_path):
+        code, out = self._train(pipeline_dir, tmp_path, "--alpha", "a,b")
+        assert code == 2
+        assert not out.exists()
+
+    def test_overflowing_lr_writes_no_checkpoint(self, pipeline_dir, tmp_path,
+                                                 capsys):
+        code, out = self._train(pipeline_dir, tmp_path, "--lr", "1e30")
+        assert code == 1
+        assert "not finite in float32" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_threads_flag_removed(self, pipeline_dir, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            self._train(pipeline_dir, tmp_path, "--threads", "2")
+        assert excinfo.value.code == 2
+
+
 class TestEvaluate:
     def test_standard_report(self, pipeline_dir, capsys):
         assert main(["evaluate", "--model", pipeline_dir["model"],
@@ -206,6 +248,23 @@ class TestEvaluate:
                      "--data", pipeline_dir["data"],
                      "--attrs", pipeline_dir["attrs"], "--k", "0"])
         assert code == 2
+
+
+    def test_imports_neither_scipy_nor_numba(self, pipeline_dir):
+        # every CLI process would pay their import time and memory
+        script = (
+            "import json, sys\n"
+            "from agrec.cli import main\n"
+            f"code = main(['evaluate', '--model', {pipeline_dir['model']!r},"
+            f" '--data', {pipeline_dir['data']!r},"
+            f" '--attrs', {pipeline_dir['attrs']!r}, '--k', '10'])\n"
+            "print(json.dumps([code, sorted(m for m in ('scipy', 'numba')"
+            " if m in sys.modules)]))\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
 
 
 class TestRecommend:

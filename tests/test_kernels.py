@@ -1,37 +1,50 @@
-"""The numba and numpy kernel paths must agree bitwise."""
+"""The COO gather and the row scatter accumulate in a fixed order."""
 
 import numpy as np
-import pytest
 
 from agrec import kernels
 from agrec.kernels import gather_rows, scatter_rows
 
 
-def _random_csr(rng, n_rows, n_src, n_edges):
-    rows = np.sort(rng.integers(0, n_rows, size=n_edges))
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.add.at(indptr, rows + 1, 1)
-    indptr = np.cumsum(indptr)
+def _random_coo(rng, n_rows, n_src, n_edges):
+    rows = np.sort(rng.integers(0, n_rows, size=n_edges)).astype(np.int64)
     indices = rng.integers(0, n_src, size=n_edges).astype(np.int64)
     coef = rng.uniform(0.1, 1.0, size=n_edges)
-    return indptr.astype(np.int64), indices, coef
+    return rows, indices, coef
 
 
 def test_gather_matches_explicit_loop():
     rng = np.random.default_rng(0)
-    indptr, indices, coef = _random_csr(rng, 7, 5, 30)
+    rows, indices, coef = _random_coo(rng, 7, 5, 30)
     src = rng.normal(size=(5, 3))
-    got = gather_rows(indptr, indices, coef, src, 7)
+    got = gather_rows(rows, indices, coef, src, 7)
     want = np.zeros((7, 3))
-    for i in range(7):
-        for e in range(indptr[i], indptr[i + 1]):
-            want[i] += coef[e] * src[indices[e]]
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    for e in range(rows.shape[0]):
+        want[rows[e]] += coef[e] * src[indices[e]]
+    np.testing.assert_array_equal(got, want)
+
+
+def test_gather_matches_add_at_bitwise():
+    # unsorted rows too: accumulation follows edge order, whatever it is
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        n_rows = int(rng.integers(1, 50))
+        n_src = int(rng.integers(1, 50))
+        n_edges = int(rng.integers(0, 300))
+        d = int(rng.integers(1, 8))
+        rows, indices, coef = _random_coo(rng, n_rows, n_src, n_edges)
+        rng.shuffle(rows)
+        src = rng.normal(size=(n_src, d))
+        want = np.zeros((n_rows, d))
+        np.add.at(want, rows, src[indices] * coef[:, None])
+        got = gather_rows(rows, indices, coef, src, n_rows)
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
 
 
 def test_gather_empty_rows_are_zero():
-    indptr = np.array([0, 0, 0], dtype=np.int64)
-    out = gather_rows(indptr, np.zeros(0, np.int64), np.zeros(0), np.zeros((0, 4)), 2)
+    empty = np.zeros(0, np.int64)
+    out = gather_rows(empty, empty, np.zeros(0), np.zeros((0, 4)), 2)
     assert out.shape == (2, 4)
     assert (out == 0).all()
 
@@ -44,37 +57,5 @@ def test_scatter_accumulates_duplicates():
     np.testing.assert_array_equal(out, [[0, 0], [4, 6], [5, 6]])
 
 
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-def test_backends_bitwise_identical():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        n_rows = int(rng.integers(1, 50))
-        n_src = int(rng.integers(1, 50))
-        n_edges = int(rng.integers(0, 200))
-        d = int(rng.integers(1, 8))
-        indptr, indices, coef = _random_csr(rng, n_rows, n_src, n_edges)
-        src = rng.normal(size=(n_src, d))
-
-        out_nb = kernels._gather_rows_numba(indptr, indices, coef, src,
-                                            np.zeros((n_rows, d)))
-        out_np = kernels._gather_rows_numpy(indptr, indices, coef, src,
-                                            np.zeros((n_rows, d)))
-        np.testing.assert_array_equal(out_nb, out_np)
-
-        idx = rng.integers(0, n_rows, size=40).astype(np.int64)
-        rows = rng.normal(size=(40, d))
-        acc_nb = np.zeros((n_rows, d))
-        acc_np = np.zeros((n_rows, d))
-        kernels._scatter_rows_numba(acc_nb, idx, rows)
-        kernels._scatter_rows_numpy(acc_np, idx, rows)
-        np.testing.assert_array_equal(acc_nb, acc_np)
-
-
-def test_env_flag_selects_backend(monkeypatch):
-    monkeypatch.setenv(kernels._ENV_FLAG, "numpy")
-    assert kernels._select_backend() == "numpy"
-    monkeypatch.setenv(kernels._ENV_FLAG, "auto")
-    assert kernels._select_backend() in ("numba", "numpy")
-    monkeypatch.setenv(kernels._ENV_FLAG, "bogus")
-    with pytest.raises(ValueError):
-        kernels._select_backend()
+def test_backend_is_numpy():
+    assert kernels.active_backend() == "numpy"

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from agrec.errors import ColdItemError, ConfigError, DataError, NumericError
-from agrec.graphs import (BipartiteGraph, GraphBundle,
+from agrec.graphs import (BipartiteGraph, GraphBundle, Vocabulary,
                           build_item_attribute_graph, build_user_graph)
+from agrec.kernels import gather_rows
 from agrec.model import (EmbeddingTables, ModelConfig, cold_item_embedding,
                          final_embeddings, forward, init_tables,
-                         load_checkpoint, propagate_aesthetics,
-                         propagate_item_attributes, propagate_items,
-                         propagate_users, save_checkpoint, score)
-from helpers import (dense_forward, dense_propagation_matrix, random_bundle,
-                     random_tables)
+                         load_checkpoint, save_checkpoint, score)
+from helpers import (dense_forward, dense_propagation_matrix,
+                     dense_union_matrix, random_bundle, random_tables)
 
 
 def toy_bundle():
@@ -40,91 +39,140 @@ class TestModelConfig:
         dict(learning_rate=-1.0),
         dict(n_negatives=0),
         dict(init_scale=0.0),
+        dict(learning_rate=float("nan")),
+        dict(learning_rate=float("inf")),
+        dict(l2_weight=float("nan")),
+        dict(init_scale=float("inf")),
+        dict(layers=1, layer_weights=(float("nan"), 1.0)),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             ModelConfig(**kwargs).validate()
 
 
+def layer_one(counts, iia=(), ui=(), uiaa=(), **given):
+    """Layer-1 embeddings of a hand-built bundle; `counts` are the user,
+    item, item-attribute and aesthetic vertex counts, and layer-0 tables
+    not given are zero."""
+    n_u, n_i, n_ia, n_iaa = counts
+    vocabs = [Vocabulary.from_ids(f"{prefix}{j}" for j in range(n))
+              for prefix, n in zip("uias", counts)]
+    bundle = GraphBundle(BipartiteGraph(n_i, n_ia, list(iia)),
+                         BipartiteGraph(n_u, n_i, list(ui)),
+                         BipartiteGraph(n_u, n_iaa, list(uiaa)), *vocabs)
+    dim = next(iter(given.values())).shape[1]
+    tables = EmbeddingTables(**{
+        name: given.get(name, np.zeros((n, dim)))
+        for name, n in zip(("users", "items", "item_attrs", "aesthetics"), counts)})
+    stack = forward(tables, bundle, ModelConfig(dim=dim, layers=1))
+    return EmbeddingTables(stack.users[1], stack.items[1],
+                           stack.item_attrs[1], stack.aesthetics[1])
+
+
 class TestPropagation:
     def test_item_with_two_unit_attributes(self):
         # item i has attrs a1, a2; deg(i)=2, deg(a1)=deg(a2)=1
-        g = BipartiteGraph(1, 2, [(0, 0), (0, 1)])
         e_ia = np.array([[1.0, 0.0], [0.0, 2.0]])
-        got = propagate_items(e_ia, g)
-        np.testing.assert_allclose(got, (e_ia[0] + e_ia[1])[None, :] / np.sqrt(2))
+        got = layer_one((0, 1, 2, 0), iia=[(0, 0), (0, 1)], item_attrs=e_ia)
+        np.testing.assert_allclose(got.items,
+                                   (e_ia[0] + e_ia[1])[None, :] / np.sqrt(2))
 
     def test_single_attribute_degree_four(self):
         # four items share attr a; each item has only that attr
-        g = BipartiteGraph(4, 1, [(j, 0) for j in range(4)])
         e_ia = np.array([[2.0, -4.0]])
-        got = propagate_items(e_ia, g)
-        np.testing.assert_allclose(got[0], e_ia[0] / 2.0)
+        got = layer_one((0, 4, 1, 0), iia=[(j, 0) for j in range(4)],
+                        item_attrs=e_ia)
+        np.testing.assert_allclose(got.items[0], e_ia[0] / 2.0)
 
     def test_item_without_attributes(self):
-        g = BipartiteGraph(2, 1, [(0, 0)])
-        got = propagate_items(np.ones((1, 3)), g)
-        assert (got[1] == 0).all()
+        got = layer_one((0, 2, 1, 0), iia=[(0, 0)], item_attrs=np.ones((1, 3)))
+        assert (got.items[1] == 0).all()
 
     def test_attribute_copies_single_unit_item(self):
-        g = BipartiteGraph(1, 1, [(0, 0)])
         e_i = np.array([[3.0, 1.0]])
-        np.testing.assert_allclose(propagate_item_attributes(e_i, g), e_i)
+        got = layer_one((0, 1, 1, 0), iia=[(0, 0)], items=e_i)
+        np.testing.assert_allclose(got.item_attrs, e_i)
 
     def test_attribute_two_items_degree_two(self):
         # attr on two items, each of degree 2
-        g = BipartiteGraph(2, 3, [(0, 0), (0, 1), (1, 0), (1, 2)])
         e_i = np.array([[1.0], [3.0]])
-        got = propagate_item_attributes(e_i, g)
-        np.testing.assert_allclose(got[0], [(1.0 + 3.0) / 2.0])
+        got = layer_one((0, 2, 3, 0), iia=[(0, 0), (0, 1), (1, 0), (1, 2)],
+                        items=e_i)
+        np.testing.assert_allclose(got.item_attrs[0], [(1.0 + 3.0) / 2.0])
 
     def test_unused_attribute_zero(self):
-        g = BipartiteGraph(1, 2, [(0, 0)])
-        got = propagate_item_attributes(np.ones((1, 2)), g)
-        assert (got[1] == 0).all()
+        got = layer_one((0, 1, 2, 0), iia=[(0, 0)], items=np.ones((1, 2)))
+        assert (got.item_attrs[1] == 0).all()
 
     def test_aesthetic_copies_single_user(self):
-        g = BipartiteGraph(1, 1, [(0, 0)])
         e_u = np.array([[0.5, -0.5]])
-        np.testing.assert_allclose(propagate_aesthetics(e_u, g), e_u)
+        got = layer_one((1, 0, 0, 1), uiaa=[(0, 0)], users=e_u)
+        np.testing.assert_allclose(got.aesthetics, e_u)
 
     def test_aesthetic_two_users(self):
         # keyword degree 2, each user aesthetic-degree 1
-        g = BipartiteGraph(2, 1, [(0, 0), (1, 0)])
         e_u = np.array([[1.0], [2.0]])
-        got = propagate_aesthetics(e_u, g)
-        np.testing.assert_allclose(got[0], [(1.0 + 2.0) / np.sqrt(2)])
+        got = layer_one((2, 0, 0, 1), uiaa=[(0, 0), (1, 0)], users=e_u)
+        np.testing.assert_allclose(got.aesthetics[0], [(1.0 + 2.0) / np.sqrt(2)])
 
     def test_user_single_item_all_unit(self):
-        g_ui = BipartiteGraph(1, 1, [(0, 0)])
-        g_uiaa = BipartiteGraph(1, 0, [])
         e_i = np.array([[4.0, 2.0]])
-        got = propagate_users(np.zeros((0, 2)), e_i, g_uiaa, g_ui)
-        np.testing.assert_allclose(got, e_i)
+        got = layer_one((1, 1, 0, 0), ui=[(0, 0)], items=e_i)
+        np.testing.assert_allclose(got.users, e_i)
 
     def test_user_item_plus_aesthetic_unit(self):
-        g_ui = BipartiteGraph(1, 1, [(0, 0)])
-        g_uiaa = BipartiteGraph(1, 1, [(0, 0)])
-        e_i = np.array([[1.0, 0.0]])
-        e_iaa = np.array([[0.0, 1.0]])
-        got = propagate_users(e_iaa, e_i, g_uiaa, g_ui)
-        np.testing.assert_allclose(got, [[1.0, 1.0]])
+        got = layer_one((1, 1, 0, 1), ui=[(0, 0)], uiaa=[(0, 0)],
+                        items=np.array([[1.0, 0.0]]),
+                        aesthetics=np.array([[0.0, 1.0]]))
+        np.testing.assert_allclose(got.users, [[1.0, 1.0]])
 
     def test_user_without_edges(self):
-        g_ui = BipartiteGraph(2, 1, [(0, 0)])
-        g_uiaa = BipartiteGraph(2, 0, [])
-        got = propagate_users(np.zeros((0, 2)), np.ones((1, 2)), g_uiaa, g_ui)
-        assert (got[1] == 0).all()
+        got = layer_one((2, 1, 0, 0), ui=[(0, 0)], items=np.ones((1, 2)))
+        assert (got.users[1] == 0).all()
 
     def test_per_relation_degrees_in_user_update(self):
         # user0: two items, one aesthetic; degrees differ per relation
-        g_ui = BipartiteGraph(1, 2, [(0, 0), (0, 1)])
-        g_uiaa = BipartiteGraph(1, 1, [(0, 0)])
-        e_i = np.array([[1.0], [1.0]])
-        e_iaa = np.array([[1.0]])
-        got = propagate_users(e_iaa, e_i, g_uiaa, g_ui)
+        got = layer_one((1, 2, 0, 1), ui=[(0, 0), (0, 1)], uiaa=[(0, 0)],
+                        items=np.ones((2, 1)), aesthetics=np.ones((1, 1)))
         want = 1.0 / np.sqrt(1 * 1) + 2 * (1.0 / np.sqrt(2 * 1))
-        np.testing.assert_allclose(got, [[want]])
+        np.testing.assert_allclose(got.users, [[want]])
+
+
+class TestOperator:
+    @staticmethod
+    def densify(op):
+        out = np.zeros((op.size, op.size))
+        np.add.at(out, (op.rows, op.cols), op.coef)
+        return out
+
+    def test_matches_dense_block_matrix(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            counts = rng.integers(0, 7, size=4)
+            bundle = random_bundle(rng, *counts, p=float(rng.uniform(0.1, 0.9)))
+            np.testing.assert_array_equal(self.densify(bundle.operator),
+                                          dense_union_matrix(bundle))
+
+    def test_sorted_by_row_then_col_and_cached(self):
+        bundle = random_bundle(np.random.default_rng(6), 5, 6, 4, 3, p=0.5)
+        op = bundle.operator
+        assert bundle.operator is op
+        key = op.rows * op.size + op.cols
+        assert (np.diff(key) > 0).all()
+        assert op.bounds == (0, 5, 11, 15, 18)
+
+    def test_adjoint_identity(self):
+        # <M x, y> = <x, M^T y>, with M^T the swapped triplet backprop uses
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            counts = rng.integers(1, 9, size=4)
+            bundle = random_bundle(rng, *counts, p=float(rng.uniform(0.1, 0.9)))
+            op = bundle.operator
+            x = rng.normal(size=(op.size, 3))
+            y = rng.normal(size=(op.size, 3))
+            mx = gather_rows(op.rows, op.cols, op.coef, x, op.size)
+            mty = gather_rows(op.cols, op.rows, op.coef, y, op.size)
+            assert abs(float((mx * y).sum()) - float((x * mty).sum())) < 1e-12
 
 
 class TestForward:
@@ -194,9 +242,10 @@ class TestForward:
         # Eq (2)'s matrix is exactly the transpose of Eq (1)'s
         x = rng.normal(size=(bundle.g_iia.right_count, 3))
         y = rng.normal(size=(bundle.g_iia.left_count, 3))
-        np.testing.assert_allclose(propagate_items(x, bundle.g_iia), fwd @ x, atol=1e-12)
-        np.testing.assert_allclose(propagate_item_attributes(y, bundle.g_iia),
-                                   fwd.T @ y, atol=1e-12)
+        got = layer_one((3, 6, 5, 2), iia=bundle.g_iia.edges(),
+                        items=y, item_attrs=x)
+        np.testing.assert_allclose(got.items, fwd @ x, atol=1e-12)
+        np.testing.assert_allclose(got.item_attrs, fwd.T @ y, atol=1e-12)
 
     def test_nonfinite_raises_named_error(self):
         bundle = toy_bundle()
@@ -354,6 +403,16 @@ class TestCheckpoint:
         path.write_bytes(blob[:-5])
         with pytest.raises(DataError, match="truncated"):
             load_checkpoint(path)
+
+    def test_refuses_tables_not_finite_in_float32(self, tmp_path):
+        bundle = toy_bundle()
+        cfg = ModelConfig(dim=2, layers=1, seed=4)
+        tables = init_tables(bundle, cfg)
+        tables.items[1, 0] = 1e39  # finite in float64, inf in float32
+        path = tmp_path / "model.agr"
+        with pytest.raises(NumericError, match="items"):
+            save_checkpoint(path, tables, bundle, cfg)
+        assert not path.exists()
 
     def test_layout_in_file(self, tmp_path):
         bundle = toy_bundle()

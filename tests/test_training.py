@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from agrec.errors import DataError
+from agrec.errors import ConfigError, DataError
 from agrec.ingest import SplitDataset
 from agrec.model import (EmbeddingTables, ModelConfig, forward,
                          init_tables)
-from agrec.training import (TrainDivergedError, backward, batch_loss, bpr_loss,
-                            sample_negatives, _sample_negatives_block,
-                            sgd_step, sigmoid, train)
+from agrec.training import (TrainDivergedError, _sample_negatives_block,
+                            backward, batch_loss, bpr_loss, sgd_step, sigmoid,
+                            train)
 from helpers import (finite_difference_gradients, random_bundle, random_tables)
 
 
@@ -45,13 +45,15 @@ class TestBprLoss:
 class TestSampler:
     def test_single_candidate(self):
         rng = np.random.default_rng(0)
-        got = sample_negatives("u", 3, 5, {"u": {0, 1, 2, 3}}, rng)
-        assert got == [4, 4, 4]
+        users = np.zeros(3, dtype=np.int64)
+        got = _sample_negatives_block(users, 5, {0: {0, 1, 2, 3}}, rng)
+        assert got.tolist() == [4, 4, 4]
 
     def test_all_items_positive(self):
         rng = np.random.default_rng(0)
+        users = np.array([1, 0], dtype=np.int64)
         with pytest.raises(DataError, match="no negatives"):
-            sample_negatives("u", 1, 3, {"u": {0, 1, 2}}, rng)
+            _sample_negatives_block(users, 3, {0: {0, 1, 2}}, rng)
 
     def test_never_returns_positive_full_scan(self):
         rng = np.random.default_rng(7)
@@ -229,6 +231,14 @@ class TestTrainLoop:
                       patience=None, val_k=5)
         err = excinfo.value
         assert err.last_good is None or isinstance(err.last_good, EmbeddingTables)
+
+    @pytest.mark.parametrize("kwargs", [dict(batch_size=0), dict(epochs=0)])
+    def test_rejects_empty_batches_and_epochs(self, kwargs):
+        rng = np.random.default_rng(16)
+        bundle, cfg, _ = tiny_problem(rng)
+        split = small_split(rng, bundle)
+        with pytest.raises(ConfigError):
+            train(split, bundle, cfg, **{"epochs": 1, "batch_size": 8, **kwargs})
 
     def test_training_log_schema(self, tmp_path):
         import json
