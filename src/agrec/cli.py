@@ -13,12 +13,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import (AgrecError, ConfigError, DataError, IntegrityError,
                      UnknownIdError)
-from .evaluation import evaluate, rank_items
+from .evaluation import evaluate, top_k
 from .extractor import (FixtureBackend, HttpBackend, PromptKind,
                         run_extraction_batch)
 from .ingest import (PriceBuckets, filter_min_popularity, fit_price_buckets,
@@ -301,15 +299,12 @@ def cmd_recommend(args) -> int:
     stack = forward(checkpoint.tables, bundle, config)
     e_u, e_i = final_embeddings(stack, config.alpha())
 
-    excluded = prepared.split.user_positives.get(user_idx, set())
-    every = np.arange(len(bundle.vocab_i), dtype=np.int64)
-    candidates = (np.setdiff1d(every, np.fromiter(excluded, dtype=np.int64),
-                               assume_unique=True) if excluded else every)
-    if candidates.size == 0:
+    user_vec = e_u[[user_idx]]
+    (top,) = top_k(user_vec, e_i, cfg["k"],
+                   exclude=[prepared.split.user_positives.get(user_idx, ())])
+    if top.size == 0:
         raise DataError(f"user {args.user!r} has interacted with every item")
-    result = rank_items(user_idx, candidates, e_u, e_i)
-    top = result.ordering[:cfg["k"]]
-    scores = e_i[top] @ e_u[user_idx]
+    scores = (user_vec @ e_i.T)[0, top]  # the row top_k ranked: non-increasing
 
     history_keywords: set[str] = set()
     if args.explain:

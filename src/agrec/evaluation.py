@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ColdItemError, ConfigError, DataError, IntegrityError
+from .errors import (ColdItemError, ConfigError, DataError, IntegrityError,
+                     NumericError)
 from .graphs import GraphBundle
 from .ingest import SplitDataset
 from .model import (Checkpoint, cold_item_embedding, final_embeddings, forward,
@@ -35,6 +36,15 @@ class RankingResult:
 
 @dataclass
 class MetricsReport:
+    """Metrics averaged over the `users` that were ranked.
+
+    excluded_users counts users with test positives that could not be
+    ranked: no candidate item is left after removing their training
+    positives, or (cold-start) every one of their cold positives is
+    unscorable. unscorable_cold_items counts cold items with no trained
+    keyword, which cannot be embedded and are left out of the candidates.
+    """
+
     mode: str
     k: int
     users: int
@@ -43,6 +53,8 @@ class MetricsReport:
     precision: float
     checkpoint_hash: str = ""
     dataset_hash: str = ""
+    excluded_users: int = 0
+    unscorable_cold_items: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -50,6 +62,8 @@ class MetricsReport:
             "recall": self.recall, "ndcg": self.ndcg, "precision": self.precision,
             "checkpoint_hash": self.checkpoint_hash,
             "dataset_hash": self.dataset_hash,
+            "excluded_users": self.excluded_users,
+            "unscorable_cold_items": self.unscorable_cold_items,
         }
 
 
@@ -72,6 +86,34 @@ def rank_items(user: int, candidates, e_u: np.ndarray, e_i: np.ndarray,
         mask = np.isin(ordering, np.fromiter(test_positives, dtype=np.int64))
         hit_ranks = (np.nonzero(mask)[0] + 1).tolist()
     return RankingResult(user=int(user), ordering=ordering, hit_ranks=hit_ranks)
+
+
+# scores per ranking block: 2^16 float64 scores are 512 KB, small beside peak RSS
+_BLOCK_SCORES = 1 << 16
+
+
+def top_k(user_vecs: np.ndarray, item_vecs: np.ndarray, k: int,
+          exclude=None) -> list[np.ndarray]:
+    """Best-first indices of the top k items for each user row, ties by
+    ascending index also at the k-th place: row r is rank_items' ordering[:k]
+    over the items not in exclude[r], and shorter when fewer are left."""
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    n_items = item_vecs.shape[0]
+    rows, kth = max(1, _BLOCK_SCORES // n_items), min(k, n_items) - 1
+    out: list[np.ndarray] = []
+    for start in range(0, user_vecs.shape[0], rows):
+        neg = user_vecs[start:start + rows] @ item_vecs.T
+        np.negative(neg, out=neg)
+        if not np.isfinite(neg).all():
+            raise NumericError("non-finite ranking scores")
+        for r, excluded in enumerate(exclude[start:start + rows] if exclude else ()):
+            neg[r, list(excluded)] = np.inf
+        for row in neg:
+            idx = np.flatnonzero(row <= np.partition(row, kth)[kth])
+            idx = idx[np.argsort(row[idx], kind="stable")][:k]
+            out.append(idx[row[idx] < np.inf])  # +inf marks an excluded item
+    return out
 
 
 def _topk_hits(result: RankingResult, positives, k: int) -> int:
@@ -106,20 +148,11 @@ def mean_recall_at_k(e_u: np.ndarray, e_i: np.ndarray,
                      positives_by_user: dict[int, set[int]],
                      train_positives: dict[int, set[int]], k: int) -> float:
     """Average Recall@k over users with positives; used for early stopping."""
-    n_items = e_i.shape[0]
-    every = np.arange(n_items, dtype=np.int64)
-    values = []
-    for user in sorted(positives_by_user):
-        excluded = train_positives.get(user, ())
-        if excluded:
-            cand = np.setdiff1d(every, np.fromiter(excluded, dtype=np.int64),
-                                assume_unique=True)
-        else:
-            cand = every
-        if cand.size == 0:
-            continue
-        res = rank_items(user, cand, e_u, e_i)
-        values.append(recall_at_k(res, positives_by_user[user], k))
+    users = sorted(positives_by_user)
+    tops = top_k(e_u[users], e_i, k,
+                 exclude=[train_positives.get(u, ()) for u in users])
+    values = [recall_at_k(RankingResult(u, top), positives_by_user[u], k)
+              for u, top in zip(users, tops) if top.size]
     if not values:
         return 0.0
     return float(np.sum(np.asarray(values)) / len(values))
@@ -151,8 +184,6 @@ def evaluate(checkpoint: Checkpoint, bundle: GraphBundle, split: SplitDataset,
     Refuses to run when the checkpoint's vocabulary hashes do not match the
     graphs rebuilt from the dataset.
     """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
     if mode not in ("standard", "cold_start"):
         raise ConfigError(f"unknown evaluation mode {mode!r}")
     expected = vocab_hashes(bundle)
@@ -164,23 +195,10 @@ def evaluate(checkpoint: Checkpoint, bundle: GraphBundle, split: SplitDataset,
     stack = forward(checkpoint.tables, bundle, config)
     e_u, e_i = final_embeddings(stack, config.alpha())
 
-    per_user: list[tuple[float, float, float]] = []
     if mode == "standard":
-        by_user: dict[int, set[int]] = {}
-        for u, i in split.test:
-            by_user.setdefault(int(u), set()).add(int(i))
-        every = np.arange(e_i.shape[0], dtype=np.int64)
-        for user in sorted(by_user):
-            excluded = split.user_positives.get(user, ())
-            cand = np.setdiff1d(every, np.fromiter(excluded, dtype=np.int64),
-                                assume_unique=True) if excluded else every
-            if cand.size == 0:
-                continue
-            positives = by_user[user]
-            res = rank_items(user, cand, e_u, e_i, test_positives=positives)
-            per_user.append((recall_at_k(res, positives, k),
-                             ndcg_at_k(res, positives, k),
-                             precision_at_k(res, positives, k)))
+        items, seen, pairs = e_i, split.user_positives, split.test
+        eligible = len({int(u) for u, _ in pairs})
+        unscorable = 0
     else:
         if cold is None:
             raise ConfigError("cold_start mode requires cold candidates")
@@ -192,24 +210,29 @@ def evaluate(checkpoint: Checkpoint, bundle: GraphBundle, split: SplitDataset,
                                           bundle.vocab_ia, bundle.g_iia,
                                           stack, config.alpha())
             except ColdItemError:
-                continue  # no trained keyword overlap: unscorable, excluded
+                continue  # no trained keyword overlap: counted as unscorable
             row_of[item_id] = len(rows)
             rows.append(vec)
         if not rows:
             raise DataError("no scorable cold items")
-        cold_matrix = np.vstack(rows)
-        by_user_cold: dict[int, set[int]] = {}
-        for user, item_id in cold.test_pairs:
-            if item_id in row_of:
-                by_user_cold.setdefault(int(user), set()).add(row_of[item_id])
-        cand = np.arange(cold_matrix.shape[0], dtype=np.int64)
-        for user in sorted(by_user_cold):
-            positives = by_user_cold[user]
-            res = rank_items(user, cand, e_u, cold_matrix,
-                             test_positives=positives)
-            per_user.append((recall_at_k(res, positives, k),
-                             ndcg_at_k(res, positives, k),
-                             precision_at_k(res, positives, k)))
+        items, seen = np.vstack(rows), {}
+        pairs = [(u, row_of[i]) for u, i in cold.test_pairs if i in row_of]
+        eligible = len({int(u) for u, _ in cold.test_pairs})
+        unscorable = len(cold.ids) - len(rows)
+
+    by_user: dict[int, set[int]] = {}
+    for u, i in pairs:
+        by_user.setdefault(int(u), set()).add(int(i))
+    users = sorted(by_user)
+    tops = top_k(e_u[users], items, k, exclude=[seen.get(u, ()) for u in users])
+    per_user: list[tuple[float, float, float]] = []
+    for user, top in zip(users, tops):
+        if not top.size:
+            continue
+        res, positives = RankingResult(user, top), by_user[user]
+        per_user.append((recall_at_k(res, positives, k),
+                         ndcg_at_k(res, positives, k),
+                         precision_at_k(res, positives, k)))
 
     if per_user:
         recall, ndcg, precision = _aggregate(per_user)
@@ -218,4 +241,6 @@ def evaluate(checkpoint: Checkpoint, bundle: GraphBundle, split: SplitDataset,
     return MetricsReport(mode=mode, k=k, users=len(per_user), recall=recall,
                          ndcg=ndcg, precision=precision,
                          checkpoint_hash=checkpoint_hash,
-                         dataset_hash=dataset_hash)
+                         dataset_hash=dataset_hash,
+                         excluded_users=eligible - len(per_user),
+                         unscorable_cold_items=unscorable)

@@ -225,27 +225,46 @@ class BatchSummary:
     cached: int = 0
     skipped: int = 0
     skipped_pairs: list[tuple[str, str]] = field(default_factory=list)
+    torn_line: str | None = None  # unterminated last line cut off on resume
 
     def to_dict(self) -> dict:
         return {"ok": self.ok, "cached": self.cached, "skipped": self.skipped,
-                "skipped_pairs": [list(p) for p in self.skipped_pairs]}
+                "skipped_pairs": [list(p) for p in self.skipped_pairs],
+                "torn_line": self.torn_line}
 
 
-def _existing_pairs(out_path) -> set[tuple[str, str]]:
+def _existing_pairs(out_path) -> tuple[set[tuple[str, str]], str | None]:
+    """Pairs already recorded in out_path, and the torn last line, if any.
+
+    A record is complete only with its newline. A last line without one is
+    what a crash mid-write leaves: it is truncated off the file, so the next
+    record starts on a line of its own, and its pair is queried again. A
+    line that does not parse anywhere else is a DataError.
+    """
     done: set[tuple[str, str]] = set()
     if not os.path.exists(out_path):
-        return done
-    with open(out_path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
+        return done, None
+    kept = 0
+    torn = None
+    with open(out_path, "rb") as fh:
+        for raw in fh:
+            if not raw.endswith(b"\n"):
+                torn = raw.decode("utf-8", errors="replace")
+                break
+            kept += len(raw)
+            line = raw.strip()
             if not line:
                 continue
             try:
                 obj = json.loads(line)
                 done.add((obj["item_id"], obj["kind"]))
-            except (json.JSONDecodeError, KeyError):
-                raise DataError(f"corrupt extraction output line: {line[:80]!r}")
-    return done
+            except (ValueError, KeyError, TypeError):
+                raise DataError(
+                    f"corrupt extraction output line: {line[:80]!r}") from None
+    if torn is not None:
+        with open(out_path, "r+b") as fh:
+            fh.truncate(kept)
+    return done, torn
 
 
 def run_extraction_batch(items: Sequence[tuple[str, str | None]],
@@ -255,17 +274,17 @@ def run_extraction_batch(items: Sequence[tuple[str, str | None]],
     """Extract every (item, kind) pair, appending JSONL records to out_path.
 
     Resumable: pairs already present in the output are counted as cached and
-    not re-queried. Items whose response yields no keywords are skipped and
-    reported. Output lines land in input order (waves of at most
-    `concurrency_limit` in-flight requests); consumers must still not rely
-    on line order.
+    not re-queried; a torn last line is cut off, reported and re-queried.
+    Items whose response yields no keywords are skipped and reported. Output
+    lines land in input order (waves of at most `concurrency_limit`
+    in-flight requests); consumers must still not rely on line order.
     """
     if concurrency_limit < 1:
         raise ConfigError("concurrency_limit must be >= 1")
     extractor = extractor or KeywordExtractor(backend)
     kinds = list(kinds)
-    done = _existing_pairs(out_path)
-    summary = BatchSummary()
+    done, torn = _existing_pairs(out_path)
+    summary = BatchSummary(torn_line=torn)
 
     pending: list[tuple[str, str | None, PromptKind]] = []
     for item_id, image_ref in items:

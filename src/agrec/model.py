@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -37,7 +38,6 @@ class ModelConfig:
     learning_rate: float = 1e-3
     l2_weight: float = 1e-4
     n_negatives: int = 1
-    n_price_buckets: int = 10
     init_scale: float = 0.1
     seed: int = 0
 
@@ -69,8 +69,6 @@ class ModelConfig:
             raise ConfigError("learning_rate must be >= 0")
         if self.n_negatives < 1:
             raise ConfigError("n_negatives must be >= 1")
-        if self.n_price_buckets < 1:
-            raise ConfigError("n_price_buckets must be >= 1")
         if self.init_scale <= 0:
             raise ConfigError("init_scale must be > 0")
 
@@ -259,21 +257,71 @@ def save_checkpoint(path, tables: EmbeddingTables, bundle: GraphBundle,
             fh.write(block.tobytes())
 
 
+_TABLE_NAMES = ("users", "items", "item_attrs", "aesthetics")
+_HEADER_KEYS = ("dim", "counts", "alpha", "layers", "seed", "vocab_sha256")
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_header(header) -> None:
+    if not isinstance(header, dict):
+        raise DataError("corrupt checkpoint: header is not a JSON object")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise DataError(f"corrupt checkpoint: header lacks {missing}")
+    counts = header["counts"]
+    if not (isinstance(counts, dict)
+            and all(_is_count(counts.get(cls)) for cls in _TABLE_NAMES)):
+        raise DataError("corrupt checkpoint: counts must be non-negative "
+                        f"integers for {list(_TABLE_NAMES)}")
+    if not _is_count(header["dim"]) or header["dim"] < 1:
+        raise DataError(f"corrupt checkpoint: bad dim {header['dim']!r}")
+    if not _is_count(header["layers"]) or not isinstance(header["seed"], int):
+        raise DataError("corrupt checkpoint: layers and seed must be integers")
+    alpha = header["alpha"]
+    if not (isinstance(alpha, list) and len(alpha) == header["layers"] + 1
+            and all(isinstance(a, (int, float)) for a in alpha)):
+        raise DataError("corrupt checkpoint: alpha must hold layers + 1 numbers")
+
+
 def load_checkpoint(path) -> Checkpoint:
+    """Read a save_checkpoint file, which must be exactly magic, length
+    prefix, header and the four tables the header sizes: a short file or
+    any byte after the last table is a DataError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise DataError(f"not a checkpoint file (bad magic {magic!r})")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        prefix = fh.read(4)
+        if len(prefix) != 4:
+            raise DataError("truncated checkpoint: header length")
+        (hlen,) = struct.unpack("<I", prefix)
+        blob = fh.read(hlen)
+        if len(blob) != hlen:
+            raise DataError("truncated checkpoint: header")
+        try:
+            header = json.loads(blob.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+            raise DataError(f"corrupt checkpoint header: {exc}") from None
+        _check_header(header)
         dim = header["dim"]
+        sizes = [header["counts"][cls] * dim * 4 for cls in _TABLE_NAMES]
+        expected = 8 + hlen + sum(sizes)
+        actual = os.fstat(fh.fileno()).st_size
+        if actual < expected:
+            raise DataError(f"truncated checkpoint: {actual} bytes, "
+                            f"header sizes {expected}")
+        if actual > expected:
+            raise DataError(f"corrupt checkpoint: {actual - expected} bytes "
+                            "after the last table")
         arrays = []
-        for cls in ("users", "items", "item_attrs", "aesthetics"):
-            rows = header["counts"][cls]
-            raw = fh.read(rows * dim * 4)
-            if len(raw) != rows * dim * 4:
+        for cls, size in zip(_TABLE_NAMES, sizes):
+            raw = fh.read(size)
+            if len(raw) != size:
                 raise DataError(f"truncated checkpoint: {cls} block")
-            arr = np.frombuffer(raw, dtype="<f4").reshape(rows, dim)
+            arr = np.frombuffer(raw, dtype="<f4").reshape(-1, dim)
             arrays.append(arr.astype(np.float64))
     return Checkpoint(header=header, tables=EmbeddingTables(*arrays))
 

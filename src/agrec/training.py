@@ -191,6 +191,8 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
+    if val_k < 1:
+        raise ConfigError(f"validation k must be >= 1, got {val_k}")
     rng = np.random.default_rng(config.seed)
     tables = init_tables(bundle, config, rng)
 
@@ -220,34 +222,32 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
         order = rng.permutation(n_pairs)
         loss_sum = reg_sum = 0.0
         batches = 0
-        for start in range(0, n_pairs, batch_size):
-            sel = order[start:start + batch_size]
-            users = np.repeat(pairs[sel, 0], n_n)
-            pos = np.repeat(pairs[sel, 1], n_n)
-            negs = _sample_negatives_block(users, item_count,
-                                           split.user_positives, rng)
-            try:
+        val_recall = None
+        try:  # propagation, the loss or the validation scores can overflow
+            for start in range(0, n_pairs, batch_size):
+                sel = order[start:start + batch_size]
+                users = np.repeat(pairs[sel, 0], n_n)
+                pos = np.repeat(pairs[sel, 1], n_n)
+                negs = _sample_negatives_block(users, item_count,
+                                               split.user_positives, rng)
                 stack = forward(tables, bundle, config)
                 grads, bpr_mean, reg_mean = backward(users, pos, negs, stack,
                                                      bundle, config)
-            except NumericError as exc:
-                raise TrainDivergedError(
-                    f"training diverged at epoch {epoch}: {exc}",
-                    last_good, stats) from exc
-            if not np.isfinite(bpr_mean):
-                raise TrainDivergedError(
-                    f"loss became non-finite at epoch {epoch}", last_good, stats)
-            sgd_step(tables, grads, config.learning_rate)
-            loss_sum += bpr_mean
-            reg_sum += reg_mean
-            batches += 1
-
-        val_recall = None
-        if val_by_user:
-            stack = forward(tables, bundle, config)
-            e_u, e_i = final_embeddings(stack, config.alpha())
-            val_recall = evaluation.mean_recall_at_k(
-                e_u, e_i, val_by_user, split.user_positives, val_k)
+                if not np.isfinite(bpr_mean):
+                    raise NumericError("loss became non-finite")
+                sgd_step(tables, grads, config.learning_rate)
+                loss_sum += bpr_mean
+                reg_sum += reg_mean
+                batches += 1
+            if val_by_user:
+                stack = forward(tables, bundle, config)
+                e_u, e_i = final_embeddings(stack, config.alpha())
+                val_recall = evaluation.mean_recall_at_k(
+                    e_u, e_i, val_by_user, split.user_positives, val_k)
+        except NumericError as exc:
+            raise TrainDivergedError(
+                f"training diverged at epoch {epoch}: {exc}",
+                last_good, stats) from exc
 
         st = EpochStats(epoch=epoch, loss=loss_sum / batches,
                         reg=reg_sum / batches, triples=n_pairs * n_n,

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from agrec.evaluation import (evaluate, mean_recall_at_k, ndcg_at_k,
-                              precision_at_k, rank_items, recall_at_k,
+                              precision_at_k, recall_at_k, top_k,
                               RankingResult)
 from agrec.extractor import PromptKind, render_prompt
 from agrec.model import (ModelConfig, final_embeddings, forward,
@@ -208,11 +208,10 @@ def test_cold_start_capability(tmp_path):
     by_user: dict[int, set[int]] = {}
     for u, iid in cold.test_pairs:
         by_user.setdefault(u, set()).add(row_of[iid])
-    candidates = np.arange(len(cold.ids))
+    users = sorted(by_user)
     ablation_recalls = [
-        recall_at_k(rank_items(u, candidates, e_u, id_rows,
-                               test_positives=by_user[u]), by_user[u], 10)
-        for u in sorted(by_user)]
+        recall_at_k(RankingResult(u, top), by_user[u], 10)
+        for u, top in zip(users, top_k(e_u[users], id_rows, 10))]
     ablation = float(np.mean(ablation_recalls))
 
     _report("cold-start-capability",

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from agrec.cli import main
+from agrec.pipeline import load_dataset
 from agrec.synth import planted_world, write_world_files
 
 
@@ -267,6 +268,23 @@ class TestEvaluate:
         assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
 
 
+    def test_truncated_checkpoint_exit_1_without_traceback(self, pipeline_dir,
+                                                          tmp_path):
+        cut = tmp_path / "cut.agr"
+        with open(pipeline_dir["model"], "rb") as fh:
+            cut.write_bytes(fh.read(6))
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "agrec.cli", "evaluate", "--model", str(cut),
+             "--data", pipeline_dir["data"], "--attrs", pipeline_dir["attrs"]],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
 class TestRecommend:
     def test_top_k_json(self, pipeline_dir, capsys):
         assert main(["recommend", "--model", pipeline_dir["model"],
@@ -279,6 +297,9 @@ class TestRecommend:
         assert all("item_id" in r and "score" in r for r in doc["items"])
         scores = [r["score"] for r in doc["items"]]
         assert scores == sorted(scores, reverse=True)
+        prepared = load_dataset(pipeline_dir["data"], pipeline_dir["attrs"])
+        seen = {i for u, i in prepared.id_split.train if u == "u0003"}
+        assert seen and not seen & {r["item_id"] for r in doc["items"]}
 
     def test_unknown_user_exit_4(self, pipeline_dir, capsys):
         code = main(["recommend", "--model", pipeline_dir["model"],

@@ -1,12 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from agrec.errors import ConfigError, DataError, IntegrityError
+from agrec.errors import ConfigError, DataError, IntegrityError, NumericError
 from agrec.evaluation import (RankingResult, evaluate, mean_recall_at_k,
                               ndcg_at_k, precision_at_k, rank_items,
-                              recall_at_k)
+                              recall_at_k, top_k)
 from agrec.model import ModelConfig, save_checkpoint, load_checkpoint
 from agrec.synth import assemble_world, planted_world
 from helpers import brute_force_metrics
@@ -47,6 +51,67 @@ class TestRankItems:
         got = rank_items(0, [0, 1, 2, 3], e_u, e_i, test_positives={0, 2})
         # ordering: 1, 3, 0, 2 -> hits at ranks 3 and 4
         assert got.hit_ranks == [3, 4]
+
+
+@st.composite
+def ranking_cases(draw):
+    """Integer-valued embeddings in -3..3: every score is an exact small
+    integer under GEMM and GEMV alike, so ties are real ties."""
+    dim = draw(st.integers(1, 6))
+    n_users = draw(st.integers(1, 8))
+    n_items = draw(st.integers(1, 12))
+    entries = st.integers(-3, 3).map(float)
+    e_u = draw(hnp.arrays(np.float64, (n_users, dim), elements=entries))
+    e_i = draw(hnp.arrays(np.float64, (n_items, dim), elements=entries))
+    exclude = [draw(st.one_of(st.sets(st.integers(0, n_items - 1)),
+                              st.just(set(range(n_items)))))
+               for _ in range(n_users)]
+    k = draw(st.integers(1, n_items + 2))
+    return e_u, e_i, exclude, k
+
+
+class TestTopK:
+    @settings(max_examples=300, deadline=None)
+    @given(ranking_cases())
+    def test_equals_full_ordering_prefix(self, case):
+        e_u, e_i, exclude, k = case
+        tops = top_k(e_u, e_i, k, exclude=exclude)
+        assert len(tops) == e_u.shape[0]
+        for r, top in enumerate(tops):
+            cand = [i for i in range(e_i.shape[0]) if i not in exclude[r]]
+            want = (rank_items(r, cand, e_u, e_i).ordering[:k] if cand
+                    else np.empty(0, dtype=np.int64))
+            np.testing.assert_array_equal(top, want)
+
+    def test_ties_at_kth_place_take_lowest_index(self):
+        e_u, e_i = embeddings_for_scores([0.2, 0.5, 0.9, 0.5, 0.5])
+        (top,) = top_k(e_u, e_i, 3)
+        np.testing.assert_array_equal(top, [2, 1, 3])
+        (top,) = top_k(e_u, e_i, 3, exclude=[{1}])
+        np.testing.assert_array_equal(top, [2, 3, 4])
+
+    def test_several_blocks_match_one_user_at_a_time(self):
+        # 30000 items make two users per block, so five users take three
+        rng = np.random.default_rng(6)
+        e_u = rng.normal(size=(5, 3))
+        e_i = np.round(rng.normal(size=(30000, 3)), 1)
+        exclude = [set(rng.choice(30000, size=50, replace=False).tolist())
+                   for _ in range(5)]
+        tops = top_k(e_u, e_i, 20, exclude=exclude)
+        for r in range(5):
+            (alone,) = top_k(e_u[r:r + 1], e_i, 20, exclude=[exclude[r]])
+            np.testing.assert_array_equal(tops[r], alone)
+            assert not set(tops[r].tolist()) & exclude[r]
+
+    def test_non_finite_score_refused(self):
+        e_u, e_i = embeddings_for_scores([1.0, np.nan])
+        with pytest.raises(NumericError, match="non-finite"):
+            top_k(e_u, e_i, 1)
+
+    def test_bad_k(self):
+        e_u, e_i = embeddings_for_scores([1.0])
+        with pytest.raises(ConfigError):
+            top_k(e_u, e_i, 0)
 
 
 def result_from_order(order):
@@ -218,3 +283,40 @@ class TestEvaluate:
         e_i = np.ones((3, 1))
         vals = mean_recall_at_k(e_u, e_i, {}, {}, 2)
         assert vals == 0.0
+
+    def test_mean_recall_skips_user_without_candidates(self):
+        e_u = np.ones((2, 1))
+        e_i = np.array([[3.0], [2.0], [1.0]])
+        # user 0 has seen every item; user 1 finds its positive at rank 2
+        vals = mean_recall_at_k(e_u, e_i, {0: {1}, 1: {1}},
+                                {0: {0, 1, 2}, 1: set()}, 2)
+        assert vals == 1.0
+
+    def test_user_who_has_seen_every_item_is_counted(self, tmp_path):
+        checkpoint, bundle, split, _ = trained_world(tmp_path)
+        base = evaluate(checkpoint, bundle, split, k=5)
+        assert base.excluded_users == 0
+        user = int(split.test[0][0])
+        seen_all = dataclasses.replace(split, user_positives={
+            **split.user_positives, user: set(range(len(bundle.vocab_i)))})
+        report = evaluate(checkpoint, bundle, seen_all, k=5)
+        assert report.excluded_users == 1
+        assert report.users == base.users - 1
+        assert report.to_dict()["excluded_users"] == 1
+
+    def test_cold_item_without_known_keyword_is_counted(self, tmp_path):
+        checkpoint, bundle, split, cold = trained_world(tmp_path, cold_fraction=0.2)
+        base = evaluate(checkpoint, bundle, split, k=3, mode="cold_start",
+                        cold=cold)
+        assert (base.unscorable_cold_items, base.excluded_users) == (0, 0)
+        unknown = dataclasses.replace(cold, keywords={
+            **cold.keywords, cold.ids[0]: ["no-such-keyword"]})
+        report = evaluate(checkpoint, bundle, split, k=3, mode="cold_start",
+                          cold=unknown)
+        assert report.unscorable_cold_items == 1
+        assert report.to_dict()["unscorable_cold_items"] == 1
+        # users whose only cold positive was that item can no longer be ranked
+        only_first = {u for u, _ in cold.test_pairs} - {
+            u for u, i in cold.test_pairs if i != cold.ids[0]}
+        assert report.excluded_users == len(only_first)
+        assert report.users + report.excluded_users == base.users

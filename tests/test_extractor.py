@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from agrec.errors import BackendError, ConfigError, NoKeywordsError
+from agrec.errors import (BackendError, ConfigError, DataError,
+                          NoKeywordsError)
 from agrec.extractor import (FixtureBackend, HttpBackend, KeywordExtractor,
                              PROMPT_AESTHETIC_ATTRIBUTES,
                              PROMPT_ITEM_ATTRIBUTES, PromptKind,
@@ -171,6 +172,34 @@ class TestBatch:
             run_extraction_batch(items, self.KINDS, ex.backend, 3, out, extractor=ex)
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
+
+    def test_resume_cuts_torn_last_line(self, tmp_path):
+        out = tmp_path / "attrs.jsonl"
+        items = [(f"i{j}", None) for j in range(3)]
+        run_extraction_batch(items[:2], self.KINDS, make_fixture(), 1, out)
+        whole = out.read_bytes()
+        lines = whole.splitlines(keepends=True)
+        # a crash mid-write: the fourth record lost its tail and newline
+        out.write_bytes(b"".join(lines[:3]) + lines[3][:20])
+        summary = run_extraction_batch(items, self.KINDS, make_fixture(), 1, out)
+        assert (summary.ok, summary.cached, summary.skipped) == (3, 3, 0)
+        assert summary.torn_line == lines[3][:20].decode()
+        assert summary.to_dict()["torn_line"] == summary.torn_line
+        records = [json.loads(x) for x in out.read_text().splitlines()]
+        assert {(r["item_id"], r["kind"]) for r in records} == {
+            (item, kind) for item, _ in items for kind in ("item", "aesthetic")}
+        assert len(records) == 6
+
+    def test_corrupt_line_before_the_last_is_refused(self, tmp_path):
+        out = tmp_path / "attrs.jsonl"
+        items = [(f"i{j}", None) for j in range(2)]
+        run_extraction_batch(items, self.KINDS, make_fixture(), 1, out)
+        lines = out.read_bytes().splitlines(keepends=True)
+        out.write_bytes(lines[0] + b'{"item_id": "i0"\n' + b"".join(lines[1:]))
+        before = out.read_bytes()
+        with pytest.raises(DataError, match="corrupt extraction output"):
+            run_extraction_batch(items, self.KINDS, make_fixture(), 1, out)
+        assert out.read_bytes() == before
 
     def test_missing_fixture_entry_aborts(self, tmp_path):
         out = tmp_path / "attrs.jsonl"

@@ -1,7 +1,15 @@
+import json
+import pathlib
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from agrec.errors import ColdItemError, ConfigError, DataError, NumericError
+from agrec.errors import (AgrecError, ColdItemError, ConfigError, DataError,
+                          NumericError)
 from agrec.graphs import (BipartiteGraph, GraphBundle, Vocabulary,
                           build_item_attribute_graph, build_user_graph)
 from agrec.kernels import gather_rows
@@ -372,6 +380,28 @@ class TestColdItem:
         np.testing.assert_array_equal(once, twice)
 
 
+def toy_checkpoint_bytes(tmp_path) -> bytes:
+    bundle = toy_bundle()
+    cfg = ModelConfig(dim=2, layers=1, seed=4)
+    path = tmp_path / "toy.agr"
+    save_checkpoint(path, init_tables(bundle, cfg), bundle, cfg)
+    return path.read_bytes()
+
+
+def rewrite_header(tmp_path, edit):
+    """A copy of the toy checkpoint whose JSON header went through `edit`;
+    the tables stay as they were."""
+    blob = toy_checkpoint_bytes(tmp_path)
+    (hlen,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8:8 + hlen])
+    edit(header)
+    text = json.dumps(header).encode("utf-8")
+    path = tmp_path / "edited.agr"
+    path.write_bytes(b"AGR1" + struct.pack("<I", len(text)) + text
+                     + blob[8 + hlen:])
+    return path
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         bundle = toy_bundle()
@@ -403,6 +433,71 @@ class TestCheckpoint:
         path.write_bytes(blob[:-5])
         with pytest.raises(DataError, match="truncated"):
             load_checkpoint(path)
+
+    def test_trailing_bytes_refused(self, tmp_path):
+        blob = toy_checkpoint_bytes(tmp_path)
+        path = tmp_path / "long.agr"
+        path.write_bytes(blob + b"junk")
+        with pytest.raises(DataError, match="4 bytes after the last table"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [2, 6, 12])
+    def test_short_magic_prefix_or_header(self, tmp_path, cut):
+        path = tmp_path / "short.agr"
+        path.write_bytes(toy_checkpoint_bytes(tmp_path)[:cut])
+        with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("blob, match", [
+        (b"\xff\xfe{}", "header"),
+        (b"{not json", "header"),
+        (b"[1, 2]", "not a JSON object"),
+    ])
+    def test_unreadable_header(self, tmp_path, blob, match):
+        path = tmp_path / "bad.agr"
+        path.write_bytes(b"AGR1" + struct.pack("<I", len(blob)) + blob)
+        with pytest.raises(DataError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["dim", "counts", "alpha", "layers",
+                                     "seed", "vocab_sha256"])
+    def test_header_key_missing(self, tmp_path, key):
+        path = rewrite_header(tmp_path, lambda h: h.pop(key))
+        with pytest.raises(DataError, match=key):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.update(dim=-3),
+        lambda h: h.update(dim=0),
+        lambda h: h["counts"].update(items=-1),
+        lambda h: h["counts"].update(users="2"),
+        lambda h: h["counts"].pop("aesthetics"),
+        lambda h: h.update(alpha=[0.5]),
+        lambda h: h.update(layers="1"),
+    ], ids=["negative-dim", "zero-dim", "negative-count", "string-count",
+            "missing-count", "short-alpha", "string-layers"])
+    def test_bad_header_values(self, tmp_path, edit):
+        path = rewrite_header(tmp_path, edit)
+        with pytest.raises(DataError, match="corrupt checkpoint"):
+            load_checkpoint(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_checkpoint_raises_only_package_errors(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            blob = bytearray(toy_checkpoint_bytes(pathlib.Path(tmp)))
+            blob = blob[:data.draw(st.integers(0, len(blob)), label="cut")]
+            for _ in range(data.draw(st.integers(0, 4), label="flips")):
+                if blob:
+                    pos = data.draw(st.integers(0, len(blob) - 1))
+                    blob[pos] = data.draw(st.integers(0, 255))
+            blob += data.draw(st.binary(max_size=8), label="tail")
+            path = pathlib.Path(tmp) / "fuzz.agr"
+            path.write_bytes(bytes(blob))
+            try:
+                load_checkpoint(path).config().validate()
+            except AgrecError:
+                pass
 
     def test_refuses_tables_not_finite_in_float32(self, tmp_path):
         bundle = toy_bundle()

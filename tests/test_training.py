@@ -232,7 +232,8 @@ class TestTrainLoop:
         err = excinfo.value
         assert err.last_good is None or isinstance(err.last_good, EmbeddingTables)
 
-    @pytest.mark.parametrize("kwargs", [dict(batch_size=0), dict(epochs=0)])
+    @pytest.mark.parametrize("kwargs", [dict(batch_size=0), dict(epochs=0),
+                                        dict(val_k=0)])
     def test_rejects_empty_batches_and_epochs(self, kwargs):
         rng = np.random.default_rng(16)
         bundle, cfg, _ = tiny_problem(rng)
