@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import GraphError, UnknownIdError
+from .kernels import GatherPlan, plan_gather
 
 
 @dataclass
@@ -168,15 +169,15 @@ class PropagationOperator:
     """One propagation layer as a sparse matrix M over the stacked vertex
     index [users | items | item_attrs | aesthetics].
 
-    A COO triplet sorted by (row, col): x -> M x is
-    ``gather_rows(rows, cols, coef, x, size)``, and the same triplet with
-    rows and cols swapped is the transpose, which backpropagation applies.
+    x -> M x is ``gather_rows(op.forward, x)`` and backpropagation applies
+    Mᵀ as ``gather_rows(op.transpose, z)``. Each plan is built from the
+    relation graphs on first use, so a process that never backpropagates
+    never builds the transpose; no COO copy of the edges is kept.
     ``bounds`` are the class boundaries in the stacked index.
     """
 
-    rows: np.ndarray
-    cols: np.ndarray
-    coef: np.ndarray
+    # (graph, left offset, right offset, also right <- left)
+    relations: tuple[tuple[BipartiteGraph, int, int, bool], ...]
     bounds: tuple[int, int, int, int, int]
 
     @property
@@ -187,6 +188,36 @@ class PropagationOperator:
         """Per-class row views of a stacked table, in stacking order."""
         b = self.bounds
         return tuple(stacked[b[j]:b[j + 1]] for j in range(4))
+
+    def _triplet(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """M as a COO triplet (rows, cols, coef). Each relation lists its
+        edges sorted by (left, right), and where two relations share a row
+        (users) or a column (items), the one with the lower offset on the
+        other side comes first. So every row's entries appear in ascending
+        column and every column's in ascending row, and both plans sum in
+        ascending vertex index."""
+        rows, cols, coef = [], [], []
+        for g, left_off, right_off, both_ways in self.relations:
+            left = np.repeat(np.arange(g.left_count), g.left_deg) + left_off
+            right = g.left_indices + right_off
+            rows.append(left)
+            cols.append(right)
+            coef.append(g.left_coef)
+            if both_ways:
+                rows.append(right)
+                cols.append(left)
+                coef.append(g.left_coef)
+        return tuple(np.concatenate(parts) for parts in (rows, cols, coef))
+
+    @cached_property
+    def forward(self) -> GatherPlan:
+        rows, cols, coef = self._triplet()
+        return plan_gather(rows, cols, coef, self.size)
+
+    @cached_property
+    def transpose(self) -> GatherPlan:
+        rows, cols, coef = self._triplet()
+        return plan_gather(cols, rows, coef, self.size)
 
 
 def build_operator(bundle: GraphBundle) -> PropagationOperator:
@@ -201,23 +232,10 @@ def build_operator(bundle: GraphBundle) -> PropagationOperator:
               g_uiaa.right_count)
     bounds = tuple(int(b) for b in np.cumsum((0,) + counts))
     u, i, ia, iaa = bounds[:4]
-    rows, cols, coef = [], [], []
-    for g, left_off, right_off, both_ways in ((g_ui, u, i, False),
-                                              (g_uiaa, u, iaa, True),
-                                              (g_iia, i, ia, True)):
-        left = np.repeat(np.arange(g.left_count), g.left_deg) + left_off
-        right = g.left_indices + right_off
-        rows.append(left)
-        cols.append(right)
-        coef.append(g.left_coef)
-        if both_ways:
-            rows.append(right)
-            cols.append(left)
-            coef.append(g.left_coef)
-    rows, cols, coef = (np.concatenate(parts) for parts in (rows, cols, coef))
-    order = np.lexsort((cols, rows))
-    return PropagationOperator(rows=rows[order], cols=cols[order],
-                               coef=coef[order], bounds=bounds)
+    return PropagationOperator(
+        relations=((g_ui, u, i, False), (g_uiaa, u, iaa, True),
+                   (g_iia, i, ia, True)),
+        bounds=bounds)
 
 
 def build_item_attribute_graph(

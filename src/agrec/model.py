@@ -136,7 +136,7 @@ def forward(tables: EmbeddingTables, bundle: GraphBundle,
                        item_attrs=[tables.item_attrs], aesthetics=[tables.aesthetics])
     x = np.concatenate([arr for _, arr in tables.classes()])
     for k in range(config.layers):
-        x = gather_rows(op.rows, op.cols, op.coef, x, op.size)
+        x = gather_rows(op.forward, x)
         for name, arr, layers in zip(_CLASS_NAMES, op.split(x), (
                 stack.users, stack.items, stack.item_attrs, stack.aesthetics)):
             _check_finite(name, k + 1, arr)

@@ -1,9 +1,11 @@
-"""The COO gather and the row scatter accumulate in a fixed order."""
+"""The planned gather and the row scatter accumulate in a fixed order."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agrec import kernels
-from agrec.kernels import gather_rows, scatter_rows
+from agrec.kernels import _JAGGED_MAX_DEGREE, gather_rows, plan_gather, scatter_rows
 
 
 def _random_coo(rng, n_rows, n_src, n_edges):
@@ -13,11 +15,17 @@ def _random_coo(rng, n_rows, n_src, n_edges):
     return rows, indices, coef
 
 
+def _add_at(rows, indices, coef, src, n_rows):
+    want = np.zeros((n_rows, src.shape[1]))
+    np.add.at(want, rows, src[indices] * coef[:, None])
+    return want
+
+
 def test_gather_matches_explicit_loop():
     rng = np.random.default_rng(0)
     rows, indices, coef = _random_coo(rng, 7, 5, 30)
     src = rng.normal(size=(5, 3))
-    got = gather_rows(rows, indices, coef, src, 7)
+    got = gather_rows(plan_gather(rows, indices, coef, 7), src)
     want = np.zeros((7, 3))
     for e in range(rows.shape[0]):
         want[rows[e]] += coef[e] * src[indices[e]]
@@ -35,16 +43,50 @@ def test_gather_matches_add_at_bitwise():
         rows, indices, coef = _random_coo(rng, n_rows, n_src, n_edges)
         rng.shuffle(rows)
         src = rng.normal(size=(n_src, d))
-        want = np.zeros((n_rows, d))
-        np.add.at(want, rows, src[indices] * coef[:, None])
-        got = gather_rows(rows, indices, coef, src, n_rows)
+        want = _add_at(rows, indices, coef, src, n_rows)
+        got = gather_rows(plan_gather(rows, indices, coef, n_rows), src)
         assert got.flags.c_contiguous
         np.testing.assert_array_equal(got, want)
 
 
+# degrees straddle the light/heavy threshold: 0, a few, exactly T and T + 1
+_DEGREES = st.sampled_from([0, 1, 2, 3, _JAGGED_MAX_DEGREE - 1, _JAGGED_MAX_DEGREE,
+                            _JAGGED_MAX_DEGREE + 1, 2 * _JAGGED_MAX_DEGREE + 5])
+_VALUES = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.1, 1e300, -1e300, np.inf, -np.inf])
+
+
+@settings(max_examples=150, deadline=None)
+@given(degrees=st.lists(_DEGREES, min_size=1, max_size=6),
+       n_src=st.integers(1, 12), dim=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), specials=st.lists(_VALUES, max_size=8))
+def test_gather_plan_is_bitwise_add_at(degrees, n_src, dim, seed, specials):
+    rng = np.random.default_rng(seed)
+    rows = np.repeat(np.arange(len(degrees)), degrees)
+    rng.shuffle(rows)  # unsorted COO
+    indices = rng.integers(0, n_src, size=rows.size)
+    coef = rng.choice([0.5, -1.0, 0.0, 1 / 3, 2.0], size=rows.size)
+    src = rng.normal(size=(n_src, dim))
+    flat = src.reshape(-1)
+    flat[rng.integers(0, flat.size, size=len(specials))] = specials
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = _add_at(rows, indices, coef, src, len(degrees))
+        got = gather_rows(plan_gather(rows, indices, coef, len(degrees)), src)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_plan_splits_rows_at_the_threshold():
+    t = _JAGGED_MAX_DEGREE
+    degrees = [t + 1, 0, t, 2, t + 1]
+    rows = np.repeat(np.arange(5), degrees)
+    plan = plan_gather(rows, np.zeros(rows.size, np.int64), np.ones(rows.size), 5)
+    assert plan.heavy_rows.tolist() == [0, 4]
+    assert plan.light_rows.tolist() == [2, 3, 1]  # descending degree, stable
+    assert np.diff(plan.slot_ptr).tolist() == [2, 2] + [1] * (t - 2)
+
+
 def test_gather_empty_rows_are_zero():
     empty = np.zeros(0, np.int64)
-    out = gather_rows(empty, empty, np.zeros(0), np.zeros((0, 4)), 2)
+    out = gather_rows(plan_gather(empty, empty, np.zeros(0), 2), np.zeros((0, 4)))
     assert out.shape == (2, 4)
     assert (out == 0).all()
 

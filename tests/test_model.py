@@ -146,31 +146,51 @@ class TestPropagation:
         np.testing.assert_allclose(got.users, [[want]])
 
 
-class TestOperator:
-    @staticmethod
-    def densify(op):
-        out = np.zeros((op.size, op.size))
-        np.add.at(out, (op.rows, op.cols), op.coef)
-        return out
+def plan_neighbours(plan):
+    """Each output row's neighbours in the order gather_rows sums them."""
+    out = [[] for _ in range(plan.n_out)]
+    for j in range(plan.slot_ptr.size - 1):
+        lo, hi = plan.slot_ptr[j], plan.slot_ptr[j + 1]
+        for row, nbr in zip(plan.light_rows[:hi - lo], plan.nbr[lo:hi]):
+            out[row].append(int(nbr))
+    for slot, nbr in zip(plan.heavy_slot, plan.heavy_nbr):
+        out[plan.heavy_rows[slot]].append(int(nbr))
+    return out
 
+
+class TestOperator:
     def test_matches_dense_block_matrix(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             counts = rng.integers(0, 7, size=4)
             bundle = random_bundle(rng, *counts, p=float(rng.uniform(0.1, 0.9)))
-            np.testing.assert_array_equal(self.densify(bundle.operator),
-                                          dense_union_matrix(bundle))
+            op = bundle.operator
+            dense = dense_union_matrix(bundle)
+            eye = np.eye(op.size)
+            np.testing.assert_array_equal(gather_rows(op.forward, eye), dense)
+            np.testing.assert_array_equal(gather_rows(op.transpose, eye), dense.T)
 
     def test_sorted_by_row_then_col_and_cached(self):
+        # every row of M and of Mᵀ sums its entries in ascending index
         bundle = random_bundle(np.random.default_rng(6), 5, 6, 4, 3, p=0.5)
         op = bundle.operator
         assert bundle.operator is op
-        key = op.rows * op.size + op.cols
-        assert (np.diff(key) > 0).all()
+        assert op.forward is op.forward and op.transpose is op.transpose
+        dense = dense_union_matrix(bundle)
+        for plan, matrix in ((op.forward, dense), (op.transpose, dense.T)):
+            got = plan_neighbours(plan)
+            assert got == [np.flatnonzero(row).tolist() for row in matrix]
         assert op.bounds == (0, 5, 11, 15, 18)
 
+    def test_transpose_plan_built_on_first_use(self):
+        bundle = random_bundle(np.random.default_rng(8), 4, 5, 3, 2, p=0.5)
+        cfg = ModelConfig(dim=2, layers=2, seed=0)
+        forward(init_tables(bundle, cfg), bundle, cfg)
+        assert "forward" in vars(bundle.operator)
+        assert "transpose" not in vars(bundle.operator)
+
     def test_adjoint_identity(self):
-        # <M x, y> = <x, M^T y>, with M^T the swapped triplet backprop uses
+        # <M x, y> = <x, Mᵀ y>, with Mᵀ the plan backprop uses
         rng = np.random.default_rng(7)
         for _ in range(50):
             counts = rng.integers(1, 9, size=4)
@@ -178,8 +198,8 @@ class TestOperator:
             op = bundle.operator
             x = rng.normal(size=(op.size, 3))
             y = rng.normal(size=(op.size, 3))
-            mx = gather_rows(op.rows, op.cols, op.coef, x, op.size)
-            mty = gather_rows(op.cols, op.rows, op.coef, y, op.size)
+            mx = gather_rows(op.forward, x)
+            mty = gather_rows(op.transpose, y)
             assert abs(float((mx * y).sum()) - float((x * mty).sum())) < 1e-12
 
 

@@ -2,15 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import agrec.model
+import agrec.training
 from agrec.errors import ConfigError, DataError
 from agrec.ingest import SplitDataset
 from agrec.model import (EmbeddingTables, ModelConfig, forward,
                          init_tables)
-from agrec.training import (TrainDivergedError, _sample_negatives_block,
+from agrec.training import (TrainDivergedError, _positive_keys,
+                            _sample_negatives_block,
                             backward, batch_loss, bpr_loss, sgd_step, sigmoid,
                             train)
-from helpers import (finite_difference_gradients, random_bundle, random_tables)
+from agrec.synth import assemble_world, planted_world
+from helpers import (dense_union_matrix, finite_difference_gradients,
+                     random_bundle, random_tables)
 
 
 class TestBprLoss:
@@ -46,20 +53,20 @@ class TestSampler:
     def test_single_candidate(self):
         rng = np.random.default_rng(0)
         users = np.zeros(3, dtype=np.int64)
-        got = _sample_negatives_block(users, 5, {0: {0, 1, 2, 3}}, rng)
+        got = _sample_negatives_block(users, 5, _positive_keys({0: {0, 1, 2, 3}}, 5), rng)
         assert got.tolist() == [4, 4, 4]
 
     def test_all_items_positive(self):
         rng = np.random.default_rng(0)
         users = np.array([1, 0], dtype=np.int64)
         with pytest.raises(DataError, match="no negatives"):
-            _sample_negatives_block(users, 3, {0: {0, 1, 2}}, rng)
+            _sample_negatives_block(users, 3, _positive_keys({0: {0, 1, 2}}, 3), rng)
 
     def test_never_returns_positive_full_scan(self):
         rng = np.random.default_rng(7)
         positives = {0: set(range(0, 40, 2))}
         users = np.zeros(1_000_000, dtype=np.int64)
-        negs = _sample_negatives_block(users, 40, positives, rng)
+        negs = _sample_negatives_block(users, 40, _positive_keys(positives, 40), rng)
         assert not np.isin(negs, list(positives[0])).any()
 
     def test_uniform_over_non_positives(self):
@@ -67,12 +74,45 @@ class TestSampler:
         rng = np.random.default_rng(11)
         positives = {0: set(range(30, 40))}
         users = np.zeros(100_000, dtype=np.int64)
-        negs = _sample_negatives_block(users, 40, positives, rng)
+        negs = _sample_negatives_block(users, 40, _positive_keys(positives, 40), rng)
         counts = np.bincount(negs, minlength=40)
         assert (counts[30:] == 0).all()
         expected = 100_000 / 30
         chi2 = float(((counts[:30] - expected) ** 2 / expected).sum())
         assert chi2 < 58.3  # chi2 df=29, p=0.001
+
+    @staticmethod
+    def scalar_loop(users, item_count, user_positives, rng):
+        """The sampler as one scalar check per triple, in ascending t."""
+        negs = rng.integers(item_count, size=users.shape[0])
+        for t in range(users.shape[0]):
+            positives = user_positives.get(int(users[t]), frozenset())
+            if item_count <= len(positives):
+                raise DataError(f"no negatives available for user {int(users[t])}")
+            while int(negs[t]) in positives:
+                negs[t] = rng.integers(item_count)
+        return negs.astype(np.int64)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_items=st.integers(1, 12), n_users=st.integers(1, 6),
+           n=st.integers(0, 40), seed=st.integers(0, 2**32 - 1),
+           density=st.floats(0.0, 1.0))
+    def test_same_stream_as_scalar_loop(self, n_items, n_users, n, seed, density):
+        gen = np.random.default_rng(seed)
+        positives = {u: {i for i in range(n_items) if gen.random() < density}
+                     for u in range(n_users) if gen.random() < 0.8}
+        users = gen.integers(0, n_users, size=n)
+        outcomes = []
+        keys = _positive_keys(positives, n_items)
+        for sampler, given_positives in ((self.scalar_loop, positives),
+                                         (_sample_negatives_block, keys)):
+            rng = np.random.default_rng(seed)
+            try:
+                outcomes.append((sampler(users, n_items, given_positives, rng).tolist(),
+                                 rng.integers(1 << 30)))  # the stream goes on alike
+            except DataError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 def tiny_problem(rng, n_u=6, n_i=8, n_ia=5, n_iaa=4, dim=3, layers=2,
@@ -209,6 +249,57 @@ class TestTrainLoop:
         result = train(split, bundle, cfg, epochs=2, batch_size=16,
                        patience=None, val_k=5)
         assert all(s.triples == len(split.train) * 3 for s in result.stats)
+
+    def test_tables_bitwise_equal_to_add_at_propagation(self, monkeypatch):
+        # planted keyword and aesthetic hubs put rows on both sides of the
+        # plans' degree split
+        world = planted_world(n_users=40, n_items=200, n_item_keywords=3,
+                              n_aesthetic_keywords=4, tastes_per_user=2,
+                              interact_prob=0.5, seed=3)
+        bundle, split, _ = assemble_world(world, seed=1)
+        op = bundle.operator
+        cfg = ModelConfig(dim=4, layers=2, learning_rate=0.5, seed=2)
+        kwargs = dict(epochs=3, batch_size=128, val_k=5, patience=None)
+        real = train(split, bundle, cfg, **kwargs)
+        for plan in (op.forward, op.transpose):
+            assert plan.heavy_rows.size and plan.nbr.size
+
+        dense = dense_union_matrix(bundle)
+        rows, cols = np.nonzero(dense)  # entries in (row, col) order
+        coef = dense[rows, cols]
+        calls = []
+
+        def add_at_gather(plan, src):
+            calls.append(plan)
+            out_rows, in_rows = (rows, cols) if plan is op.forward else (cols, rows)
+            out = np.zeros((op.size, src.shape[1]))
+            np.add.at(out, out_rows, src[in_rows] * coef[:, None])
+            return out
+
+        monkeypatch.setattr(agrec.model, "gather_rows", add_at_gather)
+        monkeypatch.setattr(agrec.training, "gather_rows", add_at_gather)
+        ref = train(split, bundle, cfg, **kwargs)
+        assert any(p is op.forward for p in calls)
+        assert any(p is op.transpose for p in calls)
+        for (name, got), (_, want) in zip(real.tables.classes(), ref.tables.classes()):
+            assert got.tobytes() == want.tobytes(), name
+        assert [s.loss for s in real.stats] == [s.loss for s in ref.stats]
+
+    def test_validation_forward_serves_next_epoch(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        bundle, cfg, _ = tiny_problem(rng)
+        split = small_split(rng, bundle)  # 40 pairs: 5 batches of 8
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return forward(*args)
+
+        monkeypatch.setattr(agrec.training, "forward", counted)
+        train(split, bundle, cfg, epochs=3, batch_size=8, patience=None, val_k=5)
+        # 5 batch forwards and one validation forward in epoch 1; epochs 2
+        # and 3 start from the previous validation's stack
+        assert len(calls) == 5 + 1 + 2 * (4 + 1)
 
     def test_seeded_determinism(self):
         rng = np.random.default_rng(11)
