@@ -117,17 +117,9 @@ def top_k(user_vecs: np.ndarray, item_vecs: np.ndarray, k: int,
 
 
 def _hit_ranks(ordering, positives, k: int) -> np.ndarray:
-    """1-based ranks of the positives among the first k items of ordering:
-    the one hit vector every metric derives from."""
+    """1-based ranks of the positives among the first k items of ordering."""
     return np.array([rank for rank, item in enumerate(ordering[:k].tolist(), 1)
                      if item in positives], dtype=np.int64)
-
-
-def _ndcg(hit_ranks: np.ndarray, n_positives: int, k: int) -> float:
-    dcg = float(np.sum(1.0 / np.log2(hit_ranks + 1)))
-    ideal = np.arange(1, min(k, n_positives) + 1)
-    idcg = float(np.sum(1.0 / np.log2(ideal + 1)))
-    return dcg / idcg
 
 
 def recall_at_k(result: RankingResult, positives, k: int) -> float:
@@ -145,7 +137,11 @@ def ndcg_at_k(result: RankingResult, positives, k: int) -> float:
     min(k, |positives|)."""
     if not positives:
         raise DataError("ndcg undefined without positives")
-    return _ndcg(_hit_ranks(result.ordering, positives, k), len(positives), k)
+    hit_ranks = _hit_ranks(result.ordering, positives, k)
+    dcg = float(np.sum(1.0 / np.log2(hit_ranks + 1)))
+    ideal = np.arange(1, min(k, len(positives)) + 1)
+    idcg = float(np.sum(1.0 / np.log2(ideal + 1)))
+    return dcg / idcg
 
 
 def mean_recall_at_k(e_u: np.ndarray, e_i: np.ndarray,
@@ -233,10 +229,10 @@ def evaluate(checkpoint: Checkpoint, bundle: GraphBundle, split: SplitDataset,
     for user, top in zip(users, tops):
         if not top.size:
             continue
-        positives = by_user[user]
-        hits = _hit_ranks(top, positives, k)  # recall, ndcg, precision at once
-        per_user.append((hits.size / len(positives),
-                         _ndcg(hits, len(positives), k), hits.size / k))
+        res, positives = RankingResult(user, top), by_user[user]
+        per_user.append((recall_at_k(res, positives, k),
+                         ndcg_at_k(res, positives, k),
+                         precision_at_k(res, positives, k)))
 
     if per_user:
         recall, ndcg, precision = _aggregate(per_user)

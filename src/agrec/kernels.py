@@ -37,6 +37,7 @@ class GatherPlan:
     """
 
     n_out: int
+    n_src: int               # 1 + the largest neighbour index
     light_rows: np.ndarray   # output row per light position
     slot_ptr: np.ndarray     # slot j is nbr/coef[slot_ptr[j]:slot_ptr[j + 1]]
     nbr: np.ndarray
@@ -49,11 +50,12 @@ class GatherPlan:
 
 def plan_gather(rows, indices, coef, n_out: int) -> GatherPlan:
     """Plan out[rows[e]] += coef[e] * src[indices[e]] over every edge e; each
-    output row will add its edges in ascending edge index. Every index must
-    be a row of the sources the plan is applied to: gather_rows does not
-    check them."""
+    output row will add its edges in ascending edge index. Indices must not
+    be negative; gather_rows rejects sources too short for the largest."""
     rows = np.asarray(rows, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
+    if indices.size and indices.min() < 0:
+        raise IndexError("negative neighbour index in gather plan")
     coef = np.asarray(coef, dtype=np.float64)
     order = np.argsort(rows, kind="stable")  # edges grouped by row
     deg = np.bincount(rows, minlength=n_out)
@@ -70,7 +72,8 @@ def plan_gather(rows, indices, coef, n_out: int) -> GatherPlan:
     hub = order[np.repeat(heavy, deg)]
     heavy_rows = np.flatnonzero(heavy)
     return GatherPlan(
-        n_out=int(n_out), light_rows=light_rows,
+        n_out=int(n_out), n_src=int(indices.max()) + 1 if indices.size else 0,
+        light_rows=light_rows,
         slot_ptr=np.concatenate(([0], np.cumsum(width))).astype(np.int64),
         nbr=indices[pos], coef=coef[pos], heavy_rows=heavy_rows,
         heavy_slot=np.repeat(np.arange(heavy_rows.size), deg[heavy_rows]),
@@ -86,6 +89,11 @@ def gather_rows(plan: GatherPlan, src):
     run one weighted bincount per column, which adds in input order too.
     """
     src = np.asarray(src, dtype=np.float64)
+    if src.shape[0] < plan.n_src:
+        raise IndexError(f"plan reads source row {plan.n_src - 1}, "
+                         f"src has {src.shape[0]} rows")
+    # every index is now in range, so take's mode="clip" never clips; it
+    # only spares the buffered copy of `out` that mode="raise" makes
     dim = src.shape[1]
     out = np.empty((plan.n_out, dim), dtype=np.float64)
     acc = np.zeros((plan.light_rows.size, dim), dtype=np.float64)

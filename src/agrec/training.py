@@ -46,31 +46,16 @@ def bpr_loss(s_pos, s_neg):
     return softplus(-(np.asarray(s_pos, dtype=np.float64) - s_neg))
 
 
-def _positive_keys(user_positives: dict, item_count: int) -> np.ndarray:
-    """Sorted keys user * item_count + item of every training positive, then
-    an int64 maximum that no key reaches, so a lookup never runs off the end."""
-    keys = [u * item_count + i for u, items in user_positives.items() for i in items]
-    return np.append(np.sort(np.asarray(keys, dtype=np.int64)), np.iinfo(np.int64).max)
-
-
 def _sample_negatives_block(users: np.ndarray, item_count: int,
-                            positive_keys: np.ndarray,
+                            user_positives: dict,
                             rng: np.random.Generator) -> np.ndarray:
-    """One uniform non-positive item per triple, on the stream of a scalar
-    loop: one batched draw, then scalar redraws only where a draw hit one of
-    the user's positives, in ascending position."""
     negs = rng.integers(item_count, size=users.shape[0])
-    first = users * item_count
-    n_pos = positive_keys.searchsorted(first + item_count) - positive_keys.searchsorted(first)
-    full = np.flatnonzero(n_pos >= item_count)
-    if full.size:
-        raise DataError(f"no negatives available for user {int(users[full[0]])}")
-    drawn = first + negs
-    for t in np.flatnonzero(positive_keys[positive_keys.searchsorted(drawn)] == drawn):
-        key = int(drawn[t])
-        while positive_keys[positive_keys.searchsorted(key)] == key:
+    for t in range(users.shape[0]):
+        positives = user_positives.get(int(users[t]), frozenset())
+        if item_count <= len(positives):
+            raise DataError(f"no negatives available for user {int(users[t])}")
+        while int(negs[t]) in positives:
             negs[t] = rng.integers(item_count)
-            key = int(first[t] + negs[t])
     return negs.astype(np.int64)
 
 
@@ -122,26 +107,6 @@ def batch_loss(tables: EmbeddingTables, bundle: GraphBundle, config: ModelConfig
     return bpr + reg, bpr, reg
 
 
-def _final_gradient(users, pos, negs, stack: LayerStack, op, alpha):
-    """G, the gradient of the mean BPR loss on the final embeddings, stacked
-    like the tables, and that mean loss. Attribute rows stay zero because
-    only users and items are scored. The batch-sized arrays die on return,
-    before the adjoint recursion."""
-    e_u, e_i = final_embeddings(stack, alpha)
-    u_rows, s_pos, s_neg = _pair_scores(e_u, e_i, users, pos, negs)
-    delta = s_pos - s_neg
-    g = (-sigmoid(-delta) / users.shape[0])[:, None]
-    grad_final = np.zeros((op.size, e_u.shape[1]))
-    grad_u, grad_i, _, _ = op.split(grad_final)
-    gap = e_i[pos]  # g * (e_i[pos] - e_i[negs]), one batch-sized array fewer
-    gap -= e_i[negs]
-    gap *= g
-    scatter_rows(grad_u, users, gap)
-    scatter_rows(grad_i, pos, g * u_rows)
-    scatter_rows(grad_i, negs, -g * u_rows)
-    return grad_final, float(softplus(-delta).mean())
-
-
 def backward(users, pos, negs, stack: LayerStack, bundle: GraphBundle,
              config: ModelConfig) -> tuple[EmbeddingTables, float, float]:
     """Exact gradients of the batch objective w.r.t. the four layer-0 tables.
@@ -155,8 +120,20 @@ def backward(users, pos, negs, stack: LayerStack, bundle: GraphBundle,
     negs = np.asarray(negs, dtype=np.int64)
     n_triples = users.shape[0]
     alpha = config.alpha()
+
+    e_u, e_i = final_embeddings(stack, alpha)
+    u_rows, s_pos, s_neg = _pair_scores(e_u, e_i, users, pos, negs)
+    delta = s_pos - s_neg
+    g = (-sigmoid(-delta) / n_triples)[:, None]
+
+    # gradient on the final embeddings, stacked like the tables; attribute
+    # rows stay zero because only users and items are scored
     op = bundle.operator
-    grad_final, bpr_mean = _final_gradient(users, pos, negs, stack, op, alpha)
+    grad_final = np.zeros((op.size, e_u.shape[1]))
+    grad_u, grad_i, _, _ = op.split(grad_final)
+    scatter_rows(grad_u, users, g * (e_i[pos] - e_i[negs]))
+    scatter_rows(grad_i, pos, g * u_rows)
+    scatter_rows(grad_i, negs, -g * u_rows)
 
     z = alpha[config.layers] * grad_final
     for k in range(config.layers - 1, -1, -1):
@@ -173,6 +150,8 @@ def backward(users, pos, negs, stack: LayerStack, bundle: GraphBundle,
         reg_mean = config.l2_weight * float(
             (e_u0[users] ** 2).sum() + (e_i0[pos] ** 2).sum()
             + (e_i0[negs] ** 2).sum()) / n_triples
+
+    bpr_mean = float(softplus(-delta).mean())
     return EmbeddingTables(z_u, z_i, z_ia, z_iaa), bpr_mean, reg_mean
 
 
@@ -221,10 +200,10 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
     if n_pairs == 0:
         raise DataError("empty training split")
     item_count = len(bundle.vocab_i)
-    positive_keys = _positive_keys(split.user_positives, item_count)
-    # Build both propagation plans before the first batch: built among the
-    # batch arrays, their temporaries fragmented the heap and the serve-wide
-    # benchmark's peak RSS rose by about 1.5 MB.
+    # Build both plans before the first batch rather than inside its forward
+    # and backward. Live memory is about the same either way, but among the
+    # batch arrays the serve-wide world's train peak RSS measured 1.7 MB
+    # (2%) higher, through where the allocator placed them.
     _ = bundle.operator.forward, bundle.operator.transpose
     n_n = config.n_negatives
 
@@ -255,7 +234,7 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
                 users = np.repeat(pairs[sel, 0], n_n)
                 pos = np.repeat(pairs[sel, 1], n_n)
                 negs = _sample_negatives_block(users, item_count,
-                                               positive_keys, rng)
+                                               split.user_positives, rng)
                 if stack is None:
                     stack = forward(tables, bundle, config)
                 grads, bpr_mean, reg_mean = backward(users, pos, negs, stack,

@@ -1,6 +1,7 @@
 """The planned gather and the row scatter accumulate in a fixed order."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,6 +90,23 @@ def test_gather_empty_rows_are_zero():
     out = gather_rows(plan_gather(empty, empty, np.zeros(0), 2), np.zeros((0, 4)))
     assert out.shape == (2, 4)
     assert (out == 0).all()
+
+
+@pytest.mark.parametrize("degree", [2, _JAGGED_MAX_DEGREE + 1])
+def test_gather_rejects_short_sources(degree):
+    # light and hub rows alike: a missing source row raises, never reads
+    # a clipped neighbour
+    rows = np.zeros(degree, np.int64)
+    indices = np.arange(degree)
+    plan = plan_gather(rows, indices, np.ones(degree), 1)
+    assert gather_rows(plan, np.ones((degree, 2)))[0].tolist() == [degree] * 2
+    with pytest.raises(IndexError, match="source row"):
+        gather_rows(plan, np.ones((degree - 1, 2)))
+
+
+def test_plan_rejects_negative_index():
+    with pytest.raises(IndexError, match="negative"):
+        plan_gather([0, 0], [1, -1], [1.0, 1.0], 1)
 
 
 def test_scatter_accumulates_duplicates():
