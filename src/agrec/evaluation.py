@@ -8,7 +8,7 @@ averaged over users with at least one test positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,13 +25,10 @@ class RankingResult:
     """Full candidate ordering for one user, best first.
 
     Ties break by ascending item index, so the ordering is deterministic.
-    hit_ranks are the 1-based ranks of the test positives supplied to
-    rank_items, when any were.
     """
 
     user: int
     ordering: np.ndarray
-    hit_ranks: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -68,7 +65,7 @@ class MetricsReport:
 
 
 def rank_items(user: int, candidates, e_u: np.ndarray, e_i: np.ndarray,
-               train_positives=None, test_positives=None) -> RankingResult:
+               train_positives=None) -> RankingResult:
     """Sort candidates by descending score for `user`, ties by ascending index."""
     candidates = np.asarray(candidates, dtype=np.int64)
     if candidates.size == 0:
@@ -80,12 +77,7 @@ def rank_items(user: int, candidates, e_u: np.ndarray, e_i: np.ndarray,
                 f"candidates include training positives: {sorted(overlap)[:5]}")
     scores = e_i[candidates] @ e_u[user]
     order = np.lexsort((candidates, -scores))
-    ordering = candidates[order]
-    hit_ranks: list[int] = []
-    if test_positives:
-        mask = np.isin(ordering, np.fromiter(test_positives, dtype=np.int64))
-        hit_ranks = (np.nonzero(mask)[0] + 1).tolist()
-    return RankingResult(user=int(user), ordering=ordering, hit_ranks=hit_ranks)
+    return RankingResult(user=int(user), ordering=candidates[order])
 
 
 # scores per ranking block: 2^16 float64 scores are 512 KB, small beside peak RSS

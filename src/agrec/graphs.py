@@ -1,4 +1,4 @@
-"""Vertex vocabularies, bipartite adjacency and symmetric normalization.
+"""Vertex vocabularies, bipartite edge lists and symmetric normalization.
 
 The model works on two attribute graphs: items x item-attribute keywords,
 and a user graph stored as two bipartite relations (users x items,
@@ -10,7 +10,6 @@ the relations combine into one sparse propagation operator per bundle.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -34,19 +33,8 @@ class Vocabulary:
 
     @classmethod
     def from_ids(cls, ids: Iterable[str]) -> "Vocabulary":
-        vocab = cls()
-        for external_id in ids:
-            vocab.add(external_id)
-        return vocab
-
-    def add(self, external_id: str) -> int:
-        got = self.index.get(external_id)
-        if got is not None:
-            return got
-        idx = len(self.entries)
-        self.entries.append(external_id)
-        self.index[external_id] = idx
-        return idx
+        entries = list(dict.fromkeys(ids))
+        return cls(entries, dict(zip(entries, range(len(entries)))))
 
     def index_of(self, external_id: str) -> int:
         try:
@@ -69,71 +57,37 @@ class Vocabulary:
         return h.hexdigest()
 
 
-def norm_coefficient(deg_a: int, deg_b: int) -> float:
-    """Symmetric normalization factor 1/sqrt(deg_a * deg_b)."""
-    if deg_a < 1 or deg_b < 1:
-        raise GraphError("isolated vertex in normalization")
-    return 1.0 / math.sqrt(deg_a * deg_b)
-
-
 class BipartiteGraph:
-    """Compressed bipartite adjacency with degrees and per-edge coefficients.
+    """One bipartite relation as an edge list with degrees and per-edge
+    coefficients 1/sqrt(deg_left * deg_right).
 
-    Both orientations are stored CSR-style with neighbor lists strictly
-    increasing, so propagation sums have a fixed order. Instances are
-    immutable once built and safe to share across threads.
+    `pairs` is any (E, 2) array-like of (left, right) indices; duplicates
+    collapse to one edge, and `left`, `right` and `coef` list the edges
+    sorted by (left, right), so propagation sums have a fixed order.
+    Instances are immutable once built and safe to share across threads.
     """
 
-    def __init__(self, left_count: int, right_count: int,
-                 edges: Sequence[tuple[int, int]]):
+    def __init__(self, left_count: int, right_count: int, pairs):
         self.left_count = left_count
         self.right_count = right_count
 
-        if edges:
-            arr = np.array(sorted(set(edges)), dtype=np.int64)
-            left, right = arr[:, 0], arr[:, 1]
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        left, right = pairs[:, 0], pairs[:, 1]
+        if pairs.size:
             if left.min() < 0 or left.max() >= left_count:
                 raise GraphError("left index out of range")
             if right.min() < 0 or right.max() >= right_count:
                 raise GraphError("right index out of range")
-        else:
-            left = np.zeros(0, dtype=np.int64)
-            right = np.zeros(0, dtype=np.int64)
+        # sorted unique keys; np.unique would import numpy.ma on first use,
+        # about 17 ms and 1 MB in every CLI process
+        keys = np.sort(left * right_count + right)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        self.left, self.right = np.divmod(keys, right_count)
 
-        self.edge_count = left.shape[0]
-        self.left_deg = np.bincount(left, minlength=left_count).astype(np.int64)
-        self.right_deg = np.bincount(right, minlength=right_count).astype(np.int64)
-
-        # left -> right orientation (edges already sorted by (left, right))
-        self.left_indptr = np.zeros(left_count + 1, dtype=np.int64)
-        np.cumsum(self.left_deg, out=self.left_indptr[1:])
-        self.left_indices = right.copy()
-
-        # right -> left orientation
-        order = np.lexsort((left, right))
-        self.right_indptr = np.zeros(right_count + 1, dtype=np.int64)
-        np.cumsum(self.right_deg, out=self.right_indptr[1:])
-        self.right_indices = left[order]
-
-        if self.edge_count:
-            coef = 1.0 / np.sqrt(self.left_deg[left] * self.right_deg[right])
-            self.left_coef = coef
-            self.right_coef = coef[order]
-        else:
-            self.left_coef = np.zeros(0, dtype=np.float64)
-            self.right_coef = np.zeros(0, dtype=np.float64)
-
-    def left_adj(self, i: int) -> np.ndarray:
-        return self.left_indices[self.left_indptr[i]:self.left_indptr[i + 1]]
-
-    def right_adj(self, j: int) -> np.ndarray:
-        return self.right_indices[self.right_indptr[j]:self.right_indptr[j + 1]]
-
-    def edges(self):
-        """Yield (left, right) pairs in (left, right) sorted order."""
-        for i in range(self.left_count):
-            for j in self.left_adj(i):
-                yield i, int(j)
+        self.edge_count = keys.shape[0]
+        self.left_deg = np.bincount(self.left, minlength=left_count)
+        self.right_deg = np.bincount(self.right, minlength=right_count)
+        self.coef = 1.0 / np.sqrt(self.left_deg[self.left] * self.right_deg[self.right])
 
 
 @dataclass
@@ -198,15 +152,14 @@ class PropagationOperator:
         ascending vertex index."""
         rows, cols, coef = [], [], []
         for g, left_off, right_off, both_ways in self.relations:
-            left = np.repeat(np.arange(g.left_count), g.left_deg) + left_off
-            right = g.left_indices + right_off
+            left, right = g.left + left_off, g.right + right_off
             rows.append(left)
             cols.append(right)
-            coef.append(g.left_coef)
+            coef.append(g.coef)
             if both_ways:
                 rows.append(right)
                 cols.append(left)
-                coef.append(g.left_coef)
+                coef.append(g.coef)
         return tuple(np.concatenate(parts) for parts in (rows, cols, coef))
 
     @cached_property
@@ -238,6 +191,21 @@ def build_operator(bundle: GraphBundle) -> PropagationOperator:
         bounds=bounds)
 
 
+def _columns(pairs) -> tuple[tuple, tuple]:
+    """The first and second fields of a list of pairs, as two tuples."""
+    return tuple(zip(*pairs)) or ((), ())
+
+
+def _first_blank(keywords: Sequence[str], vocab: Vocabulary) -> int | None:
+    """Position in `keywords` of the first blank one, or None."""
+    blank = [kw for kw in vocab.entries if not kw or not kw.strip()]
+    return keywords.index(blank[0]) if blank else None
+
+
+def _indices(ids: Sequence[str], vocab: Vocabulary) -> np.ndarray:
+    return np.fromiter(map(vocab.index.__getitem__, ids), np.int64, len(ids))
+
+
 def build_item_attribute_graph(
     assignments: Sequence[tuple[str, str]],
 ) -> tuple[BipartiteGraph, Vocabulary, Vocabulary]:
@@ -249,14 +217,14 @@ def build_item_attribute_graph(
     """
     if not assignments:
         raise GraphError("empty graph")
-    vocab_i = Vocabulary()
-    vocab_a = Vocabulary()
-    edges = []
-    for item_id, keyword in assignments:
-        if not keyword or not keyword.strip():
-            raise GraphError(f"blank keyword for item {item_id!r}")
-        edges.append((vocab_i.add(item_id), vocab_a.add(keyword)))
-    graph = BipartiteGraph(len(vocab_i), len(vocab_a), edges)
+    items, keywords = _columns(assignments)
+    vocab_i = Vocabulary.from_ids(items)
+    vocab_a = Vocabulary.from_ids(keywords)
+    blank = _first_blank(keywords, vocab_a)
+    if blank is not None:
+        raise GraphError(f"blank keyword for item {items[blank]!r}")
+    graph = BipartiteGraph(len(vocab_i), len(vocab_a), np.column_stack(
+        (_indices(items, vocab_i), _indices(keywords, vocab_a))))
     return graph, vocab_i, vocab_a
 
 
@@ -271,51 +239,36 @@ def build_user_graph(
     with carries it; edges are binary and deduplicated regardless of how many
     of the user's items share the keyword.
     """
-    vocab_u = Vocabulary()
-    vocab_iaa = Vocabulary()
+    # aesthetics for items outside the trained vocabulary are ignored here;
+    # cold-start scoring consumes them elsewhere
+    known = [(i, kw) for i, kw in aesthetic_assignments if i in item_vocab.index]
+    aes_items, aes_keywords = _columns(known)
+    vocab_iaa = Vocabulary.from_ids(aes_keywords)
+    blank = _first_blank(aes_keywords, vocab_iaa)
+    if blank is not None:
+        raise GraphError(f"blank aesthetic keyword for item {aes_items[blank]!r}")
 
-    item_aesthetics: dict[int, list[int]] = {}
-    for item_id, keyword in aesthetic_assignments:
-        if item_id not in item_vocab:
-            # aesthetics for items outside the trained vocabulary are ignored
-            # here; cold-start scoring consumes them elsewhere
-            continue
-        if not keyword or not keyword.strip():
-            raise GraphError(f"blank aesthetic keyword for item {item_id!r}")
-        item_aesthetics.setdefault(item_vocab.index_of(item_id), []).append(vocab_iaa.add(keyword))
+    users, items = _columns(interactions)
+    try:
+        ui_i = _indices(items, item_vocab)
+    except KeyError as exc:
+        raise UnknownIdError(
+            f"interaction references unknown item: {exc.args[0]!r}") from None
+    vocab_u = Vocabulary.from_ids(users)
+    ui_u = _indices(users, vocab_u)
 
-    ui_edges = []
-    uiaa_edges = set()
-    for user_id, item_id in interactions:
-        if item_id not in item_vocab:
-            raise UnknownIdError(f"interaction references unknown item: {item_id!r}")
-        u = vocab_u.add(user_id)
-        i = item_vocab.index_of(item_id)
-        ui_edges.append((u, i))
-        for a in item_aesthetics.get(i, ()):
-            uiaa_edges.add((u, a))
+    # join each (user, item) edge with the item's aesthetics through an
+    # item -> aesthetic CSR: the edge repeats once per aesthetic of its item
+    aes_i = _indices(aes_items, item_vocab)
+    by_item = _indices(aes_keywords, vocab_iaa)[np.argsort(aes_i, kind="stable")]
+    per_item = np.bincount(aes_i, minlength=len(item_vocab))
+    start = np.cumsum(per_item) - per_item
+    reps = per_item[ui_i]
+    slot = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+    uiaa = np.column_stack((np.repeat(ui_u, reps),
+                            by_item[np.repeat(start[ui_i], reps) + slot]))
 
-    g_ui = BipartiteGraph(len(vocab_u), len(item_vocab), ui_edges)
-    g_uiaa = BipartiteGraph(len(vocab_u), len(vocab_iaa), sorted(uiaa_edges))
+    g_ui = BipartiteGraph(len(vocab_u), len(item_vocab),
+                          np.column_stack((ui_u, ui_i)))
+    g_uiaa = BipartiteGraph(len(vocab_u), len(vocab_iaa), uiaa)
     return g_ui, g_uiaa, vocab_u, vocab_iaa
-
-
-def dump_edges(graph: BipartiteGraph, left_vocab: Vocabulary,
-               right_vocab: Vocabulary, path) -> None:
-    """Write the debug/interop edge dump: `left_id<TAB>right_id` per line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, j in graph.edges():
-            fh.write(f"{left_vocab.entries[i]}\t{right_vocab.entries[j]}\n")
-
-
-def load_edge_dump(path) -> list[tuple[str, str]]:
-    """Read an edge dump back as (left_id, right_id) pairs."""
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            left_id, right_id = line.split("\t")
-            pairs.append((left_id, right_id))
-    return pairs

@@ -320,19 +320,39 @@ def write_manifest(path, *, seed: int, ratios: Sequence[float],
 
 def read_manifest(path) -> dict:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # invalid JSON or not UTF-8
+            raise DataError(f"{path}: invalid manifest ({exc})") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: manifest must be a JSON object")
     for key in ("seed", "counts", "splits"):
         if key not in doc:
             raise DataError(f"manifest missing key {key!r}")
     return doc
 
 
+def _is_id_pair(p) -> bool:
+    return (type(p) is list and len(p) == 2
+            and type(p[0]) is str and type(p[1]) is str)
+
+
 def manifest_split(doc: dict) -> SplitDataset:
     """Rebuild a SplitDataset (string-ID pairs) from a manifest document."""
     splits = doc["splits"]
-    train = [tuple(p) for p in splits["train"]]
-    val = [tuple(p) for p in splits["validation"]]
-    test = [tuple(p) for p in splits["test"]]
+    if not isinstance(splits, dict):
+        raise DataError("manifest splits must be an object")
+    parts = []
+    for name in ("train", "validation", "test"):
+        rows = splits.get(name)
+        if not isinstance(rows, list):
+            raise DataError(f"manifest splits.{name} must be a list")
+        if not all(map(_is_id_pair, rows)):
+            bad = next(k for k, p in enumerate(rows) if not _is_id_pair(p))
+            raise DataError(f"manifest splits.{name}[{bad}] must be a pair of "
+                            f"string IDs, got {json.dumps(rows[bad])[:60]}")
+        parts.append(list(map(tuple, rows)))
+    train, val, test = parts
     positives: dict = {}
     for user, item in train:
         positives.setdefault(user, set()).add(item)

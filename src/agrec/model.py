@@ -156,11 +156,6 @@ def final_embeddings(stack: LayerStack,
     return e_u, e_i
 
 
-def score(user_vec: np.ndarray, item_vec: np.ndarray) -> float:
-    """Preference score: inner product of final user and item embeddings."""
-    return float(np.dot(user_vec, item_vec))
-
-
 def cold_item_embedding(keywords: Sequence[str], vocab_ia: Vocabulary,
                         g_iia: BipartiteGraph, stack: LayerStack,
                         alpha: Sequence[float]) -> np.ndarray:

@@ -30,16 +30,37 @@ class PreparedDataset:
     cold: ColdCandidates
 
 
-def _read_jsonl(path):
+def _record_problem(obj, fields: tuple[str, ...]) -> str | None:
+    """What makes an attribute record unusable, or None: it must be an
+    object with `fields`, a string item_id and a list of string keywords."""
+    if not isinstance(obj, dict):
+        return "expected a JSON object"
+    if not obj.keys() >= set(fields):
+        return "missing " + ", ".join(f for f in fields if f not in obj)
+    if not isinstance(obj["item_id"], str):
+        return "item_id must be a string"
+    keywords = obj["keywords"]
+    if not (isinstance(keywords, list)
+            and all(isinstance(kw, str) for kw in keywords)):
+        return "keywords must be a list of strings"
+    return None
+
+
+def _read_jsonl(path, fields: tuple[str, ...]):
+    """(lineno, record) per non-blank line, each record checked."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield lineno, json.loads(line)
+                obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path} line {lineno}: invalid JSON ({exc.msg})") from None
+            problem = _record_problem(obj, fields)
+            if problem:
+                raise DataError(f"{path} line {lineno}: {problem}")
+            yield lineno, obj
 
 
 def load_attribute_files(text_attrs_path=None, attrs_path=None):
@@ -58,21 +79,15 @@ def load_attribute_files(text_attrs_path=None, attrs_path=None):
                 bucket.append(kw)
 
     if text_attrs_path and os.path.exists(text_attrs_path):
-        for lineno, obj in _read_jsonl(text_attrs_path):
-            if "item_id" not in obj or "keywords" not in obj:
-                raise DataError(f"{text_attrs_path} line {lineno}: "
-                                "expected item_id and keywords")
+        for _, obj in _read_jsonl(text_attrs_path, ("item_id", "keywords")):
             _register(obj["item_id"], obj["keywords"], item_keywords)
     if attrs_path:
-        for lineno, obj in _read_jsonl(attrs_path):
-            kind = obj.get("kind")
+        for lineno, obj in _read_jsonl(attrs_path, ("item_id", "kind", "keywords")):
+            kind = obj["kind"]
             if kind == "item":
                 _register(obj["item_id"], obj["keywords"], item_keywords)
             elif kind == "aesthetic":
-                aesthetic_keywords.setdefault(obj["item_id"], [])
-                for kw in obj["keywords"]:
-                    if kw not in aesthetic_keywords[obj["item_id"]]:
-                        aesthetic_keywords[obj["item_id"]].append(kw)
+                _register(obj["item_id"], obj["keywords"], aesthetic_keywords)
             else:
                 raise DataError(f"{attrs_path} line {lineno}: unknown kind {kind!r}")
     return item_order, item_keywords, aesthetic_keywords
@@ -133,11 +148,10 @@ def build_bundle(id_split: SplitDataset, item_keyword_pairs, aesthetic_pairs,
     bundle.validate()
 
     def _indexed(pairs):
-        out = []
-        for u, i in pairs:
-            if u in vocab_u and i in vocab_i:
-                out.append((vocab_u.index_of(u), vocab_i.index_of(i)))
-        return out
+        index_u, index_i = vocab_u.index, vocab_i.index
+        return [(a, b) for u, i in pairs
+                if (a := index_u.get(u)) is not None
+                and (b := index_i.get(i)) is not None]
 
     train_idx = _indexed(id_split.train)
     positives: dict[int, set[int]] = {}

@@ -42,12 +42,61 @@ def random_tables(rng, bundle, dim, scale=0.3):
 
 
 def dense_propagation_matrix(g):
-    """Dense left<-right matrix with 1/sqrt(deg_left*deg_right) entries."""
+    """Dense left<-right matrix with 1/sqrt(deg_left*deg_right) entries,
+    degrees counted here from the edge list."""
+    edges = list(zip(g.left.tolist(), g.right.tolist()))
+    deg_left, deg_right = [0] * g.left_count, [0] * g.right_count
+    for i, j in edges:
+        deg_left[i] += 1
+        deg_right[j] += 1
     out = np.zeros((g.left_count, g.right_count))
-    for i in range(g.left_count):
-        for j in g.left_adj(i):
-            out[i, j] = 1.0 / math.sqrt(g.left_deg[i] * g.right_deg[j])
+    for i, j in edges:
+        out[i, j] = 1.0 / math.sqrt(deg_left[i] * deg_right[j])
     return out
+
+
+def reference_edges(left_count, right_count, pairs):
+    """(sorted unique edges, left degrees, right degrees, coefficients) by
+    python loops."""
+    edges = sorted(set(pairs))
+    deg_left, deg_right = [0] * left_count, [0] * right_count
+    for i, j in edges:
+        deg_left[i] += 1
+        deg_right[j] += 1
+    coef = [1.0 / math.sqrt(deg_left[i] * deg_right[j]) for i, j in edges]
+    return edges, deg_left, deg_right, coef
+
+
+def reference_item_attribute_graph(assignments):
+    """(item entries, keyword entries, edges, degrees, coef) of the items x
+    keywords graph, vocabularies in first-appearance order."""
+    items, keywords = {}, {}
+    for item_id, kw in assignments:
+        items.setdefault(item_id, len(items))
+        keywords.setdefault(kw, len(keywords))
+    pairs = [(items[i], keywords[kw]) for i, kw in assignments]
+    return (list(items), list(keywords),
+            reference_edges(len(items), len(keywords), pairs))
+
+
+def reference_user_graph(interactions, aesthetic_assignments, item_entries):
+    """(user entries, aesthetic entries, user x item edges, user x aesthetic
+    edges) by python loops: a user links to every aesthetic of an item they
+    interacted with; aesthetics of items outside item_entries are ignored."""
+    item_index = {i: k for k, i in enumerate(item_entries)}
+    aesthetics, item_aes = {}, {}
+    for item_id, kw in aesthetic_assignments:
+        if item_id in item_index:
+            aesthetics.setdefault(kw, len(aesthetics))
+            item_aes.setdefault(item_index[item_id], []).append(aesthetics[kw])
+    users = {}
+    for user_id, _ in interactions:
+        users.setdefault(user_id, len(users))
+    ui = [(users[u], item_index[i]) for u, i in interactions]
+    uiaa = [(u, a) for u, i in ui for a in item_aes.get(i, [])]
+    return (list(users), list(aesthetics),
+            reference_edges(len(users), len(item_entries), ui),
+            reference_edges(len(users), len(aesthetics), uiaa))
 
 
 def dense_union_matrix(bundle):

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -331,3 +332,72 @@ class TestConfigFile:
         doc = json.loads(open(os.path.join(out, "manifest.json")).read())
         assert doc["config"]["min_users"] == 2   # from file
         assert doc["config"]["seed"] == 5        # flag wins
+
+
+def run_cli(*args):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    return subprocess.run([sys.executable, "-m", "agrec.cli", *args],
+                          env=env, capture_output=True, text=True)
+
+
+def assert_clean_exit_1(proc):
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+class TestMalformedInput:
+    """Each reader rejects what it cannot use with exit 1 and a message."""
+
+    @pytest.fixture(scope="class")
+    def warm(self, pipeline_dir):
+        with open(os.path.join(pipeline_dir["data"], "manifest.json")) as fh:
+            user, item = json.load(fh)["splits"]["train"][0]
+        return user, item
+
+    @pytest.mark.parametrize("record", [
+        [1, 2],
+        {"kind": "item"},
+        {"item_id": "WARM", "keywords": ["x"]},
+        {"item_id": "WARM", "kind": "item"},
+        {"item_id": 7, "kind": "item", "keywords": ["x"]},
+        {"item_id": "WARM", "kind": "item", "keywords": 5},
+        {"item_id": "WARM", "kind": "item", "keywords": [1]},
+    ], ids=["non-object", "no-item-id", "no-kind", "no-keywords",
+            "int-item-id", "int-keywords", "int-keyword"])
+    def test_attrs_line(self, pipeline_dir, warm, tmp_path, record):
+        user, item = warm
+        if isinstance(record, dict) and record.get("item_id") == "WARM":
+            record["item_id"] = item
+        attrs = tmp_path / "attrs.jsonl"
+        with open(pipeline_dir["attrs"]) as fh:
+            lines = fh.read().splitlines()
+        attrs.write_text("\n".join(lines + [json.dumps(record)]) + "\n")
+        proc = run_cli("recommend", "--model", pipeline_dir["model"],
+                       "--data", pipeline_dir["data"], "--attrs", str(attrs),
+                       "--user", user)
+        assert_clean_exit_1(proc)
+        assert f"{attrs} line {len(lines) + 1}:" in proc.stderr
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: "{\"seed\": 1,",
+        lambda doc: [1, 2],
+        lambda doc: doc["splits"].update(train={"u": "i"}) or doc,
+        lambda doc: doc["splits"]["train"].__setitem__(0, [1, 2, 3]) or doc,
+        lambda doc: doc["splits"]["test"].__setitem__(0, ["u", 5]) or doc,
+    ], ids=["invalid-json", "non-object", "train-not-list", "three-ints",
+            "int-id"])
+    def test_manifest(self, pipeline_dir, warm, tmp_path, edit):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline_dir["data"], data)
+        with open(data / "manifest.json") as fh:
+            doc = edit(json.load(fh))
+        (data / "manifest.json").write_text(
+            doc if isinstance(doc, str) else json.dumps(doc))
+        proc = run_cli("recommend", "--model", pipeline_dir["model"],
+                       "--data", str(data), "--attrs", pipeline_dir["attrs"],
+                       "--user", warm[0])
+        assert_clean_exit_1(proc)
+        assert "manifest" in proc.stderr

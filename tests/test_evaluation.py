@@ -46,12 +46,6 @@ class TestRankItems:
         with pytest.raises(DataError, match="empty candidate"):
             rank_items(0, [], e_u, e_i)
 
-    def test_hit_ranks_recorded(self):
-        e_u, e_i = embeddings_for_scores([0.3, 0.9, 0.1, 0.5])
-        got = rank_items(0, [0, 1, 2, 3], e_u, e_i, test_positives={0, 2})
-        # ordering: 1, 3, 0, 2 -> hits at ranks 3 and 4
-        assert got.hit_ranks == [3, 4]
-
 
 @st.composite
 def ranking_cases(draw):

@@ -12,10 +12,11 @@ from agrec.errors import (AgrecError, ColdItemError, ConfigError, DataError,
                           NumericError)
 from agrec.graphs import (BipartiteGraph, GraphBundle, Vocabulary,
                           build_item_attribute_graph, build_user_graph)
+from agrec.evaluation import top_k
 from agrec.kernels import gather_rows
 from agrec.model import (EmbeddingTables, ModelConfig, cold_item_embedding,
                          final_embeddings, forward, init_tables,
-                         load_checkpoint, save_checkpoint, score)
+                         load_checkpoint, save_checkpoint)
 from helpers import (dense_forward, dense_propagation_matrix,
                      dense_union_matrix, random_bundle, random_tables)
 
@@ -246,10 +247,10 @@ class TestForward:
 
         perm_i = rng.permutation(n_i)
         # relabel item vertices: edge (i, a) -> (perm_i[i], a) etc.
-        g_iia = BipartiteGraph(n_i, n_ia, [(int(perm_i[i]), int(a))
-                                           for i, a in bundle.g_iia.edges()])
-        g_ui = BipartiteGraph(n_u, n_i, [(int(u), int(perm_i[i]))
-                                         for u, i in bundle.g_ui.edges()])
+        g_iia = BipartiteGraph(n_i, n_ia, np.column_stack(
+            (perm_i[bundle.g_iia.left], bundle.g_iia.right)))
+        g_ui = BipartiteGraph(n_u, n_i, np.column_stack(
+            (bundle.g_ui.left, perm_i[bundle.g_ui.right])))
         permuted = GraphBundle(g_iia, g_ui, bundle.g_uiaa, bundle.vocab_u,
                                bundle.vocab_i, bundle.vocab_ia, bundle.vocab_iaa)
         p_tables = EmbeddingTables(tables.users.copy(), tables.items.copy(),
@@ -270,7 +271,7 @@ class TestForward:
         # Eq (2)'s matrix is exactly the transpose of Eq (1)'s
         x = rng.normal(size=(bundle.g_iia.right_count, 3))
         y = rng.normal(size=(bundle.g_iia.left_count, 3))
-        got = layer_one((3, 6, 5, 2), iia=bundle.g_iia.edges(),
+        got = layer_one((3, 6, 5, 2), iia=zip(bundle.g_iia.left, bundle.g_iia.right),
                         items=y, item_attrs=x)
         np.testing.assert_allclose(got.items, fwd @ x, atol=1e-12)
         np.testing.assert_allclose(got.item_attrs, fwd.T @ y, atol=1e-12)
@@ -325,30 +326,41 @@ class TestFinalEmbeddings:
 
 
 class TestScore:
+    """A preference score is the inner product of final user and item
+    embeddings; top_k is the one place that ranks by it."""
+
+    @staticmethod
+    def ranked(user_vec, item_vecs):
+        return top_k(np.atleast_2d(user_vec), np.asarray(item_vecs), k=len(item_vecs))[0].tolist()
+
     def test_orthogonal_unit_vectors(self):
-        assert score(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        # scores 0 and 1: the aligned item first
+        assert self.ranked([1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]]) == [1, 0]
 
     def test_identical_unit_vector(self):
-        v = np.array([1.0, 0.0])
-        assert score(v, v) == 1.0
+        v = np.array([0.6, 0.8])
+        assert self.ranked(v, [[0.8, 0.6], v, [0.0, 1.0]]) == [1, 0, 2]
 
     def test_arithmetic(self):
-        assert score(np.array([1.0, 2.0]), np.array([3.0, -1.0])) == 1.0
+        # scores 1, 0.8 and 1.2
+        assert self.ranked([1.0, 2.0], [[3.0, -1.0], [0.0, 0.4], [1.0, 0.1]]) == [2, 0, 1]
 
     def test_bilinear(self):
         rng = np.random.default_rng(0)
         u, v, w = rng.normal(size=(3, 4))
-        assert score(2 * u, v) == pytest.approx(2 * score(u, v))
-        assert score(u, v + w) == pytest.approx(score(u, v) + score(u, w))
-        assert score(u, v) == pytest.approx(score(v, u))
+        items = np.stack([v, w, v + w, -v])
+        want = np.argsort(-(items @ u), kind="stable").tolist()
+        assert self.ranked(u, items) == want
+        assert self.ranked(2 * u, items) == want
+        assert self.ranked(-u, items) == want[::-1]
 
     def test_ranking_invariant_under_positive_scaling(self):
         rng = np.random.default_rng(1)
         e_u = rng.normal(size=(1, 6))
         e_i = rng.normal(size=(30, 6))
-        base = np.argsort(-(e_i @ e_u[0]))
-        scaled = np.argsort(-(e_i @ (3.7 * e_u[0])))
-        np.testing.assert_array_equal(base, scaled)
+        base = self.ranked(e_u[0], e_i)
+        assert base == np.argsort(-(e_i @ e_u[0])).tolist()
+        assert self.ranked(3.7 * e_u[0], e_i) == base
 
 
 class TestColdItem:
@@ -542,3 +554,9 @@ class TestCheckpoint:
         n_u = len(bundle.vocab_u)
         first = np.frombuffer(body[:n_u * 2 * 4], dtype="<f4").reshape(n_u, 2)
         np.testing.assert_array_equal(first, tables.users.astype(np.float32))
+
+
+def test_every_public_name_resolves():
+    import agrec
+    missing = [name for name in agrec.__all__ if not hasattr(agrec, name)]
+    assert missing == []
