@@ -281,6 +281,13 @@ def cmd_evaluate(args) -> int:
 
 # --- recommend ---------------------------------------------------------------
 
+def _item_keywords(bundle, item_idx: int) -> set[str]:
+    """The item's attribute keywords, read off its g_iia edges."""
+    g = bundle.g_iia
+    lo, hi = g.left.searchsorted((item_idx, item_idx + 1))
+    return {bundle.vocab_ia.entries[kw] for kw in g.right[lo:hi].tolist()}
+
+
 def cmd_recommend(args) -> int:
     spec = {"k": (int, 10)}
     cfg = _resolve(args, spec)
@@ -308,16 +315,15 @@ def cmd_recommend(args) -> int:
 
     history_keywords: set[str] = set()
     if args.explain:
-        for u, i in prepared.id_split.train:
-            if u == args.user:
-                history_keywords.update(prepared.item_keywords.get(i, ()))
+        for i in prepared.split.user_positives.get(user_idx, ()):
+            history_keywords |= _item_keywords(bundle, i)
 
     recs = []
     for item_idx, item_score in zip(top, scores):
         item_id = bundle.vocab_i.entries[int(item_idx)]
         entry = {"item_id": item_id, "score": float(item_score)}
         if args.explain:
-            shared = history_keywords & set(prepared.item_keywords.get(item_id, ()))
+            shared = history_keywords & _item_keywords(bundle, int(item_idx))
             entry["shared_keywords"] = sorted(shared)
         recs.append(entry)
     doc = {"user": args.user, "k": cfg["k"], "items": recs,

@@ -12,9 +12,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import urllib.error
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -149,6 +146,11 @@ class HttpBackend:
         self.timeout = timeout
 
     def complete(self, item_id: str, image_ref: str | None, prompt: str) -> str:
+        # imported here: urllib.request pulls in http.client and ssl, which
+        # no CLI stage but extract --backend http needs
+        import urllib.error
+        import urllib.request
+
         payload = json.dumps({"prompt": prompt, "image": image_ref}).encode("utf-8")
         req = urllib.request.Request(
             self.base_url, data=payload, method="POST",
@@ -279,6 +281,8 @@ def run_extraction_batch(items: Sequence[tuple[str, str | None]],
     lines land in input order (waves of at most `concurrency_limit`
     in-flight requests); consumers must still not rely on line order.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if concurrency_limit < 1:
         raise ConfigError("concurrency_limit must be >= 1")
     extractor = extractor or KeywordExtractor(backend)

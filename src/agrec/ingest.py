@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -45,7 +46,10 @@ class ItemMetadata:
         if not self.item_id:
             raise DataError("item_id must be non-empty")
         if self.price is not None:
-            price = float(self.price)
+            try:
+                price = float(self.price)
+            except (TypeError, ValueError, OverflowError):
+                raise DataError(f"item {self.item_id!r}: price must be a number") from None
             if not math.isfinite(price) or price < 0:
                 raise DataError(f"item {self.item_id!r}: price must be finite and >= 0")
             self.price = price
@@ -99,9 +103,38 @@ def parse_interactions(lines: Iterable[str]) -> list[Interaction]:
     return out
 
 
-def read_interactions(path) -> list[Interaction]:
+@contextmanager
+def open_text(path):
+    """Open an input file as UTF-8 text; bytes that do not decode raise
+    DataError naming the file instead of UnicodeDecodeError."""
     with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_interactions(path) -> list[Interaction]:
+    with open_text(path) as fh:
         return parse_interactions(fh)
+
+
+_ITEM_TEXT_FIELDS = ("brand", "category", "color", "description", "image_ref")
+
+
+def _item_problem(obj) -> str | None:
+    """What makes an items record unusable, or None: it must be an object
+    with a string item_id, and its text fields strings or null."""
+    if not isinstance(obj, dict):
+        return "expected a JSON object"
+    if "item_id" not in obj:
+        return "missing item_id"
+    if not isinstance(obj["item_id"], str):
+        return "item_id must be a string"
+    bad = [f for f in _ITEM_TEXT_FIELDS if not isinstance(obj.get(f), (str, type(None)))]
+    if bad:
+        return f"{bad[0]} must be a string or null"
+    return None
 
 
 def parse_items(lines: Iterable[str]) -> list[ItemMetadata]:
@@ -115,8 +148,9 @@ def parse_items(lines: Iterable[str]) -> list[ItemMetadata]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"items line {lineno}: invalid JSON ({exc.msg})") from None
-        if "item_id" not in obj:
-            raise DataError(f"items line {lineno}: missing item_id")
+        problem = _item_problem(obj)
+        if problem:
+            raise DataError(f"items line {lineno}: {problem}")
         try:
             out.append(ItemMetadata(
                 item_id=obj["item_id"],
@@ -133,7 +167,7 @@ def parse_items(lines: Iterable[str]) -> list[ItemMetadata]:
 
 
 def read_items(path) -> list[ItemMetadata]:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return parse_items(fh)
 
 

@@ -1,32 +1,48 @@
 """Glue between prepared data directories and the model: loads the split
 manifest and attribute files, builds the graphs for the training item
 universe (items with at least one training interaction), and collects cold
-candidates for strict cold-start evaluation."""
+candidates for strict cold-start evaluation.
+
+A finished load is kept in ``<data_dir>/dataset.cache.npz`` under a key that
+hashes the agrec sources and the bytes of every input file; a later load
+with the same key reads the vocabularies, edges, index-level splits and cold
+candidates back instead of parsing and building again.
+"""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import zipfile
 from dataclasses import dataclass
+from itertools import chain
 
-from .errors import DataError
+import numpy as np
+
+from .errors import DataError, GraphError
 from .evaluation import ColdCandidates
-from .graphs import GraphBundle, build_item_attribute_graph, build_user_graph
-from .ingest import SplitDataset, manifest_split, read_manifest
+from .graphs import (BipartiteGraph, GraphBundle, Vocabulary,
+                     build_item_attribute_graph, build_user_graph)
+from .ingest import SplitDataset, manifest_split, open_text, read_manifest
 from .model import file_sha256
 
 MANIFEST_NAME = "manifest.json"
 TEXT_ATTRS_NAME = "text_attributes.jsonl"
+CACHE_NAME = "dataset.cache.npz"
+_CACHE_FORMAT = b"agrec dataset cache 1\n"  # the first bytes of every key
+_VOCABS = ("vocab_u", "vocab_i", "vocab_ia", "vocab_iaa")
+# each relation with the vocabularies of its left and right vertices
+_GRAPHS = {"g_iia": ("vocab_i", "vocab_ia"), "g_ui": ("vocab_u", "vocab_i"),
+           "g_uiaa": ("vocab_u", "vocab_iaa")}
+_SPLITS = ("train", "validation", "test")
 
 
 @dataclass
 class PreparedDataset:
-    manifest: dict
     dataset_hash: str
-    id_split: SplitDataset
     bundle: GraphBundle
     split: SplitDataset
-    item_keywords: dict[str, list[str]]
     cold: ColdCandidates
 
 
@@ -48,7 +64,7 @@ def _record_problem(obj, fields: tuple[str, ...]) -> str | None:
 
 def _read_jsonl(path, fields: tuple[str, ...]):
     """(lineno, record) per non-blank line, each record checked."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -94,15 +110,27 @@ def load_attribute_files(text_attrs_path=None, attrs_path=None):
 
 
 def load_dataset(data_dir, attrs_path=None) -> PreparedDataset:
-    """Rebuild graphs and index-level splits from a prepared directory.
+    """Graphs, index-level splits and cold candidates of a prepared directory.
 
     Deterministic given identical files, which is what makes the checkpoint
-    vocabulary-hash check meaningful.
+    vocabulary-hash check meaningful. A cache hit returns what a build of
+    the same files returns; a miss builds and then rewrites the cache.
     """
+    key = _cache_key(data_dir, attrs_path)
+    cache_path = os.path.join(data_dir, CACHE_NAME)
+    prepared = _read_cache(cache_path, key)
+    if prepared is None:
+        prepared = _build_dataset(data_dir, attrs_path)
+        # an input rewritten during the build: the payload may not match key
+        if _cache_key(data_dir, attrs_path) == key:
+            _write_cache(cache_path, key, prepared)
+    return prepared
+
+
+def _build_dataset(data_dir, attrs_path) -> PreparedDataset:
     manifest_path = os.path.join(data_dir, MANIFEST_NAME)
-    manifest = read_manifest(manifest_path)
     dataset_hash = file_sha256(manifest_path)
-    id_split = manifest_split(manifest)
+    id_split = manifest_split(read_manifest(manifest_path))
 
     item_order, item_keywords, aesthetic_keywords = load_attribute_files(
         os.path.join(data_dir, TEXT_ATTRS_NAME), attrs_path)
@@ -123,9 +151,190 @@ def load_dataset(data_dir, attrs_path=None) -> PreparedDataset:
     bundle, split, cold = build_bundle(
         id_split, warm_pairs, aes_pairs, cold_keywords,
         cold_pairs=[(u, i) for u, i in id_split.test if i in cold_keywords])
-    return PreparedDataset(manifest=manifest, dataset_hash=dataset_hash,
-                           id_split=id_split, bundle=bundle, split=split,
-                           item_keywords=item_keywords, cold=cold)
+    return PreparedDataset(dataset_hash=dataset_hash, bundle=bundle,
+                           split=split, cold=cold)
+
+
+def _cache_key(data_dir, attrs_path) -> str:
+    """sha256 over the format tag, the agrec sources and the load's inputs.
+
+    Each input is hashed behind a marker saying whether the load reads it.
+    A missing manifest or attrs file raises here as the build would.
+    """
+    h = hashlib.sha256(_CACHE_FORMAT)
+
+    def _add(path, label: bytes):
+        if path is None:
+            h.update(label + b" -\n")
+            return
+        with open(path, "rb") as fh:
+            data = fh.read()
+        h.update(label + b" %d\n" % len(data))
+        h.update(data)
+
+    src = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            _add(os.path.join(src, name), name.encode())
+    text_attrs_path = os.path.join(data_dir, TEXT_ATTRS_NAME)
+    _add(os.path.join(data_dir, MANIFEST_NAME), b"manifest")
+    _add(text_attrs_path if os.path.exists(text_attrs_path) else None, b"text")
+    _add(attrs_path or None, b"attrs")
+    return h.hexdigest()
+
+
+def _payload_digest(arrays: dict) -> str:
+    """sha256 over every array but the digest: name, dtype, shape, bytes."""
+    h = hashlib.sha256()
+    for name in sorted(arrays):
+        if name != "digest":
+            arr = np.ascontiguousarray(arrays[name])
+            h.update(f"{name} {arr.dtype.str} {arr.shape}\n".encode())
+            h.update(arr)
+    return h.hexdigest()
+
+
+def _strings(values: list[str]) -> np.ndarray:
+    """A numpy string array that reads back as `values`; numpy drops
+    trailing NULs from its fixed-width strings, so a NUL is refused."""
+    if "\x00" in "".join(values):
+        raise ValueError("a string holds NUL")
+    return np.array(values, dtype=str)
+
+
+def _index_pairs(pairs) -> np.ndarray:
+    """A list of (int, int) pairs as an (n, 2) int64 array."""
+    return np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2)
+
+
+def _write_cache(path, key: str, prepared: PreparedDataset) -> None:
+    """Store `prepared` at `path` under `key`, atomically; a directory that
+    cannot take the file, or strings numpy cannot hold, leave no cache."""
+    bundle, split, cold = prepared.bundle, prepared.split, prepared.cold
+    try:
+        arrays = {"key": np.array(key), "dataset_hash": np.array(prepared.dataset_hash),
+                  "split_seed": np.array(json.dumps(split.split_seed))}
+        for name in _VOCABS:
+            arrays[name] = _strings(getattr(bundle, name).entries)
+        for name in _GRAPHS:
+            graph = getattr(bundle, name)
+            arrays[name + "_left"], arrays[name + "_right"] = graph.left, graph.right
+        for name in _SPLITS:
+            arrays[name] = _index_pairs(getattr(split, name))
+        position = {iid: n for n, iid in enumerate(cold.ids)}
+        arrays["cold_ids"] = _strings(cold.ids)
+        arrays["cold_keywords"] = _strings(
+            [kw for iid in cold.ids for kw in cold.keywords[iid]])
+        arrays["cold_lengths"] = np.array(
+            [len(cold.keywords[iid]) for iid in cold.ids], dtype=np.int64)
+        arrays["cold_test"] = _index_pairs([(u, position[i]) for u, i in cold.test_pairs])
+    except ValueError:
+        return
+    arrays["digest"] = np.array(_payload_digest(arrays))
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+
+
+# What np.load and zipfile raise on a missing, cut or damaged file: an
+# unreadable path, a bad zip structure, an npy header that does not parse,
+# a flag for encryption or an unknown zip version, or a claimed array size
+# that cannot be allocated. np.load returns a bare array, which is not a
+# context manager, for a file that starts like an npy file.
+_DAMAGE = (OSError, EOFError, ValueError, KeyError, TypeError, RuntimeError,
+           MemoryError, zipfile.BadZipFile)
+
+
+def _read_cache(path, key: str) -> PreparedDataset | None:
+    """The dataset stored at `path` under `key`, or None when the file is
+    missing, damaged, inconsistent or stored under another key."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            # np.savez stores every member as is; any other method is damage,
+            # and reading it would raise the decompressor's own errors
+            if (any(info.compress_type != zipfile.ZIP_STORED
+                    for info in npz.zip.infolist())
+                    or _member(npz, "key", "U", 0).item() != key):
+                return None
+            arrays = {name: npz[name] for name in npz.files}
+    except _DAMAGE:
+        return None
+    try:
+        if _member(arrays, "digest", "U", 0).item() != _payload_digest(arrays):
+            return None
+        return _from_arrays(arrays)
+    except (KeyError, ValueError, GraphError):
+        return None
+
+
+def _member(arrays, name: str, kind: str, ndim: int) -> np.ndarray:
+    arr = arrays[name]
+    if arr.dtype.kind != kind or arr.ndim != ndim:
+        raise ValueError(f"cache member {name} has dtype {arr.dtype}, shape {arr.shape}")
+    return arr
+
+
+def _pairs(arrays: dict, name: str, left_count: int, right_count: int) -> list:
+    """An (n, 2) index array as a list of int tuples, range-checked."""
+    arr = _member(arrays, name, "i", 2)
+    if arr.shape[1] != 2:
+        raise ValueError(f"cache member {name} has shape {arr.shape}")
+    if arr.size and not (arr.min() >= 0 and arr[:, 0].max() < left_count
+                         and arr[:, 1].max() < right_count):
+        raise GraphError(f"cache member {name}: index out of range")
+    return list(zip(arr[:, 0].tolist(), arr[:, 1].tolist()))
+
+
+def _from_arrays(arrays: dict) -> PreparedDataset:
+    vocabs = {}
+    for name in _VOCABS:
+        entries = _member(arrays, name, "U", 1).tolist()
+        vocabs[name] = Vocabulary.from_ids(entries)
+        if len(vocabs[name]) != len(entries):
+            raise ValueError(f"cache member {name} repeats an entry")
+    graphs = {}
+    for name, (lv, rv) in _GRAPHS.items():
+        left = _member(arrays, name + "_left", "i", 1)
+        right = _member(arrays, name + "_right", "i", 1)
+        if left.shape != right.shape:
+            raise ValueError(f"cache members of {name} differ in length")
+        graphs[name] = BipartiteGraph(len(vocabs[lv]), len(vocabs[rv]),
+                                      np.column_stack((left, right)))
+    bundle = GraphBundle(**graphs, **vocabs)
+
+    n_u, n_i = len(bundle.vocab_u), len(bundle.vocab_i)
+    train, validation, test = (_pairs(arrays, name, n_u, n_i) for name in _SPLITS)
+    positives: dict[int, set[int]] = {}
+    for u, i in train:
+        positives.setdefault(u, set()).add(i)
+    split = SplitDataset(
+        train=train, validation=validation, test=test, user_positives=positives,
+        split_seed=json.loads(_member(arrays, "split_seed", "U", 0).item()))
+
+    ids = _member(arrays, "cold_ids", "U", 1).tolist()
+    flat = _member(arrays, "cold_keywords", "U", 1).tolist()
+    lengths = _member(arrays, "cold_lengths", "i", 1)
+    if (lengths.shape[0] != len(ids) or (lengths < 0).any()
+            or int(lengths.sum()) != len(flat)):
+        raise ValueError("cache cold keyword lengths do not fit")
+    ends = np.cumsum(lengths).tolist()
+    keywords = {iid: flat[end - n:end]
+                for iid, n, end in zip(ids, lengths.tolist(), ends)}
+    if len(keywords) != len(ids):
+        raise ValueError("cache member cold_ids repeats an entry")
+    cold = ColdCandidates(
+        ids=ids, keywords=keywords,
+        test_pairs=[(u, ids[p]) for u, p in _pairs(arrays, "cold_test", n_u, len(ids))])
+    return PreparedDataset(
+        dataset_hash=_member(arrays, "dataset_hash", "U", 0).item(),
+        bundle=bundle, split=split, cold=cold)
 
 
 def build_bundle(id_split: SplitDataset, item_keyword_pairs, aesthetic_pairs,

@@ -5,12 +5,17 @@ explicit set arithmetic) so they stay independent of the production path
 they check.
 """
 
+import json
 import math
+import os
 
 import numpy as np
 
 from agrec.graphs import BipartiteGraph, GraphBundle, Vocabulary
+from agrec.ingest import split_dataset, write_manifest
 from agrec.model import EmbeddingTables
+from agrec.pipeline import MANIFEST_NAME, TEXT_ATTRS_NAME
+from agrec.synth import hold_out_items, planted_world
 
 
 def random_bipartite(rng, n_left, n_right, p=0.3):
@@ -170,3 +175,66 @@ def finite_difference_gradients(tables, loss_fn, h=1e-5):
             it.iternext()
         grads.append(grad)
     return grads
+
+
+def write_prepared_dir(directory, seed=0):
+    """A prepared data directory plus an extractor output for a small planted
+    world with held-out cold items: returns (data_dir, attrs_path).
+
+    Every item gets a text keyword (one non-ASCII) and extracted item and
+    aesthetic keywords; the test split carries pairs that hit cold items.
+    """
+    world = planted_world(n_users=16, n_items=40, n_item_keywords=6,
+                          n_aesthetic_keywords=3, tastes_per_user=2, seed=seed)
+    cold = set(hold_out_items(world, 0.15))
+    split = split_dataset([p for p in world.interactions if p[1] not in cold],
+                          seed=seed)
+    split.test += [p for p in world.interactions if p[1] in cold][:12]
+    data = os.path.join(directory, "data")
+    os.makedirs(data, exist_ok=True)
+    write_manifest(os.path.join(data, MANIFEST_NAME), seed=seed,
+                   ratios=(0.8, 0.1, 0.1), split=split)
+    with open(os.path.join(data, TEXT_ATTRS_NAME), "w", encoding="utf-8") as fh:
+        for n, iid in enumerate(world.items):
+            keywords = [f"price:{n % 3}"] + (["colour:grün"] if n % 5 == 0 else [])
+            fh.write(json.dumps({"item_id": iid, "keywords": keywords}) + "\n")
+    attrs = os.path.join(directory, "attrs.jsonl")
+    with open(attrs, "w", encoding="utf-8") as fh:
+        for iid in world.items:
+            for kind, keywords in (("item", world.item_keywords[iid]),
+                                   ("aesthetic", world.item_aesthetics[iid])):
+                fh.write(json.dumps({"item_id": iid, "kind": kind,
+                                     "keywords": keywords}) + "\n")
+    return data, attrs
+
+
+def assert_same_dataset(got, want):
+    """Field-by-field equality of two PreparedDatasets, down to the Python
+    types in the splits and the bytes of every coefficient."""
+    assert type(got.dataset_hash) is str and got.dataset_hash == want.dataset_hash
+    for name in ("vocab_u", "vocab_i", "vocab_ia", "vocab_iaa"):
+        a, b = getattr(got.bundle, name), getattr(want.bundle, name)
+        assert a.entries == b.entries and a.index == b.index, name
+        assert all(type(e) is str for e in a.entries), name
+    for name in ("g_iia", "g_ui", "g_uiaa"):
+        a, b = getattr(got.bundle, name), getattr(want.bundle, name)
+        assert (a.left_count, a.right_count, a.edge_count) == \
+            (b.left_count, b.right_count, b.edge_count), name
+        for field in ("left", "right", "left_deg", "right_deg", "coef"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (name, field)
+    for name in ("train", "validation", "test"):
+        pairs = getattr(got.split, name)
+        assert pairs == getattr(want.split, name), name
+        assert all(type(p) is tuple and type(p[0]) is int and type(p[1]) is int
+                   for p in pairs), name
+    assert list(got.split.user_positives.items()) == \
+        list(want.split.user_positives.items())
+    assert all(type(i) is int for s in got.split.user_positives.values() for i in s)
+    # any JSON value; compared as JSON so that a NaN seed equals itself
+    assert json.dumps(got.split.split_seed) == json.dumps(want.split.split_seed)
+    assert type(got.split.split_seed) is type(want.split.split_seed)
+    assert got.cold.ids == want.cold.ids
+    assert list(got.cold.keywords.items()) == list(want.cold.keywords.items())
+    assert got.cold.test_pairs == want.cold.test_pairs
+    assert all(type(u) is int and type(i) is str for u, i in got.cold.test_pairs)

@@ -268,6 +268,25 @@ class TestEvaluate:
                               capture_output=True, text=True, check=True)
         assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
 
+    @pytest.mark.parametrize("command", [["evaluate", "--k", "10"],
+                                         ["recommend", "--user", "u0003"]])
+    def test_loads_no_network_or_thread_pool_modules(self, pipeline_dir, command):
+        # only extract needs them, and each costs every other CLI process
+        # import time and memory
+        script = (
+            "import json, sys\n"
+            "from agrec.cli import main\n"
+            f"code = main({command!r} + ['--model', {pipeline_dir['model']!r},"
+            f" '--data', {pipeline_dir['data']!r},"
+            f" '--attrs', {pipeline_dir['attrs']!r}])\n"
+            "print(json.dumps([code, sorted(m for m in ('urllib.request',"
+            " 'http.client', 'ssl', 'concurrent.futures') if m in sys.modules)]))\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+
 
     def test_truncated_checkpoint_exit_1_without_traceback(self, pipeline_dir,
                                                           tmp_path):
@@ -299,7 +318,9 @@ class TestRecommend:
         scores = [r["score"] for r in doc["items"]]
         assert scores == sorted(scores, reverse=True)
         prepared = load_dataset(pipeline_dir["data"], pipeline_dir["attrs"])
-        seen = {i for u, i in prepared.id_split.train if u == "u0003"}
+        user = prepared.bundle.vocab_u.index_of("u0003")
+        seen = {prepared.bundle.vocab_i.entries[i]
+                for u, i in prepared.split.train if u == user}
         assert seen and not seen & {r["item_id"] for r in doc["items"]}
 
     def test_unknown_user_exit_4(self, pipeline_dir, capsys):
@@ -380,6 +401,37 @@ class TestMalformedInput:
                        "--user", user)
         assert_clean_exit_1(proc)
         assert f"{attrs} line {len(lines) + 1}:" in proc.stderr
+
+    def test_attrs_not_utf8(self, pipeline_dir, warm, tmp_path):
+        attrs = tmp_path / "attrs.jsonl"
+        with open(pipeline_dir["attrs"], "rb") as fh:
+            attrs.write_bytes(fh.read() + b'{"item_id": "i\xff"}\n')
+        proc = run_cli("recommend", "--model", pipeline_dir["model"],
+                       "--data", pipeline_dir["data"], "--attrs", str(attrs),
+                       "--user", warm[0])
+        assert_clean_exit_1(proc)
+        assert f"{attrs}: not UTF-8" in proc.stderr
+
+    @pytest.mark.parametrize("name,content,message", [
+        ("interactions", b"u1\ti1\nu1\ti\xff1\n", "not UTF-8"),
+        ("items", b'{"item_id": "i1"}\n\xfe\n', "not UTF-8"),
+        ("items", b'{"item_id": "i1"}\n5\n', "items line 2: expected a JSON object"),
+        ("items", b'{"item_id": 7, "price": "x"}\n', "items line 1: item_id must be"),
+        ("items", b'{"item_id": "i7", "price": "x"}\n', "price must be a number"),
+    ], ids=["interactions-not-utf8", "items-not-utf8", "items-int-line",
+            "items-int-id", "items-string-price"])
+    def test_prepare_input(self, world_dir, tmp_path, name, content, message):
+        paths = {"interactions": world_dir["interactions"], "items": world_dir["items"]}
+        paths[name] = str(tmp_path / name)
+        with open(paths[name], "wb") as fh:
+            fh.write(content)
+        proc = run_cli("prepare", "--interactions", paths["interactions"],
+                       "--items", paths["items"], "--min-users", "0",
+                       "--out", str(tmp_path / "data"))
+        assert_clean_exit_1(proc)
+        assert message in proc.stderr
+        if "UTF-8" in message:
+            assert paths[name] in proc.stderr
 
     @pytest.mark.parametrize("edit", [
         lambda doc: "{\"seed\": 1,",

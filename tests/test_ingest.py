@@ -9,8 +9,9 @@ from agrec.errors import ConfigError, DataError
 from agrec.ingest import (ItemMetadata, PriceBuckets, _split_sizes,
                           filter_min_popularity, fit_price_buckets,
                           manifest_split, parse_interactions, parse_items,
-                          split_dataset, tokenize_text_attributes,
-                          write_manifest, read_manifest)
+                          read_interactions, read_items, split_dataset,
+                          tokenize_text_attributes, write_manifest,
+                          read_manifest)
 
 
 class TestParseInteractions:
@@ -217,6 +218,37 @@ class TestItemsFile:
     def test_bad_json(self):
         with pytest.raises(DataError, match="line 2"):
             parse_items(["{\"item_id\": \"a\"}", "{nope"])
+
+    @pytest.mark.parametrize("line,problem", [
+        ("5", "expected a JSON object"),
+        ("[\"i1\"]", "expected a JSON object"),
+        ('{"item_id": 7, "price": "x"}', "item_id must be a string"),
+        ('{"item_id": "i1", "price": "x"}', "price must be a number"),
+        ('{"item_id": "i1", "price": [1]}', "price must be a number"),
+        ('{"item_id": "i1", "price": 1' + "0" * 400 + '}', "price must be a number"),
+        ('{"item_id": "i1", "brand": 5}', "brand must be a string or null"),
+        ('{"item_id": "i1", "description": ["a"]}', "description must be"),
+    ])
+    def test_malformed_line_names_it(self, line, problem):
+        with pytest.raises(DataError, match="items line 2: .*" + problem):
+            parse_items(['{"item_id": "i0"}', line])
+
+    def test_numeric_string_price_still_accepted(self):
+        assert parse_items(['{"item_id": "i1", "price": "2.5"}'])[0].price == 2.5
+
+
+class TestNotUtf8:
+    def test_interactions(self, tmp_path):
+        path = tmp_path / "inter.tsv"
+        path.write_bytes(b"u1\ti1\nu1\ti\xff1\n")
+        with pytest.raises(DataError, match=f"{path}: not UTF-8"):
+            read_interactions(path)
+
+    def test_items(self, tmp_path):
+        path = tmp_path / "items.jsonl"
+        path.write_bytes(b'{"item_id": "i\xc3"}\n')
+        with pytest.raises(DataError, match=f"{path}: not UTF-8"):
+            read_items(path)
 
 
 class TestManifest:
