@@ -8,9 +8,9 @@ from .ingest import (ItemMetadata, PriceBuckets, SplitDataset,
                      filter_min_popularity, fit_price_buckets,
                      parse_interactions, split_dataset,
                      tokenize_text_attributes)
-from .model import (EmbeddingTables, LayerStack, ModelConfig,
-                    cold_item_embedding, final_embeddings, forward,
-                    load_checkpoint, save_checkpoint)
+from .model import (LayerStack, ModelConfig, cold_item_embedding,
+                    final_embeddings, forward, load_checkpoint,
+                    save_checkpoint)
 from .training import bpr_loss, train
 
 __all__ = [
@@ -19,7 +19,7 @@ __all__ = [
     "ItemMetadata", "PriceBuckets", "SplitDataset", "filter_min_popularity",
     "fit_price_buckets", "parse_interactions", "split_dataset",
     "tokenize_text_attributes",
-    "EmbeddingTables", "LayerStack", "ModelConfig", "cold_item_embedding",
+    "LayerStack", "ModelConfig", "cold_item_embedding",
     "final_embeddings", "forward", "load_checkpoint", "save_checkpoint",
     "bpr_loss", "train",
     "__version__",

@@ -20,10 +20,10 @@ from .evaluation import evaluate, top_k
 from .extractor import (FixtureBackend, HttpBackend, PromptKind,
                         run_extraction_batch)
 from .ingest import (PriceBuckets, filter_min_popularity, fit_price_buckets,
-                     read_interactions, read_items, split_dataset,
+                     open_text, read_interactions, read_items, split_dataset,
                      tokenize_text_attributes, write_manifest)
 from .model import (ModelConfig, file_sha256, final_embeddings, forward,
-                    load_checkpoint, vocab_hashes)
+                    load_checkpoint)
 from .pipeline import MANIFEST_NAME, TEXT_ATTRS_NAME, load_dataset
 from .training import train
 
@@ -32,7 +32,7 @@ EXIT_OK, EXIT_OTHER, EXIT_CONFIG, EXIT_INTEGRITY, EXIT_LOOKUP = 0, 1, 2, 3, 4
 
 def read_config_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, ConfigError) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -116,7 +116,7 @@ def cmd_prepare(args) -> int:
                else PriceBuckets(n_p=cfg["price_buckets"], boundaries=[]))
     stop_words = None
     if args.stop_words:
-        with open(args.stop_words, encoding="utf-8") as fh:
+        with open_text(args.stop_words) as fh:
             stop_words = frozenset(w.strip() for w in fh if w.strip())
 
     os.makedirs(args.out, exist_ok=True)
@@ -128,15 +128,8 @@ def cmd_prepare(args) -> int:
             fh.write(json.dumps({"item_id": meta.item_id, "keywords": keywords},
                                 sort_keys=True) + "\n")
 
-    user_vocab, item_vocab = [], []
-    seen_u, seen_i = set(), set()
-    for u, i in filtered:
-        if u not in seen_u:
-            seen_u.add(u)
-            user_vocab.append(u)
-        if i not in seen_i:
-            seen_i.add(i)
-            item_vocab.append(i)
+    user_vocab = list(dict.fromkeys(u for u, _ in filtered))
+    item_vocab = list(dict.fromkeys(i for _, i in filtered))
     for name, ids in (("users.vocab.txt", user_vocab), ("items.vocab.txt", item_vocab)):
         with open(os.path.join(args.out, name), "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(x + "\n" for x in ids)
@@ -296,10 +289,8 @@ def cmd_recommend(args) -> int:
 
     prepared = load_dataset(args.data, args.attrs)
     checkpoint = load_checkpoint(args.model)
-    if checkpoint.header.get("vocab_sha256") != vocab_hashes(prepared.bundle):
-        raise IntegrityError("checkpoint vocabularies do not match dataset")
-
     bundle = prepared.bundle
+    checkpoint.check_matches(bundle)
     user_idx = bundle.vocab_u.index_of(args.user)
 
     config = checkpoint.config()

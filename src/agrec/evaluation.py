@@ -12,12 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ColdItemError, ConfigError, DataError, IntegrityError,
-                     NumericError)
+from .errors import ColdItemError, ConfigError, DataError, NumericError
 from .graphs import GraphBundle
 from .ingest import SplitDataset
-from .model import (Checkpoint, cold_item_embedding, final_embeddings, forward,
-                    vocab_hashes)
+from .model import Checkpoint, cold_item_embedding, final_embeddings, forward
 
 
 @dataclass
@@ -173,15 +171,12 @@ def evaluate(checkpoint: Checkpoint, bundle: GraphBundle, split: SplitDataset,
              checkpoint_hash: str = "", dataset_hash: str = "") -> MetricsReport:
     """Score, rank and average metrics over eligible users.
 
-    Refuses to run when the checkpoint's vocabulary hashes do not match the
-    graphs rebuilt from the dataset.
+    Refuses to run when the checkpoint's vocabulary hashes or per-class
+    counts do not match the graphs rebuilt from the dataset.
     """
     if mode not in ("standard", "cold_start"):
         raise ConfigError(f"unknown evaluation mode {mode!r}")
-    expected = vocab_hashes(bundle)
-    stored = checkpoint.header.get("vocab_sha256")
-    if stored != expected:
-        raise IntegrityError("checkpoint vocabularies do not match dataset")
+    checkpoint.check_matches(bundle)
 
     config = checkpoint.config()
     stack = forward(checkpoint.tables, bundle, config)

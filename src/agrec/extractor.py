@@ -18,6 +18,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import BackendError, ConfigError, DataError, NoKeywordsError
+from .ingest import open_text
 
 PROMPT_ITEM_ATTRIBUTES = (
     "Describe the item in the image using keywords. Describe the color, "
@@ -106,8 +107,16 @@ class FixtureBackend:
 
     @classmethod
     def from_file(cls, path) -> "FixtureBackend":
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh))
+        with open_text(path) as fh:
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}: invalid fixture JSON ({exc.msg})") from None
+        if not (isinstance(doc, dict)
+                and all(isinstance(r, dict) for r in doc.values())
+                and all(isinstance(t, str) for r in doc.values() for t in r.values())):
+            raise DataError(f"{path}: a fixture maps item IDs to objects of strings")
+        return cls(doc)
 
     def complete(self, item_id: str, image_ref: str | None, prompt: str) -> str:
         kind = _kind_of_prompt(prompt)

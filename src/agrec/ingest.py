@@ -104,14 +104,28 @@ def parse_interactions(lines: Iterable[str]) -> list[Interaction]:
 
 
 @contextmanager
-def open_text(path):
+def open_text(path, error: type[Exception] = DataError):
     """Open an input file as UTF-8 text; bytes that do not decode raise
-    DataError naming the file instead of UnicodeDecodeError."""
+    `error` naming the file instead of UnicodeDecodeError."""
     with open(path, encoding="utf-8") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+            raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _utf8_problem(text: str, value) -> str | None:
+    """A message if some string in `value`, parsed from the JSON `text`, does
+    not encode as UTF-8, else None. JSON can spell a lone surrogate
+    ("\\ud800"), which no later stage can encode; strict UTF-8 decoding
+    never yields one, so ASCII text without a \\u escape needs no look."""
+    if text.isascii() and "\\u" not in text:
+        return None
+    try:
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        return "a string is not UTF-8 text (lone surrogate escape)"
+    return None
 
 
 def read_interactions(path) -> list[Interaction]:
@@ -137,8 +151,9 @@ def _item_problem(obj) -> str | None:
     return None
 
 
-def parse_items(lines: Iterable[str]) -> list[ItemMetadata]:
-    """Parse the one-JSON-object-per-line items file."""
+def parse_items(lines: Iterable[str], source: str = "items") -> list[ItemMetadata]:
+    """Parse the one-JSON-object-per-line items file; errors name `source`
+    and the line."""
     out = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -147,10 +162,10 @@ def parse_items(lines: Iterable[str]) -> list[ItemMetadata]:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise DataError(f"items line {lineno}: invalid JSON ({exc.msg})") from None
-        problem = _item_problem(obj)
+            raise DataError(f"{source} line {lineno}: invalid JSON ({exc.msg})") from None
+        problem = _item_problem(obj) or _utf8_problem(line, obj)
         if problem:
-            raise DataError(f"items line {lineno}: {problem}")
+            raise DataError(f"{source} line {lineno}: {problem}")
         try:
             out.append(ItemMetadata(
                 item_id=obj["item_id"],
@@ -162,13 +177,13 @@ def parse_items(lines: Iterable[str]) -> list[ItemMetadata]:
                 image_ref=obj.get("image_ref"),
             ))
         except DataError as exc:
-            raise DataError(f"items line {lineno}: {exc}") from None
+            raise DataError(f"{source} line {lineno}: {exc}") from None
     return out
 
 
 def read_items(path) -> list[ItemMetadata]:
     with open_text(path) as fh:
-        return parse_items(fh)
+        return parse_items(fh, str(path))
 
 
 def filter_min_popularity(interactions: Sequence[Interaction],
@@ -355,9 +370,13 @@ def write_manifest(path, *, seed: int, ratios: Sequence[float],
 def read_manifest(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            text = fh.read()
+            doc = json.loads(text)
         except ValueError as exc:  # invalid JSON or not UTF-8
             raise DataError(f"{path}: invalid manifest ({exc})") from None
+    problem = _utf8_problem(text, doc)
+    if problem:
+        raise DataError(f"{path}: invalid manifest ({problem})")
     if not isinstance(doc, dict):
         raise DataError(f"{path}: manifest must be a JSON object")
     for key in ("seed", "counts", "splits"):

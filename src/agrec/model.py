@@ -1,12 +1,12 @@
-"""Embedding tables, linear graph propagation and preference scoring.
+"""Embedding table, linear graph propagation and preference scoring.
 
 Per layer, all four vertex classes advance simultaneously from the previous
 layer's values (Jacobi-style): items gather from item attributes, item
 attributes from items, aesthetic keywords from users, and users from both
 aesthetic keywords and items. That is one sparse operator M applied to the
-stacked tables (graphs.PropagationOperator). Final user/item embeddings are
-the alpha-weighted sum over layers 0..K. Everything is linear; there are no
-activations, attention weights, self-loops or dropout.
+one trainable table, a row per vertex in graphs.PropagationOperator's order.
+Final user/item embeddings are the alpha-weighted sum over layers 0..K.
+Everything is linear: no activations, attention weights, self-loops or dropout.
 """
 
 from __future__ import annotations
@@ -16,12 +16,13 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ColdItemError, ConfigError, DataError, NumericError
+from .errors import (ColdItemError, ConfigError, DataError, IntegrityError,
+                     NumericError)
 from .graphs import BipartiteGraph, GraphBundle, Vocabulary
 from .kernels import gather_rows
 
@@ -74,73 +75,52 @@ class ModelConfig:
 
 
 @dataclass
-class EmbeddingTables:
-    """The four trainable layer-0 tables (float64, rows x dim)."""
-
-    users: np.ndarray
-    items: np.ndarray
-    item_attrs: np.ndarray
-    aesthetics: np.ndarray
-
-    def copy(self) -> "EmbeddingTables":
-        return EmbeddingTables(self.users.copy(), self.items.copy(),
-                               self.item_attrs.copy(), self.aesthetics.copy())
-
-    def classes(self):
-        return (("users", self.users), ("items", self.items),
-                ("item_attrs", self.item_attrs), ("aesthetics", self.aesthetics))
-
-
-@dataclass
 class LayerStack:
-    """Per-layer embeddings for every vertex class, k = 0..K."""
+    """Stacked embeddings x_0..x_K; `bounds` are the operator's class bounds."""
 
-    users: list[np.ndarray] = field(default_factory=list)
-    items: list[np.ndarray] = field(default_factory=list)
-    item_attrs: list[np.ndarray] = field(default_factory=list)
-    aesthetics: list[np.ndarray] = field(default_factory=list)
+    layers: list[np.ndarray]
+    bounds: tuple[int, ...]
 
     @property
     def depth(self) -> int:
-        return len(self.users) - 1
+        return len(self.layers) - 1
+
+    def split(self, k: int) -> tuple[np.ndarray, ...]:
+        """Per-class row views of x_k: users, items, item_attrs, aesthetics."""
+        b = self.bounds
+        return tuple(self.layers[k][b[j]:b[j + 1]] for j in range(4))
 
 
 def init_tables(bundle: GraphBundle, config: ModelConfig,
-                rng: np.random.Generator | None = None) -> EmbeddingTables:
-    """Draw all four tables from N(0, init_scale^2), in a fixed order."""
+                rng: np.random.Generator | None = None) -> np.ndarray:
+    """The stacked layer-0 table, one N(0, init_scale^2) draw in vertex order."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    s, d = config.init_scale, config.dim
-    return EmbeddingTables(
-        users=rng.normal(0.0, s, (len(bundle.vocab_u), d)),
-        items=rng.normal(0.0, s, (len(bundle.vocab_i), d)),
-        item_attrs=rng.normal(0.0, s, (len(bundle.vocab_ia), d)),
-        aesthetics=rng.normal(0.0, s, (len(bundle.vocab_iaa), d)),
-    )
-
-
-def _check_finite(name: str, layer: int, arr: np.ndarray) -> None:
-    if not np.isfinite(arr).all():
-        raise NumericError(f"non-finite values in {name} embeddings at layer {layer}")
+    return rng.normal(0.0, config.init_scale, (bundle.operator.size, config.dim))
 
 
 _CLASS_NAMES = ("user", "item", "item-attribute", "aesthetic")
 
 
-def forward(tables: EmbeddingTables, bundle: GraphBundle,
+def _check_rows(tables: np.ndarray, op) -> None:
+    if tables.shape[0] != op.size:
+        raise IntegrityError(f"table has {tables.shape[0]} rows for {op.size} vertices")
+
+
+def forward(tables: np.ndarray, bundle: GraphBundle,
             config: ModelConfig) -> LayerStack:
-    """Run K propagation layers x_{k+1} = M x_k on the stacked tables;
-    layer 0 is the tables themselves."""
+    """Run K propagation layers x_{k+1} = M x_k on the stacked table;
+    layer 0 is the table itself."""
     op = bundle.operator
-    stack = LayerStack(users=[tables.users], items=[tables.items],
-                       item_attrs=[tables.item_attrs], aesthetics=[tables.aesthetics])
-    x = np.concatenate([arr for _, arr in tables.classes()])
+    _check_rows(tables, op)
+    stack = LayerStack(layers=[tables], bounds=op.bounds)
     for k in range(config.layers):
-        x = gather_rows(op.forward, x)
-        for name, arr, layers in zip(_CLASS_NAMES, op.split(x), (
-                stack.users, stack.items, stack.item_attrs, stack.aesthetics)):
-            _check_finite(name, k + 1, arr)
-            layers.append(arr)
+        x = gather_rows(op.forward, stack.layers[-1])
+        stack.layers.append(x)
+        if not np.isfinite(x).all():
+            name = next(name for name, part in zip(_CLASS_NAMES, op.split(x))
+                        if not np.isfinite(part).all())
+            raise NumericError(f"non-finite values in {name} embeddings at layer {k + 1}")
     return stack
 
 
@@ -151,9 +131,9 @@ def final_embeddings(stack: LayerStack,
     if alpha.shape[0] != stack.depth + 1:
         raise ConfigError(
             f"alpha has {alpha.shape[0]} weights for {stack.depth + 1} layers")
-    e_u = sum(a * layer for a, layer in zip(alpha, stack.users))
-    e_i = sum(a * layer for a, layer in zip(alpha, stack.items))
-    return e_u, e_i
+    n_u, n_ui = stack.bounds[1:3]
+    e = sum(a * x[:n_ui] for a, x in zip(alpha, stack.layers))
+    return e[:n_u], e[n_u:]
 
 
 def cold_item_embedding(keywords: Sequence[str], vocab_ia: Vocabulary,
@@ -182,26 +162,39 @@ def cold_item_embedding(keywords: Sequence[str], vocab_ia: Vocabulary,
             f"alpha has {alpha.shape[0]} weights for {stack.depth + 1} layers")
     idx = np.asarray(known, dtype=np.int64)
     coef = 1.0 / np.sqrt(len(known) * g_iia.right_deg[idx].astype(np.float64))
-    dim = stack.item_attrs[0].shape[1]
-    out = np.zeros(dim, dtype=np.float64)
+    rows = idx + stack.bounds[2]  # the keywords' rows in the stacked layers
+    out = np.zeros(stack.layers[0].shape[1], dtype=np.float64)
     for k in range(1, stack.depth + 1):
         if alpha[k] == 0.0:
             continue
-        out += alpha[k] * (coef @ stack.item_attrs[k - 1][idx])
+        out += alpha[k] * (coef @ stack.layers[k - 1][rows])
     return out
 
 
 # --- checkpoint serialization -------------------------------------------------
 
+_TABLE_NAMES = ("users", "items", "item_attrs", "aesthetics")
+
+
 @dataclass
 class Checkpoint:
     header: dict
-    tables: EmbeddingTables
+    tables: np.ndarray
 
     def config(self) -> ModelConfig:
         h = self.header
         return ModelConfig(dim=h["dim"], layers=h["layers"],
                            layer_weights=tuple(h["alpha"]), seed=h["seed"])
+
+    def check_matches(self, bundle: GraphBundle) -> None:
+        """Refuse a checkpoint trained on other vocabularies or other
+        per-class counts than `bundle`'s: its rows would be other vertices."""
+        if self.header.get("vocab_sha256") != vocab_hashes(bundle):
+            raise IntegrityError("checkpoint vocabularies do not match dataset")
+        counts = dict(zip(_TABLE_NAMES, np.diff(bundle.operator.bounds).tolist()))
+        if self.header["counts"] != counts:
+            raise IntegrityError(f"checkpoint counts {self.header['counts']} "
+                                 f"do not match dataset counts {counts}")
 
 
 def vocab_hashes(bundle: GraphBundle) -> dict[str, str]:
@@ -213,31 +206,28 @@ def vocab_hashes(bundle: GraphBundle) -> dict[str, str]:
     }
 
 
-def save_checkpoint(path, tables: EmbeddingTables, bundle: GraphBundle,
+def save_checkpoint(path, tables: np.ndarray, bundle: GraphBundle,
                     config: ModelConfig, extra: dict | None = None) -> None:
-    """Write magic, length-prefixed JSON header, then the four tables as
-    float32 little-endian row-major blocks in order users, items,
-    item-attributes, aesthetics.
+    """Write magic, length-prefixed JSON header, then the stacked table as
+    one float32 little-endian row-major block: users, items,
+    item-attributes, aesthetics, each class's rows as the header counts.
 
     Refuses, before touching `path`, tables that are not finite in float32.
     """
+    op = bundle.operator
+    _check_rows(tables, op)
     with np.errstate(over="ignore"):  # overflow is caught just below
-        blocks = [np.ascontiguousarray(arr, dtype="<f4")
-                  for _, arr in tables.classes()]
-    for (name, _), block in zip(tables.classes(), blocks):
-        if not np.isfinite(block).all():
-            raise NumericError(f"refusing to save checkpoint: {name} table "
-                               "is not finite in float32")
+        block = np.ascontiguousarray(tables, dtype="<f4")
+    if not np.isfinite(block).all():
+        name = next(name for name, part in zip(_TABLE_NAMES, op.split(block))
+                    if not np.isfinite(part).all())
+        raise NumericError(f"refusing to save checkpoint: {name} table "
+                           "is not finite in float32")
     header = {
         "dim": config.dim,
         "layers": config.layers,
         "alpha": [float(a) for a in config.alpha()],
-        "counts": {
-            "users": tables.users.shape[0],
-            "items": tables.items.shape[0],
-            "item_attrs": tables.item_attrs.shape[0],
-            "aesthetics": tables.aesthetics.shape[0],
-        },
+        "counts": dict(zip(_TABLE_NAMES, np.diff(op.bounds).tolist())),
         "vocab_sha256": vocab_hashes(bundle),
         "seed": config.seed,
     }
@@ -248,11 +238,9 @@ def save_checkpoint(path, tables: EmbeddingTables, bundle: GraphBundle,
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for block in blocks:
-            fh.write(block.tobytes())
+        fh.write(block)  # the contiguous buffer itself, not a tobytes() copy
 
 
-_TABLE_NAMES = ("users", "items", "item_attrs", "aesthetics")
 _HEADER_KEYS = ("dim", "counts", "alpha", "layers", "seed", "vocab_sha256")
 
 
@@ -283,8 +271,8 @@ def _check_header(header) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a save_checkpoint file, which must be exactly magic, length
-    prefix, header and the four tables the header sizes: a short file or
-    any byte after the last table is a DataError."""
+    prefix, header and the table block the header sizes: a short file or
+    any byte after the table is a DataError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -302,8 +290,8 @@ def load_checkpoint(path) -> Checkpoint:
             raise DataError(f"corrupt checkpoint header: {exc}") from None
         _check_header(header)
         dim = header["dim"]
-        sizes = [header["counts"][cls] * dim * 4 for cls in _TABLE_NAMES]
-        expected = 8 + hlen + sum(sizes)
+        size = sum(header["counts"][cls] for cls in _TABLE_NAMES) * dim * 4
+        expected = 8 + hlen + size
         actual = os.fstat(fh.fileno()).st_size
         if actual < expected:
             raise DataError(f"truncated checkpoint: {actual} bytes, "
@@ -311,14 +299,11 @@ def load_checkpoint(path) -> Checkpoint:
         if actual > expected:
             raise DataError(f"corrupt checkpoint: {actual - expected} bytes "
                             "after the last table")
-        arrays = []
-        for cls, size in zip(_TABLE_NAMES, sizes):
-            raw = fh.read(size)
-            if len(raw) != size:
-                raise DataError(f"truncated checkpoint: {cls} block")
-            arr = np.frombuffer(raw, dtype="<f4").reshape(-1, dim)
-            arrays.append(arr.astype(np.float64))
-    return Checkpoint(header=header, tables=EmbeddingTables(*arrays))
+        raw = fh.read(size)
+        if len(raw) != size:
+            raise DataError("truncated checkpoint: table block")
+    tables = np.frombuffer(raw, dtype="<f4").reshape(-1, dim).astype(np.float64)
+    return Checkpoint(header=header, tables=tables)
 
 
 def file_sha256(path) -> str:

@@ -24,7 +24,8 @@ from .errors import DataError, GraphError
 from .evaluation import ColdCandidates
 from .graphs import (BipartiteGraph, GraphBundle, Vocabulary,
                      build_item_attribute_graph, build_user_graph)
-from .ingest import SplitDataset, manifest_split, open_text, read_manifest
+from .ingest import (SplitDataset, _utf8_problem, manifest_split, open_text,
+                     read_manifest)
 from .model import file_sha256
 
 MANIFEST_NAME = "manifest.json"
@@ -73,7 +74,7 @@ def _read_jsonl(path, fields: tuple[str, ...]):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path} line {lineno}: invalid JSON ({exc.msg})") from None
-            problem = _record_problem(obj, fields)
+            problem = _record_problem(obj, fields) or _utf8_problem(line, obj)
             if problem:
                 raise DataError(f"{path} line {lineno}: {problem}")
             yield lineno, obj

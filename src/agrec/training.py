@@ -1,4 +1,4 @@
-"""Pairwise ranking optimization of the four embedding tables.
+"""Pairwise ranking optimization of the stacked embedding table.
 
 Training minimizes, over sampled (user, positive, negative) triples,
 
@@ -22,8 +22,7 @@ from .errors import ConfigError, DataError, NumericError
 from .graphs import GraphBundle
 from .ingest import SplitDataset
 from .kernels import gather_rows, scatter_rows
-from .model import (EmbeddingTables, LayerStack, ModelConfig, final_embeddings,
-                    forward, init_tables)
+from .model import LayerStack, ModelConfig, final_embeddings, forward, init_tables
 
 
 def softplus(x):
@@ -72,7 +71,7 @@ class EpochStats:
 class TrainDivergedError(NumericError):
     """Loss became non-finite; carries the tables from the last good epoch."""
 
-    def __init__(self, message: str, last_good: EmbeddingTables | None,
+    def __init__(self, message: str, last_good: np.ndarray | None,
                  stats: list[EpochStats]):
         super().__init__(message)
         self.last_good = last_good
@@ -86,7 +85,7 @@ def _pair_scores(e_u, e_i, users, pos, negs):
     return u_rows, s_pos, s_neg
 
 
-def batch_loss(tables: EmbeddingTables, bundle: GraphBundle, config: ModelConfig,
+def batch_loss(tables: np.ndarray, bundle: GraphBundle, config: ModelConfig,
                users, pos, negs) -> tuple[float, float, float]:
     """(total, bpr_mean, reg_mean) for a triple batch; recomputes the forward.
 
@@ -100,16 +99,16 @@ def batch_loss(tables: EmbeddingTables, bundle: GraphBundle, config: ModelConfig
     e_u, e_i = final_embeddings(stack, config.alpha())
     _, s_pos, s_neg = _pair_scores(e_u, e_i, users, pos, negs)
     bpr = float(bpr_loss(s_pos, s_neg).mean())
+    e_u0, e_i0 = stack.split(0)[:2]
     reg = config.l2_weight * float(
-        (tables.users[users] ** 2).sum()
-        + (tables.items[pos] ** 2).sum()
-        + (tables.items[negs] ** 2).sum()) / users.shape[0]
+        (e_u0[users] ** 2).sum() + (e_i0[pos] ** 2).sum()
+        + (e_i0[negs] ** 2).sum()) / users.shape[0]
     return bpr + reg, bpr, reg
 
 
 def backward(users, pos, negs, stack: LayerStack, bundle: GraphBundle,
-             config: ModelConfig) -> tuple[EmbeddingTables, float, float]:
-    """Exact gradients of the batch objective w.r.t. the four layer-0 tables.
+             config: ModelConfig) -> tuple[np.ndarray, float, float]:
+    """Exact gradient of the batch objective w.r.t. the stacked layer-0 table.
 
     Returns (gradients, bpr_mean, reg_mean). The adjoint recursion mirrors the
     forward: z_K = alpha_K G and z_k = alpha_k G + Mᵀ z_{k+1}, where G is the
@@ -138,12 +137,12 @@ def backward(users, pos, negs, stack: LayerStack, bundle: GraphBundle,
     z = alpha[config.layers] * grad_final
     for k in range(config.layers - 1, -1, -1):
         z = alpha[k] * grad_final + gather_rows(op.transpose, z)
-    z_u, z_i, z_ia, z_iaa = op.split(z)
 
     reg_mean = 0.0
     if config.l2_weight:
         c = 2.0 * config.l2_weight / n_triples
-        e_u0, e_i0 = stack.users[0], stack.items[0]
+        z_u, z_i = op.split(z)[:2]
+        e_u0, e_i0 = stack.split(0)[:2]
         scatter_rows(z_u, users, c * e_u0[users])
         scatter_rows(z_i, pos, c * e_i0[pos])
         scatter_rows(z_i, negs, c * e_i0[negs])
@@ -152,19 +151,16 @@ def backward(users, pos, negs, stack: LayerStack, bundle: GraphBundle,
             + (e_i0[negs] ** 2).sum()) / n_triples
 
     bpr_mean = float(softplus(-delta).mean())
-    return EmbeddingTables(z_u, z_i, z_ia, z_iaa), bpr_mean, reg_mean
+    return z, bpr_mean, reg_mean
 
 
-def sgd_step(tables: EmbeddingTables, grads: EmbeddingTables, lr: float) -> None:
-    tables.users -= lr * grads.users
-    tables.items -= lr * grads.items
-    tables.item_attrs -= lr * grads.item_attrs
-    tables.aesthetics -= lr * grads.aesthetics
+def sgd_step(tables: np.ndarray, grads: np.ndarray, lr: float) -> None:
+    tables -= lr * grads
 
 
 @dataclass
 class TrainResult:
-    tables: EmbeddingTables
+    tables: np.ndarray
     stats: list[EpochStats]
     best_epoch: int | None = None
     best_val_recall: float | None = None
@@ -173,8 +169,7 @@ class TrainResult:
 def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
           epochs: int, batch_size: int = 256, val_k: int = 50,
           patience: int | None = 5, log_path=None, checkpoint_path=None,
-          checkpoint_every: int = 0, checkpoint_extra: dict | None = None,
-          on_epoch=None) -> TrainResult:
+          checkpoint_every: int = 0, checkpoint_extra: dict | None = None) -> TrainResult:
     """Run shuffled mini-batch SGD epochs; single-threaded and deterministic.
 
     Each epoch expands every training interaction into n_negatives triples.
@@ -212,8 +207,8 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
         val_by_user.setdefault(int(u), set()).add(int(i))
 
     stats: list[EpochStats] = []
-    last_good: EmbeddingTables | None = None
-    best_tables: EmbeddingTables | None = None
+    last_good: np.ndarray | None = None
+    best_tables: np.ndarray | None = None
     best_val = -np.inf
     best_epoch = None
     stale = 0
@@ -263,8 +258,6 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
         last_good = tables.copy()
         if log_path is not None:
             _append_log_line(log_path, st, val_k)
-        if on_epoch is not None:
-            on_epoch(st)
         if checkpoint_every and epoch % checkpoint_every == 0 and checkpoint_path:
             _checkpoint(checkpoint_path, tables)
 

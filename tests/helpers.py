@@ -13,7 +13,6 @@ import numpy as np
 
 from agrec.graphs import BipartiteGraph, GraphBundle, Vocabulary
 from agrec.ingest import split_dataset, write_manifest
-from agrec.model import EmbeddingTables
 from agrec.pipeline import MANIFEST_NAME, TEXT_ATTRS_NAME
 from agrec.synth import hold_out_items, planted_world
 
@@ -37,13 +36,23 @@ def random_bundle(rng, n_u, n_i, n_ia, n_iaa, p=0.3):
     )
 
 
+def class_counts(bundle):
+    """Vertex counts per class, from the vocabularies: users, items,
+    item attributes, aesthetics."""
+    return (len(bundle.vocab_u), len(bundle.vocab_i), len(bundle.vocab_ia),
+            len(bundle.vocab_iaa))
+
+
+def split_classes(stacked, bundle):
+    """Per-class row views of a stacked table, cut at the vocabulary sizes."""
+    ends = np.cumsum(class_counts(bundle))
+    return tuple(np.split(stacked, ends[:-1]))
+
+
 def random_tables(rng, bundle, dim, scale=0.3):
-    return EmbeddingTables(
-        users=scale * rng.normal(size=(len(bundle.vocab_u), dim)),
-        items=scale * rng.normal(size=(len(bundle.vocab_i), dim)),
-        item_attrs=scale * rng.normal(size=(len(bundle.vocab_ia), dim)),
-        aesthetics=scale * rng.normal(size=(len(bundle.vocab_iaa), dim)),
-    )
+    """A stacked layer-0 table, one class after another."""
+    return np.concatenate([scale * rng.normal(size=(n, dim))
+                           for n in class_counts(bundle)])
 
 
 def dense_propagation_matrix(g):
@@ -122,12 +131,12 @@ def dense_union_matrix(bundle):
 
 
 def dense_forward(tables, bundle, layers):
-    """Reference forward pass as explicit dense matrix products."""
+    """Reference forward pass as explicit dense matrix products; returns the
+    per-class (users, items, item_attrs, aesthetics) of every layer."""
     prop_ia_to_i = dense_propagation_matrix(bundle.g_iia)
     prop_i_to_u = dense_propagation_matrix(bundle.g_ui)
     prop_iaa_to_u = dense_propagation_matrix(bundle.g_uiaa)
-    u, i = tables.users, tables.items
-    ia, iaa = tables.item_attrs, tables.aesthetics
+    u, i, ia, iaa = split_classes(tables, bundle)
     out = [(u, i, ia, iaa)]
     for _ in range(layers):
         u, i, ia, iaa = (
@@ -158,23 +167,21 @@ def brute_force_metrics(ordering, positives, k):
 
 
 def finite_difference_gradients(tables, loss_fn, h=1e-5):
-    """Central differences of loss_fn(tables) w.r.t. every table coordinate."""
-    grads = []
-    for _, arr in tables.classes():
-        grad = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + h
-            up = loss_fn(tables)
-            arr[idx] = orig - h
-            down = loss_fn(tables)
-            arr[idx] = orig
-            grad[idx] = (up - down) / (2.0 * h)
-            it.iternext()
-        grads.append(grad)
-    return grads
+    """Central differences of loss_fn(tables) w.r.t. every coordinate of the
+    stacked table."""
+    grad = np.zeros_like(tables)
+    it = np.nditer(tables, flags=["multi_index"])
+    while not it.finished:
+        idx = it.multi_index
+        orig = tables[idx]
+        tables[idx] = orig + h
+        up = loss_fn(tables)
+        tables[idx] = orig - h
+        down = loss_fn(tables)
+        tables[idx] = orig
+        grad[idx] = (up - down) / (2.0 * h)
+        it.iternext()
+    return grad
 
 
 def write_prepared_dir(directory, seed=0):

@@ -56,15 +56,14 @@ def test_gradient_oracle():
         numeric = finite_difference_gradients(
             tables, lambda t: batch_loss(t, bundle, cfg, users, pos, negs)[0],
             h=1e-5)
-        for (_, analytic), fd in zip(grads.classes(), numeric):
-            diff = np.abs(analytic - fd)
-            denom = np.maximum(np.abs(analytic), np.abs(fd))
-            # coordinates at the finite-difference noise floor (< 1e-8 in
-            # absolute terms, analytic exactly 0 there) have no meaningful
-            # relative error
-            meaningful = diff > 1e-8
-            if meaningful.any():
-                worst = max(worst, float((diff[meaningful] / denom[meaningful]).max()))
+        diff = np.abs(grads - numeric)
+        denom = np.maximum(np.abs(grads), np.abs(numeric))
+        # coordinates at the finite-difference noise floor (< 1e-8 in
+        # absolute terms, analytic exactly 0 there) have no meaningful
+        # relative error
+        meaningful = diff > 1e-8
+        if meaningful.any():
+            worst = max(worst, float((diff[meaningful] / denom[meaningful]).max()))
     elapsed = time.perf_counter() - started
     _report("gradient-oracle",
             worst < 1e-5 and elapsed < 30.0,
@@ -86,9 +85,7 @@ def test_propagation_oracle():
         stack = forward(tables, bundle, cfg)
         dense = dense_forward(tables, bundle, layers)
         for k in range(layers + 1):
-            sparse_k = (stack.users[k], stack.items[k], stack.item_attrs[k],
-                        stack.aesthetics[k])
-            for got, want in zip(sparse_k, dense[k]):
+            for got, want in zip(stack.split(k), dense[k]):
                 if got.size:
                     worst = max(worst, float(np.abs(got - want).max()))
     elapsed = time.perf_counter() - started

@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -305,6 +306,42 @@ class TestEvaluate:
         assert proc.stdout == ""
 
 
+def craft_counts(model, path, edit, cut_rows=0):
+    """A copy of checkpoint `model` whose header counts went through `edit`,
+    its vocabulary hashes untouched, less its last `cut_rows` table rows."""
+    with open(model, "rb") as fh:
+        blob = fh.read()
+    (hlen,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8:8 + hlen])
+    edit(header["counts"])
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = blob[8 + hlen:len(blob) - cut_rows * header["dim"] * 4]
+    path.write_bytes(b"AGR1" + struct.pack("<I", len(text)) + text + body)
+
+
+class TestCountsMismatch:
+    """Checkpoint rows are vertices by position, so counts that disagree
+    with the dataset are refused even when the vocabulary hashes match."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "recommend"])
+    @pytest.mark.parametrize("edit,cut_rows", [
+        (lambda c: c.update(users=c["users"] + 1, items=c["items"] - 1), 0),
+        (lambda c: c.update(aesthetics=c["aesthetics"] - 1), 1),
+    ], ids=["item-row-moved-to-users", "aesthetic-row-dropped"])
+    def test_exit_3_without_traceback(self, pipeline_dir, tmp_path, command,
+                                      edit, cut_rows):
+        model = tmp_path / "crafted.agr"
+        craft_counts(pipeline_dir["model"], model, edit, cut_rows)
+        extra = ["--user", "u0003"] if command == "recommend" else []
+        proc = run_cli(command, "--model", str(model), "--data", pipeline_dir["data"],
+                       "--attrs", pipeline_dir["attrs"], *extra)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("error:")
+        assert "counts" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
 class TestRecommend:
     def test_top_k_json(self, pipeline_dir, capsys):
         assert main(["recommend", "--model", pipeline_dir["model"],
@@ -386,8 +423,11 @@ class TestMalformedInput:
         {"item_id": 7, "kind": "item", "keywords": ["x"]},
         {"item_id": "WARM", "kind": "item", "keywords": 5},
         {"item_id": "WARM", "kind": "item", "keywords": [1]},
+        {"item_id": "WARM", "kind": "item", "keywords": ["x\ud800"]},
+        {"item_id": "i\udc00", "kind": "item", "keywords": ["x"]},
     ], ids=["non-object", "no-item-id", "no-kind", "no-keywords",
-            "int-item-id", "int-keywords", "int-keyword"])
+            "int-item-id", "int-keywords", "int-keyword", "surrogate-keyword",
+            "surrogate-item-id"])
     def test_attrs_line(self, pipeline_dir, warm, tmp_path, record):
         user, item = warm
         if isinstance(record, dict) and record.get("item_id") == "WARM":
@@ -418,8 +458,12 @@ class TestMalformedInput:
         ("items", b'{"item_id": "i1"}\n5\n', "items line 2: expected a JSON object"),
         ("items", b'{"item_id": 7, "price": "x"}\n', "items line 1: item_id must be"),
         ("items", b'{"item_id": "i7", "price": "x"}\n', "price must be a number"),
+        ("items", b'{"item_id": "i\\ud800"}\n', "items line 1: a string is not UTF-8"),
+        ("items", b'{"item_id": "i1", "brand": "b\\udfff"}\n',
+         "items line 1: a string is not UTF-8"),
     ], ids=["interactions-not-utf8", "items-not-utf8", "items-int-line",
-            "items-int-id", "items-string-price"])
+            "items-int-id", "items-string-price", "items-surrogate-id",
+            "items-surrogate-brand"])
     def test_prepare_input(self, world_dir, tmp_path, name, content, message):
         paths = {"interactions": world_dir["interactions"], "items": world_dir["items"]}
         paths[name] = str(tmp_path / name)
@@ -439,8 +483,9 @@ class TestMalformedInput:
         lambda doc: doc["splits"].update(train={"u": "i"}) or doc,
         lambda doc: doc["splits"]["train"].__setitem__(0, [1, 2, 3]) or doc,
         lambda doc: doc["splits"]["test"].__setitem__(0, ["u", 5]) or doc,
+        lambda doc: doc["splits"]["train"][0].__setitem__(0, "u\ud800") or doc,
     ], ids=["invalid-json", "non-object", "train-not-list", "three-ints",
-            "int-id"])
+            "int-id", "surrogate-id"])
     def test_manifest(self, pipeline_dir, warm, tmp_path, edit):
         data = tmp_path / "data"
         shutil.copytree(pipeline_dir["data"], data)
@@ -453,3 +498,36 @@ class TestMalformedInput:
                        "--user", warm[0])
         assert_clean_exit_1(proc)
         assert "manifest" in proc.stderr
+
+    @pytest.mark.parametrize("content,message", [
+        (b'{"i1": {"item": "a\xff"}}', "not UTF-8"),
+        (b'{"i1": ', "invalid fixture JSON"),
+        (b'[1,2]', "objects of strings"),
+        (b'{"i1": {"item": 5}}', "objects of strings"),
+    ], ids=["not-utf8", "invalid-json", "list", "int-response"])
+    def test_extract_fixture(self, world_dir, tmp_path, content, message):
+        fixture = tmp_path / "fixture.json"
+        fixture.write_bytes(content)
+        proc = run_cli("extract", "--items", world_dir["items"], "--backend", "fixture",
+                       "--fixture", str(fixture), "--out", str(tmp_path / "attrs.jsonl"))
+        assert_clean_exit_1(proc)
+        assert f"{fixture}: " in proc.stderr and message in proc.stderr
+
+    def test_stop_words_not_utf8(self, world_dir, tmp_path):
+        stop = tmp_path / "stop.txt"
+        stop.write_bytes(b"the\nf\xffr\n")
+        proc = run_cli("prepare", "--interactions", world_dir["interactions"],
+                       "--items", world_dir["items"], "--min-users", "2",
+                       "--stop-words", str(stop), "--out", str(tmp_path / "data"))
+        assert_clean_exit_1(proc)
+        assert f"{stop}: not UTF-8" in proc.stderr
+
+    def test_config_not_utf8_exit_2(self, world_dir, tmp_path):
+        cfg = tmp_path / "agrec.cfg"
+        cfg.write_bytes(b"seed = \xff\n")
+        proc = run_cli("prepare", "--interactions", world_dir["interactions"],
+                       "--items", world_dir["items"], "--config", str(cfg),
+                       "--out", str(tmp_path / "data"))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"error: {cfg}: not UTF-8")
+        assert "Traceback" not in proc.stderr

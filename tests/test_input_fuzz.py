@@ -2,7 +2,9 @@
 
 Each example starts from valid files, then truncates them, flips bytes
 (which also makes them invalid UTF-8), inserts or appends junk, or swaps
-one JSON value for a value of another type. A load that raises must leave
+one JSON value for a value of another type. Swapped-in strings may hold a
+lone surrogate, which JSON can escape but UTF-8 cannot encode, so whatever
+a reader accepts must encode as UTF-8. A load that raises must leave
 the dataset cache as it was; a load that succeeds must serve the same
 dataset again from the cache it wrote.
 """
@@ -19,13 +21,16 @@ from hypothesis import strategies as st
 from agrec import pipeline
 from agrec.errors import AgrecError
 from agrec.ingest import read_interactions, read_items
+from agrec.model import vocab_hashes
 from agrec.synth import planted_world, write_world_files
 from helpers import assert_same_dataset, write_prepared_dir
 
+_CHARS = st.characters() | st.just("\ud800")
 _JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(_CHARS, max_size=6),
     lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    | st.dictionaries(st.text(_CHARS, max_size=4), inner, max_size=3),
     max_leaves=5)
 
 _MUTATIONS = st.one_of(
@@ -123,6 +128,7 @@ def test_load_dataset_raises_only_agrec_errors(prepared, which, mutation):
             with open(cache_path, "rb") as fh:
                 assert fh.read() == cache
             return
+        vocab_hashes(first.bundle)  # every ID and keyword encodes as UTF-8
         assert_same_dataset(pipeline.load_dataset(copy_data, copy_attrs), first)
 
 
@@ -136,6 +142,8 @@ def test_readers_raise_only_agrec_errors(raw_files, which, mutation):
         with open(path, "wb") as fh:
             fh.write(_mutate(raw_files[which], mutation, jsonl=True))
         try:
-            (read_interactions if which == "interactions" else read_items)(path)
+            records = (read_interactions if which == "interactions" else read_items)(path)
         except AgrecError:
-            pass
+            return
+        json.dumps([vars(r) if which == "items" else r for r in records],
+                   ensure_ascii=False).encode("utf-8")

@@ -9,16 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agrec.errors import (AgrecError, ColdItemError, ConfigError, DataError,
-                          NumericError)
+                          IntegrityError, NumericError)
 from agrec.graphs import (BipartiteGraph, GraphBundle, Vocabulary,
                           build_item_attribute_graph, build_user_graph)
 from agrec.evaluation import top_k
 from agrec.kernels import gather_rows
-from agrec.model import (EmbeddingTables, ModelConfig, cold_item_embedding,
-                         final_embeddings, forward, init_tables,
-                         load_checkpoint, save_checkpoint)
+from agrec.model import (ModelConfig, cold_item_embedding, final_embeddings,
+                         forward, init_tables, load_checkpoint,
+                         save_checkpoint)
 from helpers import (dense_forward, dense_propagation_matrix,
-                     dense_union_matrix, random_bundle, random_tables)
+                     dense_union_matrix, random_bundle, random_tables,
+                     split_classes)
+
+CLASSES = ("users", "items", "item_attrs", "aesthetics")
 
 
 def toy_bundle():
@@ -60,9 +63,9 @@ class TestModelConfig:
 
 
 def layer_one(counts, iia=(), ui=(), uiaa=(), **given):
-    """Layer-1 embeddings of a hand-built bundle; `counts` are the user,
-    item, item-attribute and aesthetic vertex counts, and layer-0 tables
-    not given are zero."""
+    """Layer-1 embeddings of a hand-built bundle, by class name; `counts`
+    are the user, item, item-attribute and aesthetic vertex counts, and the
+    rows of the stacked layer-0 table not given are zero."""
     n_u, n_i, n_ia, n_iaa = counts
     vocabs = [Vocabulary.from_ids(f"{prefix}{j}" for j in range(n))
               for prefix, n in zip("uias", counts)]
@@ -70,12 +73,10 @@ def layer_one(counts, iia=(), ui=(), uiaa=(), **given):
                          BipartiteGraph(n_u, n_i, list(ui)),
                          BipartiteGraph(n_u, n_iaa, list(uiaa)), *vocabs)
     dim = next(iter(given.values())).shape[1]
-    tables = EmbeddingTables(**{
-        name: given.get(name, np.zeros((n, dim)))
-        for name, n in zip(("users", "items", "item_attrs", "aesthetics"), counts)})
+    tables = np.concatenate([given.get(name, np.zeros((n, dim)))
+                             for name, n in zip(CLASSES, counts)])
     stack = forward(tables, bundle, ModelConfig(dim=dim, layers=1))
-    return EmbeddingTables(stack.users[1], stack.items[1],
-                           stack.item_attrs[1], stack.aesthetics[1])
+    return dict(zip(CLASSES, stack.split(1)))
 
 
 class TestPropagation:
@@ -83,7 +84,7 @@ class TestPropagation:
         # item i has attrs a1, a2; deg(i)=2, deg(a1)=deg(a2)=1
         e_ia = np.array([[1.0, 0.0], [0.0, 2.0]])
         got = layer_one((0, 1, 2, 0), iia=[(0, 0), (0, 1)], item_attrs=e_ia)
-        np.testing.assert_allclose(got.items,
+        np.testing.assert_allclose(got["items"],
                                    (e_ia[0] + e_ia[1])[None, :] / np.sqrt(2))
 
     def test_single_attribute_degree_four(self):
@@ -91,60 +92,60 @@ class TestPropagation:
         e_ia = np.array([[2.0, -4.0]])
         got = layer_one((0, 4, 1, 0), iia=[(j, 0) for j in range(4)],
                         item_attrs=e_ia)
-        np.testing.assert_allclose(got.items[0], e_ia[0] / 2.0)
+        np.testing.assert_allclose(got["items"][0], e_ia[0] / 2.0)
 
     def test_item_without_attributes(self):
         got = layer_one((0, 2, 1, 0), iia=[(0, 0)], item_attrs=np.ones((1, 3)))
-        assert (got.items[1] == 0).all()
+        assert (got["items"][1] == 0).all()
 
     def test_attribute_copies_single_unit_item(self):
         e_i = np.array([[3.0, 1.0]])
         got = layer_one((0, 1, 1, 0), iia=[(0, 0)], items=e_i)
-        np.testing.assert_allclose(got.item_attrs, e_i)
+        np.testing.assert_allclose(got["item_attrs"], e_i)
 
     def test_attribute_two_items_degree_two(self):
         # attr on two items, each of degree 2
         e_i = np.array([[1.0], [3.0]])
         got = layer_one((0, 2, 3, 0), iia=[(0, 0), (0, 1), (1, 0), (1, 2)],
                         items=e_i)
-        np.testing.assert_allclose(got.item_attrs[0], [(1.0 + 3.0) / 2.0])
+        np.testing.assert_allclose(got["item_attrs"][0], [(1.0 + 3.0) / 2.0])
 
     def test_unused_attribute_zero(self):
         got = layer_one((0, 1, 2, 0), iia=[(0, 0)], items=np.ones((1, 2)))
-        assert (got.item_attrs[1] == 0).all()
+        assert (got["item_attrs"][1] == 0).all()
 
     def test_aesthetic_copies_single_user(self):
         e_u = np.array([[0.5, -0.5]])
         got = layer_one((1, 0, 0, 1), uiaa=[(0, 0)], users=e_u)
-        np.testing.assert_allclose(got.aesthetics, e_u)
+        np.testing.assert_allclose(got["aesthetics"], e_u)
 
     def test_aesthetic_two_users(self):
         # keyword degree 2, each user aesthetic-degree 1
         e_u = np.array([[1.0], [2.0]])
         got = layer_one((2, 0, 0, 1), uiaa=[(0, 0), (1, 0)], users=e_u)
-        np.testing.assert_allclose(got.aesthetics[0], [(1.0 + 2.0) / np.sqrt(2)])
+        np.testing.assert_allclose(got["aesthetics"][0], [(1.0 + 2.0) / np.sqrt(2)])
 
     def test_user_single_item_all_unit(self):
         e_i = np.array([[4.0, 2.0]])
         got = layer_one((1, 1, 0, 0), ui=[(0, 0)], items=e_i)
-        np.testing.assert_allclose(got.users, e_i)
+        np.testing.assert_allclose(got["users"], e_i)
 
     def test_user_item_plus_aesthetic_unit(self):
         got = layer_one((1, 1, 0, 1), ui=[(0, 0)], uiaa=[(0, 0)],
                         items=np.array([[1.0, 0.0]]),
                         aesthetics=np.array([[0.0, 1.0]]))
-        np.testing.assert_allclose(got.users, [[1.0, 1.0]])
+        np.testing.assert_allclose(got["users"], [[1.0, 1.0]])
 
     def test_user_without_edges(self):
         got = layer_one((2, 1, 0, 0), ui=[(0, 0)], items=np.ones((1, 2)))
-        assert (got.users[1] == 0).all()
+        assert (got["users"][1] == 0).all()
 
     def test_per_relation_degrees_in_user_update(self):
         # user0: two items, one aesthetic; degrees differ per relation
         got = layer_one((1, 2, 0, 1), ui=[(0, 0), (0, 1)], uiaa=[(0, 0)],
                         items=np.ones((2, 1)), aesthetics=np.ones((1, 1)))
         want = 1.0 / np.sqrt(1 * 1) + 2 * (1.0 / np.sqrt(2 * 1))
-        np.testing.assert_allclose(got.users, [[want]])
+        np.testing.assert_allclose(got["users"], [[want]])
 
 
 def plan_neighbours(plan):
@@ -211,7 +212,7 @@ class TestForward:
         tables = init_tables(bundle, cfg)
         stack = forward(tables, bundle, cfg)
         assert stack.depth == 0
-        assert stack.users[0] is tables.users
+        assert stack.layers[0] is tables
 
     def test_matches_dense_oracle_on_toy_graph(self):
         rng = np.random.default_rng(11)
@@ -221,9 +222,7 @@ class TestForward:
         stack = forward(tables, bundle, cfg)
         dense = dense_forward(tables, bundle, 2)
         for k in range(3):
-            got = (stack.users[k], stack.items[k], stack.item_attrs[k],
-                   stack.aesthetics[k])
-            for g, w in zip(got, dense[k]):
+            for g, w in zip(stack.split(k), dense[k]):
                 np.testing.assert_allclose(g, w, atol=1e-12)
 
     def test_linearity(self):
@@ -231,12 +230,12 @@ class TestForward:
         bundle = random_bundle(rng, 5, 6, 4, 3, p=0.5)
         cfg = ModelConfig(dim=3, layers=3, seed=0)
         tables = random_tables(rng, bundle, 3)
-        scaled = EmbeddingTables(*(7.0 * arr for _, arr in tables.classes()))
         base = forward(tables, bundle, cfg)
-        got = forward(scaled, bundle, cfg)
+        got = forward(7.0 * tables, bundle, cfg)
         for k in range(4):
-            np.testing.assert_allclose(got.users[k], 7.0 * base.users[k], rtol=1e-12)
-            np.testing.assert_allclose(got.items[k], 7.0 * base.items[k], rtol=1e-12)
+            (got_u, got_i, _, _), (base_u, base_i, _, _) = got.split(k), base.split(k)
+            np.testing.assert_allclose(got_u, 7.0 * base_u, rtol=1e-12)
+            np.testing.assert_allclose(got_i, 7.0 * base_i, rtol=1e-12)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(3)
@@ -253,16 +252,15 @@ class TestForward:
             (bundle.g_ui.left, perm_i[bundle.g_ui.right])))
         permuted = GraphBundle(g_iia, g_ui, bundle.g_uiaa, bundle.vocab_u,
                                bundle.vocab_i, bundle.vocab_ia, bundle.vocab_iaa)
-        p_tables = EmbeddingTables(tables.users.copy(), tables.items.copy(),
-                                   tables.item_attrs.copy(), tables.aesthetics.copy())
-        p_tables.items = np.empty_like(tables.items)
-        p_tables.items[perm_i] = tables.items
+        p_tables = tables.copy()
+        split_classes(p_tables, bundle)[1][perm_i] = split_classes(tables, bundle)[1]
 
         base = forward(tables, bundle, cfg)
         got = forward(p_tables, permuted, cfg)
         for k in range(3):
-            np.testing.assert_allclose(got.items[k][perm_i], base.items[k], atol=1e-12)
-            np.testing.assert_allclose(got.users[k], base.users[k], atol=1e-12)
+            (got_u, got_i, _, _), (base_u, base_i, _, _) = got.split(k), base.split(k)
+            np.testing.assert_allclose(got_i[perm_i], base_i, atol=1e-12)
+            np.testing.assert_allclose(got_u, base_u, atol=1e-12)
 
     def test_adjointness_of_item_attribute_propagation(self):
         rng = np.random.default_rng(4)
@@ -273,16 +271,28 @@ class TestForward:
         y = rng.normal(size=(bundle.g_iia.left_count, 3))
         got = layer_one((3, 6, 5, 2), iia=zip(bundle.g_iia.left, bundle.g_iia.right),
                         items=y, item_attrs=x)
-        np.testing.assert_allclose(got.items, fwd @ x, atol=1e-12)
-        np.testing.assert_allclose(got.item_attrs, fwd.T @ y, atol=1e-12)
+        np.testing.assert_allclose(got["items"], fwd @ x, atol=1e-12)
+        np.testing.assert_allclose(got["item_attrs"], fwd.T @ y, atol=1e-12)
 
     def test_nonfinite_raises_named_error(self):
         bundle = toy_bundle()
         cfg = ModelConfig(dim=2, layers=1, seed=0)
         tables = init_tables(bundle, cfg)
-        tables.item_attrs[0, 0] = np.inf
+        split_classes(tables, bundle)[2][0, 0] = np.inf
         with pytest.raises(NumericError, match="item.*layer 1"):
             forward(tables, bundle, cfg)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_refuses_table_of_wrong_row_count(self, tmp_path, extra):
+        # rows are vertices by position: a short or long table would shift them
+        bundle = toy_bundle()
+        cfg = ModelConfig(dim=2, layers=1, seed=0)
+        tables = np.zeros((bundle.operator.size + extra, 2))
+        with pytest.raises(IntegrityError, match="rows for"):
+            forward(tables, bundle, cfg)
+        with pytest.raises(IntegrityError, match="rows for"):
+            save_checkpoint(tmp_path / "model.agr", tables, bundle, cfg)
+        assert not (tmp_path / "model.agr").exists()
 
 
 class TestFinalEmbeddings:
@@ -292,8 +302,9 @@ class TestFinalEmbeddings:
         tables = init_tables(bundle, cfg)
         stack = forward(tables, bundle, cfg)
         e_u, e_i = final_embeddings(stack, [0.5, 0.5])
-        np.testing.assert_allclose(e_u, (stack.users[0] + stack.users[1]) / 2)
-        np.testing.assert_allclose(e_i, (stack.items[0] + stack.items[1]) / 2)
+        (u0, i0, _, _), (u1, i1, _, _) = stack.split(0), stack.split(1)
+        np.testing.assert_allclose(e_u, (u0 + u1) / 2)
+        np.testing.assert_allclose(e_i, (i0 + i1) / 2)
 
     def test_degenerate_weights_return_initial(self):
         bundle = toy_bundle()
@@ -301,8 +312,9 @@ class TestFinalEmbeddings:
         tables = init_tables(bundle, cfg)
         stack = forward(tables, bundle, cfg)
         e_u, e_i = final_embeddings(stack, [1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(e_u, tables.users)
-        np.testing.assert_array_equal(e_i, tables.items)
+        users, items, _, _ = split_classes(tables, bundle)
+        np.testing.assert_array_equal(e_u, users)
+        np.testing.assert_array_equal(e_i, items)
 
     def test_alpha_mismatch(self):
         bundle = toy_bundle()
@@ -374,7 +386,7 @@ class TestColdItem:
         stack = forward(tables, bundle, cfg)
         alpha = cfg.alpha()
         got = cold_item_embedding(["a"], vocab_ia, g_iia, stack, alpha)
-        want = alpha[1] * stack.item_attrs[0][0] + alpha[2] * stack.item_attrs[1][0]
+        want = alpha[1] * stack.split(0)[2][0] + alpha[2] * stack.split(1)[2][0]
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_unknown_keywords_error(self):
@@ -395,7 +407,7 @@ class TestColdItem:
         twin = cold_item_embedding(["denim", "blue"], bundle.vocab_ia,
                                    bundle.g_iia, stack, alpha)
         i1 = bundle.vocab_i.index_of("i1")
-        attribute_component = sum(alpha[k] * stack.items[k][i1]
+        attribute_component = sum(alpha[k] * stack.split(k)[1][i1]
                                   for k in range(1, 3))
         cosine = (twin @ attribute_component
                   / np.linalg.norm(twin) / np.linalg.norm(attribute_component))
@@ -447,8 +459,8 @@ class TestCheckpoint:
         assert ckpt.header["counts"]["users"] == len(bundle.vocab_u)
         assert ckpt.header["config"] == {"note": 1}
         # float32 round-trip: values equal after f32 cast
-        np.testing.assert_array_equal(ckpt.tables.users,
-                                      tables.users.astype(np.float32).astype(np.float64))
+        np.testing.assert_array_equal(ckpt.tables,
+                                      tables.astype(np.float32).astype(np.float64))
 
     def test_magic_guard(self, tmp_path):
         path = tmp_path / "bad.agr"
@@ -535,7 +547,7 @@ class TestCheckpoint:
         bundle = toy_bundle()
         cfg = ModelConfig(dim=2, layers=1, seed=4)
         tables = init_tables(bundle, cfg)
-        tables.items[1, 0] = 1e39  # finite in float64, inf in float32
+        split_classes(tables, bundle)[1][1, 0] = 1e39  # finite in float64, inf in float32
         path = tmp_path / "model.agr"
         with pytest.raises(NumericError, match="items"):
             save_checkpoint(path, tables, bundle, cfg)
@@ -553,7 +565,7 @@ class TestCheckpoint:
         body = blob[8 + hlen:]
         n_u = len(bundle.vocab_u)
         first = np.frombuffer(body[:n_u * 2 * 4], dtype="<f4").reshape(n_u, 2)
-        np.testing.assert_array_equal(first, tables.users.astype(np.float32))
+        np.testing.assert_array_equal(first, tables[:n_u].astype(np.float32))
 
 
 def test_every_public_name_resolves():

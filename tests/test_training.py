@@ -7,14 +7,13 @@ import agrec.model
 import agrec.training
 from agrec.errors import ConfigError, DataError
 from agrec.ingest import SplitDataset
-from agrec.model import (EmbeddingTables, ModelConfig, forward,
-                         init_tables)
+from agrec.model import ModelConfig, forward, init_tables
 from agrec.training import (TrainDivergedError, _sample_negatives_block,
                             backward, batch_loss, bpr_loss, sgd_step, sigmoid,
                             train)
 from agrec.synth import assemble_world, planted_world
 from helpers import (dense_union_matrix, finite_difference_gradients,
-                     random_bundle, random_tables)
+                     random_bundle, random_tables, split_classes)
 
 
 class TestBprLoss:
@@ -97,12 +96,13 @@ class TestBackward:
         negs = np.array([4])
         stack = forward(tables, bundle, cfg)
         grads, _, _ = backward(users, pos, negs, stack, bundle, cfg)
-        e_u, e_i = tables.users, tables.items
+        e_u, e_i, _, _ = split_classes(tables, bundle)
+        grad_u, grad_i, _, _ = split_classes(grads, bundle)
         delta = e_u[2] @ e_i[1] - e_u[2] @ e_i[4]
         want_u = -sigmoid(-delta) * (e_i[1] - e_i[4]) + 2 * cfg.l2_weight * e_u[2]
-        np.testing.assert_allclose(grads.users[2], want_u, rtol=1e-12)
+        np.testing.assert_allclose(grad_u[2], want_u, rtol=1e-12)
         want_p = -sigmoid(-delta) * e_u[2] + 2 * cfg.l2_weight * e_i[1]
-        np.testing.assert_allclose(grads.items[1], want_p, rtol=1e-12)
+        np.testing.assert_allclose(grad_i[1], want_p, rtol=1e-12)
 
     def test_identical_pos_neg_zero_gradient(self):
         rng = np.random.default_rng(4)
@@ -112,8 +112,8 @@ class TestBackward:
         negs = np.array([3])
         stack = forward(tables, bundle, cfg)
         grads, _, _ = backward(users, pos, negs, stack, bundle, cfg)
-        for _, g in grads.classes():
-            assert (g == 0).all()
+        assert grads.shape == tables.shape
+        assert (grads == 0).all()
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -128,8 +128,7 @@ class TestBackward:
             grads, _, _ = backward(users, pos, negs, stack, bundle, cfg)
             fd = finite_difference_gradients(
                 tables, lambda t: batch_loss(t, bundle, cfg, users, pos, negs)[0])
-            for (_, got), want in zip(grads.classes(), fd):
-                np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-8)
+            np.testing.assert_allclose(grads, fd, rtol=1e-5, atol=1e-8)
 
     def test_loss_parts_match_batch_loss(self):
         rng = np.random.default_rng(6)
@@ -164,12 +163,13 @@ class TestSgdProperties:
         rng = np.random.default_rng(8)
         bundle, cfg, tables = tiny_problem(rng, l2=0.05, lr=0.5)
         users, pos, negs = np.array([0]), np.array([1]), np.array([1])
-        norms = [float(np.linalg.norm(tables.users[0]))]
+        user0 = split_classes(tables, bundle)[0][0]  # a view: sgd_step is in place
+        norms = [float(np.linalg.norm(user0))]
         for _ in range(10):
             stack = forward(tables, bundle, cfg)
             grads, _, _ = backward(users, pos, negs, stack, bundle, cfg)
             sgd_step(tables, grads, cfg.learning_rate)
-            norms.append(float(np.linalg.norm(tables.users[0])))
+            norms.append(float(np.linalg.norm(user0)))
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
 
@@ -194,9 +194,7 @@ class TestTrainLoop:
         before = batch_loss(init_tables(bundle, cfg), bundle, cfg, *fixed)[0]
         result = train(split, bundle, cfg, epochs=3, batch_size=8,
                        patience=None, val_k=5)
-        reference = init_tables(bundle, cfg)
-        for (_, got), (_, want) in zip(result.tables.classes(), reference.classes()):
-            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(result.tables, init_tables(bundle, cfg))
         # the model's loss on any fixed triple set is exactly unchanged;
         # per-epoch stats still fluctuate with the negative-sampling draw
         after = batch_loss(result.tables, bundle, cfg, *fixed)[0]
@@ -245,7 +243,8 @@ class TestTrainLoop:
         ref = train(split, bundle, cfg, **kwargs)
         assert any(p is op.forward for p in calls)
         assert any(p is op.transpose for p in calls)
-        for (name, got), (_, want) in zip(real.tables.classes(), ref.tables.classes()):
+        for name, got, want in zip(("users", "items", "item_attrs", "aesthetics"),
+                                   op.split(real.tables), op.split(ref.tables)):
             assert got.tobytes() == want.tobytes(), name
         assert [s.loss for s in real.stats] == [s.loss for s in ref.stats]
 
@@ -271,8 +270,7 @@ class TestTrainLoop:
         split = small_split(rng, bundle)
         a = train(split, bundle, cfg, epochs=4, batch_size=8, patience=None, val_k=5)
         b = train(split, bundle, cfg, epochs=4, batch_size=8, patience=None, val_k=5)
-        np.testing.assert_array_equal(a.tables.users, b.tables.users)
-        np.testing.assert_array_equal(a.tables.items, b.tables.items)
+        np.testing.assert_array_equal(a.tables, b.tables)
         assert [s.loss for s in a.stats] == [s.loss for s in b.stats]
 
     def test_divergence_aborts_with_last_good(self):
@@ -285,7 +283,7 @@ class TestTrainLoop:
                 train(split, bundle, cfg, epochs=10, batch_size=8,
                       patience=None, val_k=5)
         err = excinfo.value
-        assert err.last_good is None or isinstance(err.last_good, EmbeddingTables)
+        assert err.last_good is None or err.last_good.shape == (bundle.operator.size, 3)
 
     @pytest.mark.parametrize("kwargs", [dict(batch_size=0), dict(epochs=0),
                                         dict(val_k=0)])
@@ -320,8 +318,7 @@ class TestTrainLoop:
                        val_k=5, checkpoint_path=path, checkpoint_every=2)
         ckpt = load_checkpoint(path)
         np.testing.assert_array_equal(
-            ckpt.tables.users,
-            result.tables.users.astype(np.float32).astype(np.float64))
+            ckpt.tables, result.tables.astype(np.float32).astype(np.float64))
 
     def test_mean_initial_loss_near_ln2(self):
         rng = np.random.default_rng(14)
