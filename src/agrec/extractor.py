@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import BackendError, ConfigError, DataError, NoKeywordsError
-from .ingest import open_text
+from .ingest import open_text, parse_json
 
 PROMPT_ITEM_ATTRIBUTES = (
     "Describe the item in the image using keywords. Describe the color, "
@@ -109,7 +111,7 @@ class FixtureBackend:
     def from_file(cls, path) -> "FixtureBackend":
         with open_text(path) as fh:
             try:
-                doc = json.load(fh)
+                doc = parse_json(fh.read())
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: invalid fixture JSON ({exc.msg})") from None
         if not (isinstance(doc, dict)
@@ -167,12 +169,12 @@ class HttpBackend:
                      "Authorization": f"Bearer {self.token}"})
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                body = json.load(resp)
+                body = parse_json(resp.read())
         except (urllib.error.URLError, TimeoutError, OSError) as exc:
             raise BackendError(f"backend request failed: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise BackendError(f"backend returned invalid JSON: {exc.msg}") from exc
-        if "text" not in body:
+        if not isinstance(body, dict) or "text" not in body:
             raise BackendError("backend response missing 'text' field")
         return body["text"]
 
@@ -267,7 +269,7 @@ def _existing_pairs(out_path) -> tuple[set[tuple[str, str]], str | None]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = parse_json(line)
                 done.add((obj["item_id"], obj["kind"]))
             except (ValueError, KeyError, TypeError):
                 raise DataError(
@@ -278,6 +280,12 @@ def _existing_pairs(out_path) -> tuple[set[tuple[str, str]], str | None]:
     return done, torn
 
 
+# Pairs per pool task. Each task is one hand-off between threads, so a
+# chunk amortises it over several records; chunks shrink for small batches
+# so that every worker still gets about four.
+CHUNK_PAIRS = 16
+
+
 def run_extraction_batch(items: Sequence[tuple[str, str | None]],
                          kinds: Iterable[PromptKind], backend,
                          concurrency_limit: int, out_path,
@@ -285,10 +293,19 @@ def run_extraction_batch(items: Sequence[tuple[str, str | None]],
     """Extract every (item, kind) pair, appending JSONL records to out_path.
 
     Resumable: pairs already present in the output are counted as cached and
-    not re-queried; a torn last line is cut off, reported and re-queried.
-    Items whose response yields no keywords are skipped and reported. Output
-    lines land in input order (waves of at most `concurrency_limit`
-    in-flight requests); consumers must still not rely on line order.
+    not re-queried; a torn last line is cut off, reported and re-queried. A
+    pair listed more than once is queried once, at its first occurrence, and
+    each repeat is counted as cached. Items whose response yields no keywords
+    are skipped and reported.
+
+    Each pool task runs a contiguous chunk of at most CHUNK_PAIRS pending
+    pairs, so at most `concurrency_limit` backend requests are in flight.
+    Records are written in input order, flushed after each chunk. Workers
+    run ahead of the oldest unwritten chunk by at most 2 * concurrency_limit
+    chunks, so after a crash up to 2 * concurrency_limit * CHUNK_PAIRS pairs
+    that were finished but not yet written are queried again on resume. When
+    a request fails, the records finished before it are written, the other
+    workers stop after their current pair, and the error is raised.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -302,28 +319,54 @@ def run_extraction_batch(items: Sequence[tuple[str, str | None]],
     pending: list[tuple[str, str | None, PromptKind]] = []
     for item_id, image_ref in items:
         for kind in kinds:
-            if (item_id, kind.value) in done:
+            pair = (item_id, kind.value)
+            if pair in done:
                 summary.cached += 1
             else:
+                done.add(pair)
                 pending.append((item_id, image_ref, kind))
 
-    def _one(task):
-        item_id, image_ref, kind = task
-        try:
-            return extractor.extract(item_id, image_ref, kind), None
-        except NoKeywordsError:
-            return None, (item_id, kind.value)
+    size = max(1, min(CHUNK_PAIRS, len(pending) // (4 * concurrency_limit)))
+    stop = threading.Event()
 
+    def _run(chunk):
+        """(JSONL lines, skipped pairs, error) for the pairs of one chunk."""
+        lines: list[str] = []
+        skipped: list[tuple[str, str]] = []
+        for item_id, image_ref, kind in chunk:
+            if stop.is_set():
+                break
+            try:
+                lines.append(extractor.extract(item_id, image_ref, kind).to_json() + "\n")
+            except NoKeywordsError:
+                skipped.append((item_id, kind.value))
+            except Exception as exc:
+                stop.set()
+                return lines, skipped, exc
+        return lines, skipped, None
+
+    def _write(future):
+        lines, skipped, error = future.result()
+        out.writelines(lines)
+        out.flush()
+        summary.ok += len(lines)
+        summary.skipped += len(skipped)
+        summary.skipped_pairs.extend(skipped)
+        if error is not None:
+            raise error
+
+    # a window of 2 * concurrency_limit chunks: workers need not wait while
+    # the oldest chunk runs, and what a crash loses stays bounded
+    window: deque = deque()
     with open(out_path, "a", encoding="utf-8") as out, \
             ThreadPoolExecutor(max_workers=concurrency_limit) as pool:
-        for start in range(0, len(pending), concurrency_limit):
-            wave = pending[start:start + concurrency_limit]
-            for record, failed in pool.map(_one, wave):
-                if record is None:
-                    summary.skipped += 1
-                    summary.skipped_pairs.append(failed)
-                else:
-                    out.write(record.to_json() + "\n")
-                    summary.ok += 1
-            out.flush()
+        try:
+            for start in range(0, len(pending), size):
+                window.append(pool.submit(_run, pending[start:start + size]))
+                if len(window) == 2 * concurrency_limit:
+                    _write(window.popleft())
+            while window:
+                _write(window.popleft())
+        finally:
+            stop.set()
     return summary

@@ -50,11 +50,9 @@ class Vocabulary:
 
     def sha256(self) -> str:
         """Digest of entry list; used for checkpoint/dataset integrity checks."""
-        h = hashlib.sha256()
-        for e in self.entries:
-            h.update(e.encode("utf-8"))
-            h.update(b"\n")
-        return h.hexdigest()
+        # every entry followed by a newline; an empty vocabulary hashes b""
+        text = ("\n".join(self.entries) + "\n") if self.entries else ""
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class BipartiteGraph:

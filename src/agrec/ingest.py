@@ -114,6 +114,16 @@ def open_text(path, error: type[Exception] = DataError):
             raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def parse_json(text):
+    """json.loads, with nesting past the interpreter's recursion limit
+    raised as json.JSONDecodeError (a ValueError), like any other JSON the
+    readers cannot use, instead of as RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", "", 0) from None
+
+
 def _utf8_problem(text: str, value) -> str | None:
     """A message if some string in `value`, parsed from the JSON `text`, does
     not encode as UTF-8, else None. JSON can spell a lone surrogate
@@ -160,7 +170,7 @@ def parse_items(lines: Iterable[str], source: str = "items") -> list[ItemMetadat
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj = parse_json(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{source} line {lineno}: invalid JSON ({exc.msg})") from None
         problem = _item_problem(obj) or _utf8_problem(line, obj)
@@ -371,7 +381,7 @@ def read_manifest(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read()
-            doc = json.loads(text)
+            doc = parse_json(text)
         except ValueError as exc:  # invalid JSON or not UTF-8
             raise DataError(f"{path}: invalid manifest ({exc})") from None
     problem = _utf8_problem(text, doc)

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (ColdItemError, ConfigError, DataError, IntegrityError,
                      NumericError)
 from .graphs import BipartiteGraph, GraphBundle, Vocabulary
+from .ingest import parse_json
 from .kernels import gather_rows
 
 CHECKPOINT_MAGIC = b"AGR1"
@@ -285,7 +286,7 @@ def load_checkpoint(path) -> Checkpoint:
         if len(blob) != hlen:
             raise DataError("truncated checkpoint: header")
         try:
-            header = json.loads(blob.decode("utf-8"))
+            header = parse_json(blob.decode("utf-8"))
         except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
             raise DataError(f"corrupt checkpoint header: {exc}") from None
         _check_header(header)

@@ -25,7 +25,7 @@ from .evaluation import ColdCandidates
 from .graphs import (BipartiteGraph, GraphBundle, Vocabulary,
                      build_item_attribute_graph, build_user_graph)
 from .ingest import (SplitDataset, _utf8_problem, manifest_split, open_text,
-                     read_manifest)
+                     parse_json, read_manifest)
 from .model import file_sha256
 
 MANIFEST_NAME = "manifest.json"
@@ -71,7 +71,7 @@ def _read_jsonl(path, fields: tuple[str, ...]):
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = parse_json(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path} line {lineno}: invalid JSON ({exc.msg})") from None
             problem = _record_problem(obj, fields) or _utf8_problem(line, obj)
@@ -317,7 +317,7 @@ def _from_arrays(arrays: dict) -> PreparedDataset:
         positives.setdefault(u, set()).add(i)
     split = SplitDataset(
         train=train, validation=validation, test=test, user_positives=positives,
-        split_seed=json.loads(_member(arrays, "split_seed", "U", 0).item()))
+        split_seed=parse_json(_member(arrays, "split_seed", "U", 0).item()))
 
     ids = _member(arrays, "cold_ids", "U", 1).tolist()
     flat = _member(arrays, "cold_keywords", "U", 1).tolist()

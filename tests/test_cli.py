@@ -531,3 +531,73 @@ class TestMalformedInput:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith(f"error: {cfg}: not UTF-8")
         assert "Traceback" not in proc.stderr
+
+
+class TestDeepJson:
+    """JSON nested past the recursion limit is invalid input to every
+    reader: exit 1 with a message, not a RecursionError traceback."""
+
+    DEEP = "[" * 100_000
+
+    @pytest.fixture(scope="class")
+    def warm_user(self, pipeline_dir):
+        with open(os.path.join(pipeline_dir["data"], "manifest.json")) as fh:
+            return json.load(fh)["splits"]["train"][0][0]
+
+    def recommend(self, pipeline_dir, user, **paths):
+        paths = {**pipeline_dir, **paths}
+        return run_cli("recommend", "--model", str(paths["model"]),
+                       "--data", str(paths["data"]), "--attrs", str(paths["attrs"]),
+                       "--user", user)
+
+    def test_items(self, world_dir, tmp_path):
+        items = tmp_path / "items.jsonl"
+        items.write_text(self.DEEP + "\n")
+        proc = run_cli("extract", "--items", str(items), "--backend", "fixture",
+                       "--fixture", world_dir["fixture"],
+                       "--out", str(tmp_path / "attrs.jsonl"))
+        assert_clean_exit_1(proc)
+        assert f"{items} line 1: invalid JSON (nested too deeply)" in proc.stderr
+
+    def test_fixture(self, world_dir, tmp_path):
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(self.DEEP)
+        proc = run_cli("extract", "--items", world_dir["items"], "--backend", "fixture",
+                       "--fixture", str(fixture), "--out", str(tmp_path / "attrs.jsonl"))
+        assert_clean_exit_1(proc)
+        assert f"{fixture}: invalid fixture JSON (nested too deeply)" in proc.stderr
+
+    def test_extraction_output(self, world_dir, tmp_path):
+        out = tmp_path / "attrs.jsonl"
+        out.write_text(self.DEEP + "\n")
+        proc = run_cli("extract", "--items", world_dir["items"], "--backend", "fixture",
+                       "--fixture", world_dir["fixture"], "--out", str(out))
+        assert_clean_exit_1(proc)
+        assert "corrupt extraction output line" in proc.stderr
+        assert out.read_text() == self.DEEP + "\n"
+
+    def test_attrs(self, pipeline_dir, warm_user, tmp_path):
+        attrs = tmp_path / "attrs.jsonl"
+        with open(pipeline_dir["attrs"]) as fh:
+            lines = fh.read().splitlines()
+        attrs.write_text("\n".join(lines + [self.DEEP]) + "\n")
+        proc = self.recommend(pipeline_dir, warm_user, attrs=attrs)
+        assert_clean_exit_1(proc)
+        assert f"{attrs} line {len(lines) + 1}: invalid JSON (nested too deeply)" \
+            in proc.stderr
+
+    def test_manifest(self, pipeline_dir, warm_user, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline_dir["data"], data)
+        (data / "manifest.json").write_text(self.DEEP)
+        proc = self.recommend(pipeline_dir, warm_user, data=data)
+        assert_clean_exit_1(proc)
+        assert "invalid manifest (nested too deeply" in proc.stderr
+
+    def test_checkpoint_header(self, pipeline_dir, warm_user, tmp_path):
+        model = tmp_path / "deep.agr"
+        header = self.DEEP.encode()
+        model.write_bytes(b"AGR1" + struct.pack("<I", len(header)) + header)
+        proc = self.recommend(pipeline_dir, warm_user, model=model)
+        assert_clean_exit_1(proc)
+        assert "corrupt checkpoint header: nested too deeply" in proc.stderr

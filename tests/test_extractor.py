@@ -1,5 +1,8 @@
 import json
+import random
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -8,7 +11,8 @@ from hypothesis import strategies as st
 
 from agrec.errors import (BackendError, ConfigError, DataError,
                           NoKeywordsError)
-from agrec.extractor import (FixtureBackend, HttpBackend, KeywordExtractor,
+from agrec.extractor import (CHUNK_PAIRS, FixtureBackend, HttpBackend,
+                             KeywordExtractor,
                              PROMPT_AESTHETIC_ATTRIBUTES,
                              PROMPT_ITEM_ATTRIBUTES, PromptKind,
                              parse_keyword_response, render_prompt,
@@ -210,18 +214,167 @@ class TestBatch:
                                                             sleep=lambda _: None))
 
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_repeated_item_queried_once(self, tmp_path, threads):
+        backend = CountingBackend()
+        items = [("a", None), ("b", None), ("a", "other.jpg")]
+        out = tmp_path / "attrs.jsonl"
+        summary = run_extraction_batch(items, self.KINDS, backend, threads, out)
+        assert (summary.ok, summary.cached, summary.skipped) == (4, 2, 0)
+        assert backend.calls == 4
+        assert written_pairs(out) == [("a", "item"), ("a", "aesthetic"),
+                                      ("b", "item"), ("b", "aesthetic")]
+
+
+class CountingBackend:
+    """Counts calls and the peak of concurrent `complete` calls; each call
+    sleeps `delay(item_id)` seconds."""
+
+    name = "counting"
+
+    def __init__(self, delay=lambda item_id: 0.0, fail=()):
+        self.delay = delay
+        self.fail = set(fail)
+        self.lock = threading.Lock()
+        self.calls = self.in_flight = self.peak = 0
+
+    def complete(self, item_id, image_ref, prompt):
+        with self.lock:
+            self.calls += 1
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(self.delay(item_id))
+            if item_id in self.fail:
+                raise BackendError(f"{item_id} failed")
+            return f"{item_id}, wool"
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+def written_pairs(out):
+    return [(r["item_id"], r["kind"])
+            for r in map(json.loads, out.read_text().splitlines())]
+
+
+class TestDispatch:
+    """Chunked dispatch: bounded concurrency, input order, stop on error."""
+
+    KINDS = [PromptKind.ITEM_ATTRIBUTES, PromptKind.AESTHETIC_ATTRIBUTES]
+
+    @pytest.mark.parametrize("threads", [1, 3, 8])
+    def test_in_flight_peak_at_most_limit(self, tmp_path, threads):
+        backend = CountingBackend(delay=lambda _: 0.002)
+        items = [(f"i{j}", None) for j in range(48)]
+        summary = run_extraction_batch(items, self.KINDS, backend, threads,
+                                       tmp_path / "attrs.jsonl")
+        assert summary.ok == backend.calls == 96
+        assert min(threads, 2) <= backend.peak <= threads
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("count", [5, CHUNK_PAIRS, 4 * CHUNK_PAIRS,
+                                       5 * CHUNK_PAIRS + 3])
+    def test_input_order_under_random_delays(self, tmp_path, threads, count):
+        delays = random.Random(count * 10 + threads)
+        table = {f"i{j}": delays.uniform(0, 0.003) for j in range(count)}
+        backend = CountingBackend(delay=table.__getitem__)
+        items = [(f"i{j}", None) for j in range(count)]
+        out = tmp_path / "attrs.jsonl"
+        summary = run_extraction_batch(items, self.KINDS[:1], backend, threads, out)
+        assert (summary.ok, summary.cached, summary.skipped) == (count, 0, 0)
+        assert written_pairs(out) == [(item, "item") for item, _ in items]
+
+    def test_stress_with_more_workers_than_cores(self, tmp_path):
+        backend = CountingBackend()
+        items = [(f"i{j}", None) for j in range(200)]
+        out = tmp_path / "attrs.jsonl"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            summary = run_extraction_batch(items, self.KINDS, backend, 4, out)
+        finally:
+            sys.setswitchinterval(interval)
+        assert summary.ok == backend.calls == 400
+        assert written_pairs(out) == [(item, kind.value) for item, _ in items
+                                      for kind in self.KINDS]
+
+    def test_finished_unwritten_pairs_are_bounded(self, tmp_path):
+        # while the first pair is slow, the other worker runs ahead of the
+        # writer by at most 2 * threads chunks
+        class SlowFirst(CountingBackend):
+            def complete(self, item_id, image_ref, prompt):
+                text = super().complete(item_id, image_ref, prompt)
+                if item_id == "i0":
+                    self.calls_when_first_done = self.calls
+                return text
+
+        backend = SlowFirst(delay=lambda item: 0.2 if item == "i0" else 0.0)
+        items = [(f"i{j}", None) for j in range(16 * CHUNK_PAIRS)]
+        summary = run_extraction_batch(items, self.KINDS[:1], backend, 2,
+                                       tmp_path / "attrs.jsonl")
+        assert summary.ok == len(items)
+        assert backend.calls_when_first_done <= 2 * 2 * CHUNK_PAIRS
+
+    def test_resumed_batch_keeps_input_order(self, tmp_path):
+        items = [(f"i{j}", None) for j in range(2 * CHUNK_PAIRS + 5)]
+        out = tmp_path / "attrs.jsonl"
+        run_extraction_batch(items[:7], self.KINDS, CountingBackend(), 3, out)
+        summary = run_extraction_batch(items, self.KINDS, CountingBackend(), 3, out)
+        assert (summary.ok, summary.cached) == (2 * len(items) - 14, 14)
+        assert written_pairs(out) == [(item, kind.value) for item, _ in items
+                                      for kind in self.KINDS]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_failure_writes_finished_prefix_and_stops(self, tmp_path, threads):
+        items = [(f"i{j}", None) for j in range(6 * CHUNK_PAIRS)]
+        failing = 2 * CHUNK_PAIRS + 1
+        backend = CountingBackend(delay=lambda _: 0.001, fail=[f"i{failing}"])
+        out = tmp_path / "attrs.jsonl"
+        with pytest.raises(BackendError, match=f"i{failing} failed"):
+            run_extraction_batch(items, self.KINDS[:1], backend, threads, out,
+                                 extractor=KeywordExtractor(backend, retries=1))
+        written = written_pairs(out)
+        expected = [(item, "item") for item, _ in items[:failing]]
+        if threads == 1:
+            assert written == expected
+        else:
+            # finished pairs before the failure, in input order; the other
+            # workers stop after their current pair
+            assert written == [p for p in expected if p in set(written)]
+        resumed = run_extraction_batch(items, self.KINDS[:1], CountingBackend(),
+                                       threads, out)
+        assert resumed.ok + resumed.cached == len(items)
+        assert sorted(written_pairs(out)) == sorted((i, "item") for i, _ in items)
+
+    def test_failure_stops_the_other_workers(self, tmp_path):
+        # the first chunk fails at once; the second worker, a full chunk
+        # of slow pairs ahead, stops after its current pair
+        items = [(f"i{j}", None) for j in range(8 * CHUNK_PAIRS)]
+        backend = CountingBackend(delay=lambda item: 0 if item == "i0" else 0.005,
+                                  fail=["i0"])
+        with pytest.raises(BackendError, match="i0 failed"):
+            run_extraction_batch(items, self.KINDS[:1], backend, 2,
+                                 tmp_path / "attrs.jsonl",
+                                 extractor=KeywordExtractor(backend, retries=1))
+        assert backend.calls <= 4
+
+
 class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        if self.headers.get("Authorization") != "Bearer sesame":
+        token = self.headers.get("Authorization")
+        if token not in ("Bearer sesame", "Bearer deep", "Bearer number"):
             self.send_response(403)
             self.end_headers()
             return
-        if "aesthetics" in body["prompt"]:
-            text = "bright, airy"
+        if token == "Bearer deep":
+            payload = b"[" * 100_000
+        elif token == "Bearer number":
+            payload = b"5"
         else:
-            text = "Red, Cotton."
-        payload = json.dumps({"text": text}).encode()
+            text = "bright, airy" if "aesthetics" in body["prompt"] else "Red, Cotton."
+            payload = json.dumps({"text": text}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -239,6 +392,7 @@ def vlm_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1/describe"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpBackend:
@@ -262,3 +416,14 @@ class TestHttpBackend:
         ex = KeywordExtractor(backend, retries=2, sleep=lambda _: None)
         with pytest.raises(BackendError):
             ex.extract("i1", None, PromptKind.ITEM_ATTRIBUTES)
+
+    @pytest.mark.parametrize("token,message", [
+        ("deep", "invalid JSON: nested too deeply"),
+        ("number", "missing 'text'"),
+    ])
+    def test_unusable_response_is_backend_error(self, vlm_server, monkeypatch,
+                                                token, message):
+        monkeypatch.setenv("AGREC_VLM_TOKEN", token)
+        with pytest.raises(BackendError, match=message):
+            HttpBackend(vlm_server, timeout=5.0).complete(
+                "i1", None, PROMPT_ITEM_ATTRIBUTES)

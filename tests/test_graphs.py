@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -43,6 +44,16 @@ class TestVocabulary:
     @given(st.lists(st.text(min_size=1, max_size=5), min_size=1, max_size=30))
     def test_order_deterministic(self, ids):
         assert Vocabulary.from_ids(ids).entries == Vocabulary.from_ids(ids).entries
+
+    @given(st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=5),
+                    max_size=30))
+    def test_sha256_is_entries_each_followed_by_newline(self, ids):
+        # checkpoints store this digest, so it may never change
+        h = hashlib.sha256()
+        vocab = Vocabulary.from_ids(ids)
+        for entry in vocab.entries:
+            h.update(entry.encode("utf-8") + b"\n")
+        assert vocab.sha256() == h.hexdigest()
 
 
 class TestNormCoefficient:
