@@ -231,7 +231,7 @@ def cmd_train(args) -> int:
     result = train(
         prepared.split, prepared.bundle, config,
         epochs=cfg["epochs"], batch_size=cfg["batch"], val_k=cfg["val_k"],
-        patience=cfg["patience"] if cfg["patience"] > 0 else None,
+        patience=cfg["patience"] or None,  # 0 turns early stopping off
         log_path=log_path, checkpoint_path=args.out,
         checkpoint_every=cfg["checkpoint_every"],
         checkpoint_extra={"config": _echoable(cfg)})

@@ -227,6 +227,8 @@ def split_dataset(interactions: Sequence, ratios: Sequence[float] = (0.8, 0.1, 0
     (they have no propagation edges otherwise), and the displaced counts are
     rebalanced by moving safely removable rows back out of train.
     """
+    if not all(math.isfinite(r) for r in ratios):  # NaN passes the sum test
+        raise ConfigError(f"split ratios must be finite, got {tuple(ratios)}")
     if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must sum to 1, got {tuple(ratios)}")
     if any(r < 0 for r in ratios):

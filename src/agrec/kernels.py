@@ -4,6 +4,13 @@ Every propagation step, forward and backward, is one `gather_rows` over a
 `GatherPlan` of the union operator (see graphs.PropagationOperator). Both
 kernels accumulate in a fixed order, so their results are exactly
 reproducible and bitwise equal to np.add.at.
+
+Hub rows and scatters share one idiom: a row-major (E, w) block of terms,
+w <= _BLOCK columns, whose cells carry flattened keys row * width + j. A
+weighted np.bincount sums such a block onto zeros (width w), and np.add.at
+adds it onto a flattened non-zero output (width: the output's columns).
+Both add each cell's terms in input order, so every cell sums in edge
+order, bitwise as np.add.at does.
 """
 
 from __future__ import annotations
@@ -12,11 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Rows with more edges than this are gathered by a weighted bincount instead
+# Rows with more edges than this are gathered by the blocked bincount instead
 # of the jagged slots: a hub of degree d costs d slots of one row each. On
-# the benchmark's worlds gather time was flat from 40 to 128 and rose at 32
-# and below; 48 sits at the low end of the flat part.
+# the benchmark's worlds, with the blocked hub, forward plus transpose gather
+# time was flat from 32 to 64 (converge), 32 to 128 (train-mid) and 24 to 64
+# (serve-wide), and rose below those; 48 sits inside every flat part.
 _JAGGED_MAX_DEGREE = 48
+
+# Columns per block. A block's keys and terms hold 16 bytes per term of one
+# block at a time, whatever the embedding width.
+_BLOCK = 8
 
 
 def active_backend() -> str:
@@ -80,13 +92,38 @@ def plan_gather(rows, indices, coef, n_out: int) -> GatherPlan:
         heavy_nbr=indices[hub], heavy_coef=coef[hub])
 
 
+def _column_blocks(rows, dim, row_len=None):
+    """Yield (lo, hi, keys, block) for each block of at most _BLOCK columns
+    of a dim-column target. `block` is a row-major (E, hi - lo) buffer for
+    the block's terms, and keys[e * w + j] = rows[e] * row_len + j addresses
+    its cells in a flattened target whose rows are row_len long (default:
+    the block's width). Blocks of one width share keys and buffer."""
+    buffers = {}
+    for lo in range(0, dim, _BLOCK):
+        hi = min(lo + _BLOCK, dim)
+        w = hi - lo
+        if w not in buffers:
+            buffers[w] = ((rows[:, None] * (row_len or w) + np.arange(w)).reshape(-1),
+                          np.empty((rows.size, w)))
+        yield (lo, hi) + buffers[w]
+
+
+def _bincount_rows(keys, block, n_rows):
+    """(n_rows, w) sums of a (E, w) block under keys row * w + j, each cell
+    adding its terms in ascending e from +0.0."""
+    w = block.shape[1]
+    return np.bincount(keys, weights=block.reshape(-1),
+                       minlength=n_rows * w).reshape(n_rows, w)
+
+
 def gather_rows(plan: GatherPlan, src):
     """out[r] = sum over row r's edges e of coef[e] * src[nbr[e]], in edge
     order from +0.0, as np.add.at would; rows with no edges are zero.
 
     Light rows add one slot at a time, acc[:n_j] += w_j * src[nbr_j], with
     `out` as the scratch row buffer until the rows land in it. Heavy rows
-    run one weighted bincount per column, which adds in input order too.
+    run one weighted bincount per block of 8 columns, keyed by
+    heavy_slot * w + j, which adds in edge order too.
     """
     src = np.asarray(src, dtype=np.float64)
     if src.shape[0] < plan.n_src:
@@ -105,17 +142,43 @@ def gather_rows(plan: GatherPlan, src):
         term *= plan.coef[lo:hi, None]
         acc[:hi - lo] += term
     out[plan.light_rows] = acc
-    term = np.empty(plan.heavy_nbr.size)
-    for c in range(dim if plan.heavy_rows.size else 0):
-        src[:, c].take(plan.heavy_nbr, out=term, mode="clip")
-        term *= plan.heavy_coef
-        out[plan.heavy_rows, c] = np.bincount(plan.heavy_slot, weights=term,
-                                              minlength=plan.heavy_rows.size)
+    del acc  # before the hub blocks' keys and terms: gathers set train's peak
+
+    n_hub = plan.heavy_rows.size
+    for lo, hi, keys, term in _column_blocks(plan.heavy_slot, dim if n_hub else 0):
+        src[:, lo:hi].take(plan.heavy_nbr, axis=0, out=term, mode="clip")
+        term *= plan.heavy_coef[:, None]
+        out[plan.heavy_rows, lo:hi] = _bincount_rows(keys, term, n_hub)
     return out
 
 
-def scatter_rows(out, idx, rows):
-    """out[idx[t]] += rows[t], accumulated in ascending t order, in place."""
-    if idx.size:
-        np.add.at(out, idx, rows)
+def scatter_rows(out, idx, *parts, signs=None, zeroed=False):
+    """out[idx[t]] += rows[t], accumulated in ascending t order, in place,
+    where `rows` stacks the parts in order, each part negated where its
+    entry in `signs` is -1 (default: none). Returns `out`.
+
+    Both ways run over blocks of at most 8 columns and never stack
+    full-width parts. zeroed=True promises that `out` holds only +0.0: a
+    blocked bincount then writes the sums over it. Otherwise np.add.at adds
+    each block onto the flattened `out`, which must be C-contiguous, keyed
+    by idx * dim + j; either way every cell adds its terms as np.add.at
+    does, bitwise.
+    """
+    cuts = np.cumsum([0] + [len(p) for p in parts])
+    spans = list(zip(parts, signs or (1,) * len(parts), cuts[:-1], cuts[1:]))
+    n_rows, dim = out.shape
+    if not zeroed:
+        if not out.flags.c_contiguous:
+            raise ValueError("scatter_rows adds onto a C-contiguous output only")
+        flat = out.reshape(-1)
+    for lo, hi, keys, block in _column_blocks(idx, dim, None if zeroed else dim):
+        for part, sign, a, b in spans:
+            if sign > 0:
+                block[a:b] = part[:, lo:hi]
+            else:
+                np.negative(part[:, lo:hi], out=block[a:b])
+        if zeroed:
+            out[:, lo:hi] = _bincount_rows(keys, block, n_rows)
+        else:
+            np.add.at(flat[lo:], keys, block.reshape(-1))
     return out

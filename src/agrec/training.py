@@ -130,13 +130,21 @@ def backward(users, pos, negs, stack: LayerStack, bundle: GraphBundle,
     op = bundle.operator
     grad_final = np.zeros((op.size, e_u.shape[1]))
     grad_u, grad_i, _, _ = op.split(grad_final)
-    scatter_rows(grad_u, users, g * (e_i[pos] - e_i[negs]))
-    scatter_rows(grad_i, pos, g * u_rows)
-    scatter_rows(grad_i, negs, -g * u_rows)
+    # temporaries in place (IEEE + and * commute, negation is exact): the
+    # blocked scatters' transient memory is paid for by the ones saved here
+    d = e_i[pos]
+    d -= e_i[negs]
+    d *= g
+    scatter_rows(grad_u, users, d, zeroed=True)
+    u_rows *= g
+    scatter_rows(grad_i, np.concatenate((pos, negs)), u_rows, u_rows,
+                 signs=(1, -1), zeroed=True)
+    del d, u_rows  # training's peak memory falls in the adjoint gathers
 
     z = alpha[config.layers] * grad_final
     for k in range(config.layers - 1, -1, -1):
-        z = alpha[k] * grad_final + gather_rows(op.transpose, z)
+        z = gather_rows(op.transpose, z)
+        z += alpha[k] * grad_final
 
     reg_mean = 0.0
     if config.l2_weight:
@@ -187,6 +195,10 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     if val_k < 1:
         raise ConfigError(f"validation k must be >= 1, got {val_k}")
+    if patience is not None and patience < 0:
+        raise ConfigError(f"patience must be >= 0, got {patience}")
+    if checkpoint_every < 0:
+        raise ConfigError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     rng = np.random.default_rng(config.seed)
     tables = init_tables(bundle, config, rng)
 

@@ -166,6 +166,44 @@ def brute_force_metrics(ordering, positives, k):
     return recall, ndcg, precision
 
 
+def reference_backward(users, pos, negs, stack, bundle, config):
+    """The adjoint as it was written before its scatters were blocked: three
+    np.add.at scatters onto the zeroed final gradient, out-of-place
+    temporaries and Mᵀ z added on the right. Returns (z, bpr_mean, reg_mean)."""
+    from agrec.kernels import gather_rows
+    from agrec.model import final_embeddings
+    from agrec.training import _pair_scores, sigmoid, softplus
+
+    users, pos, negs = (np.asarray(a, dtype=np.int64) for a in (users, pos, negs))
+    n_triples = users.shape[0]
+    alpha = config.alpha()
+    e_u, e_i = final_embeddings(stack, alpha)
+    u_rows, s_pos, s_neg = _pair_scores(e_u, e_i, users, pos, negs)
+    delta = s_pos - s_neg
+    g = (-sigmoid(-delta) / n_triples)[:, None]
+    op = bundle.operator
+    grad_final = np.zeros((op.size, e_u.shape[1]))
+    grad_u, grad_i, _, _ = op.split(grad_final)
+    np.add.at(grad_u, users, g * (e_i[pos] - e_i[negs]))
+    np.add.at(grad_i, pos, g * u_rows)
+    np.add.at(grad_i, negs, -g * u_rows)
+    z = alpha[config.layers] * grad_final
+    for k in range(config.layers - 1, -1, -1):
+        z = alpha[k] * grad_final + gather_rows(op.transpose, z)
+    reg_mean = 0.0
+    if config.l2_weight:
+        c = 2.0 * config.l2_weight / n_triples
+        z_u, z_i = op.split(z)[:2]
+        e_u0, e_i0 = stack.split(0)[:2]
+        np.add.at(z_u, users, c * e_u0[users])
+        np.add.at(z_i, pos, c * e_i0[pos])
+        np.add.at(z_i, negs, c * e_i0[negs])
+        reg_mean = config.l2_weight * float(
+            (e_u0[users] ** 2).sum() + (e_i0[pos] ** 2).sum()
+            + (e_i0[negs] ** 2).sum()) / n_triples
+    return z, float(softplus(-delta).mean()), reg_mean
+
+
 def finite_difference_gradients(tables, loss_fn, h=1e-5):
     """Central differences of loss_fn(tables) w.r.t. every coordinate of the
     stacked table."""

@@ -601,3 +601,61 @@ class TestDeepJson:
         proc = self.recommend(pipeline_dir, warm_user, model=model)
         assert_clean_exit_1(proc)
         assert "corrupt checkpoint header: nested too deeply" in proc.stderr
+
+
+class TestRefusedSettings:
+    """Out-of-range settings exit 2 with a message, by flag or config file."""
+
+    def assert_clean_exit_2(self, proc, message):
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def prepare(self, world_dir, tmp_path, *flags):
+        return run_cli("prepare", "--interactions", world_dir["interactions"],
+                       "--items", world_dir["items"], "--min-users", "2",
+                       "--out", str(tmp_path / "data"), *flags)
+
+    def train(self, pipeline_dir, tmp_path, *flags):
+        out = tmp_path / "refused.agr"
+        proc = run_cli("train", "--data", pipeline_dir["data"],
+                       "--attrs", pipeline_dir["attrs"], "--dim", "4",
+                       "--epochs", "2", "--out", str(out), *flags)
+        assert not out.exists()
+        return proc
+
+    def config(self, tmp_path, line):
+        path = tmp_path / "agrec.cfg"
+        path.write_text(line + "\n")
+        return "--config", str(path)
+
+    @pytest.mark.parametrize("ratios", ["nan,0.1,0.1", "inf,0.1,0.1"])
+    def test_split_not_finite_flag(self, world_dir, tmp_path, ratios):
+        proc = self.prepare(world_dir, tmp_path, "--split", ratios)
+        self.assert_clean_exit_2(proc, "split ratios must be finite")
+        assert not (tmp_path / "data").exists()
+
+    def test_split_not_finite_config(self, world_dir, tmp_path):
+        proc = self.prepare(world_dir, tmp_path,
+                            *self.config(tmp_path, "split = nan,0.1,0.1"))
+        self.assert_clean_exit_2(proc, "split ratios must be finite")
+
+    @pytest.mark.parametrize("flag,key", [("--patience", "patience"),
+                                          ("--checkpoint-every", "checkpoint_every")])
+    def test_negative_flag(self, pipeline_dir, tmp_path, flag, key):
+        proc = self.train(pipeline_dir, tmp_path, flag, "-2")
+        self.assert_clean_exit_2(proc, f"{key} must be >= 0, got -2")
+
+    @pytest.mark.parametrize("key", ["patience", "checkpoint_every"])
+    def test_negative_config_key(self, pipeline_dir, tmp_path, key):
+        proc = self.train(pipeline_dir, tmp_path,
+                          *self.config(tmp_path, f"{key} = -1"))
+        self.assert_clean_exit_2(proc, f"{key} must be >= 0, got -1")
+
+    def test_zero_still_means_off(self, pipeline_dir, tmp_path):
+        proc = run_cli("train", "--data", pipeline_dir["data"],
+                       "--attrs", pipeline_dir["attrs"], "--dim", "4",
+                       "--epochs", "2", "--patience", "0", "--checkpoint-every", "0",
+                       "--out", str(tmp_path / "off.agr"))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["epochs_run"] == 2

@@ -13,7 +13,18 @@ from agrec.training import (TrainDivergedError, _sample_negatives_block,
                             train)
 from agrec.synth import assemble_world, planted_world
 from helpers import (dense_union_matrix, finite_difference_gradients,
-                     random_bundle, random_tables, split_classes)
+                     random_bundle, random_tables, reference_backward,
+                     split_classes)
+
+
+def hub_world():
+    """(bundle, split) of a planted world whose keyword and aesthetic hubs
+    put rows on both sides of the gather plans' degree split."""
+    world = planted_world(n_users=40, n_items=200, n_item_keywords=3,
+                          n_aesthetic_keywords=4, tastes_per_user=2,
+                          interact_prob=0.5, seed=3)
+    bundle, split, _ = assemble_world(world, seed=1)
+    return bundle, split
 
 
 class TestBprLoss:
@@ -143,6 +154,25 @@ class TestBackward:
         assert reg == pytest.approx(reg2, rel=1e-12)
         assert total == pytest.approx(bpr + reg, rel=1e-12)
 
+    @pytest.mark.parametrize("l2", [0.0, 1e-2])
+    def test_bitwise_equal_to_add_at_oracle(self, l2):
+        bundle, split = hub_world()
+        op = bundle.operator
+        for plan in (op.forward, op.transpose):
+            assert plan.heavy_rows.size and plan.nbr.size
+        cfg = ModelConfig(dim=19, layers=2, l2_weight=l2, seed=2)  # 8 + 8 + 3 columns
+        rng = np.random.default_rng(17)
+        tables = random_tables(rng, bundle, cfg.dim)
+        pairs = np.asarray(split.train, dtype=np.int64)
+        users = np.repeat(pairs[:, 0], 2)  # users and items repeat
+        pos = np.repeat(pairs[:, 1], 2)
+        negs = rng.integers(0, len(bundle.vocab_i), size=users.size)
+        stack = forward(tables, bundle, cfg)
+        got = backward(users, pos, negs, stack, bundle, cfg)
+        want = reference_backward(users, pos, negs, stack, bundle, cfg)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:]
+
 
 class TestSgdProperties:
     def test_single_step_decreases_triple_loss(self):
@@ -213,12 +243,7 @@ class TestTrainLoop:
         assert all(s.triples == len(split.train) * 3 for s in result.stats)
 
     def test_tables_bitwise_equal_to_add_at_propagation(self, monkeypatch):
-        # planted keyword and aesthetic hubs put rows on both sides of the
-        # plans' degree split
-        world = planted_world(n_users=40, n_items=200, n_item_keywords=3,
-                              n_aesthetic_keywords=4, tastes_per_user=2,
-                              interact_prob=0.5, seed=3)
-        bundle, split, _ = assemble_world(world, seed=1)
+        bundle, split = hub_world()
         op = bundle.operator
         cfg = ModelConfig(dim=4, layers=2, learning_rate=0.5, seed=2)
         kwargs = dict(epochs=3, batch_size=128, val_k=5, patience=None)
@@ -286,7 +311,8 @@ class TestTrainLoop:
         assert err.last_good is None or err.last_good.shape == (bundle.operator.size, 3)
 
     @pytest.mark.parametrize("kwargs", [dict(batch_size=0), dict(epochs=0),
-                                        dict(val_k=0)])
+                                        dict(val_k=0), dict(patience=-1),
+                                        dict(checkpoint_every=-1)])
     def test_rejects_empty_batches_and_epochs(self, kwargs):
         rng = np.random.default_rng(16)
         bundle, cfg, _ = tiny_problem(rng)
