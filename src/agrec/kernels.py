@@ -6,11 +6,11 @@ kernels accumulate in a fixed order, so their results are exactly
 reproducible and bitwise equal to np.add.at.
 
 Hub rows and scatters share one idiom: a row-major (E, w) block of terms,
-w <= _BLOCK columns, whose cells carry flattened keys row * width + j. A
-weighted np.bincount sums such a block onto zeros (width w), and np.add.at
-adds it onto a flattened non-zero output (width: the output's columns).
-Both add each cell's terms in input order, so every cell sums in edge
-order, bitwise as np.add.at does.
+w <= _BLOCK columns, whose cells carry flattened keys row * width + j. Hub
+rows sum such a block with a weighted np.bincount onto zeros (width w);
+scatters add it with np.add.at onto the flattened output (width: the
+output's columns). Both add each cell's terms in input order, so every
+cell sums in edge order, bitwise as row-wise np.add.at does.
 """
 
 from __future__ import annotations
@@ -108,14 +108,6 @@ def _column_blocks(rows, dim, row_len=None):
         yield (lo, hi) + buffers[w]
 
 
-def _bincount_rows(keys, block, n_rows):
-    """(n_rows, w) sums of a (E, w) block under keys row * w + j, each cell
-    adding its terms in ascending e from +0.0."""
-    w = block.shape[1]
-    return np.bincount(keys, weights=block.reshape(-1),
-                       minlength=n_rows * w).reshape(n_rows, w)
-
-
 def gather_rows(plan: GatherPlan, src):
     """out[r] = sum over row r's edges e of coef[e] * src[nbr[e]], in edge
     order from +0.0, as np.add.at would; rows with no edges are zero.
@@ -148,37 +140,24 @@ def gather_rows(plan: GatherPlan, src):
     for lo, hi, keys, term in _column_blocks(plan.heavy_slot, dim if n_hub else 0):
         src[:, lo:hi].take(plan.heavy_nbr, axis=0, out=term, mode="clip")
         term *= plan.heavy_coef[:, None]
-        out[plan.heavy_rows, lo:hi] = _bincount_rows(keys, term, n_hub)
+        sums = np.bincount(keys, weights=term.reshape(-1), minlength=n_hub * (hi - lo))
+        out[plan.heavy_rows, lo:hi] = sums.reshape(n_hub, hi - lo)
     return out
 
 
-def scatter_rows(out, idx, *parts, signs=None, zeroed=False):
-    """out[idx[t]] += rows[t], accumulated in ascending t order, in place,
-    where `rows` stacks the parts in order, each part negated where its
-    entry in `signs` is -1 (default: none). Returns `out`.
+def scatter_rows(out, idx, rows):
+    """out[idx[t]] += rows[t], accumulated in ascending t order, in place;
+    returns `out`, which must be C-contiguous.
 
-    Both ways run over blocks of at most 8 columns and never stack
-    full-width parts. zeroed=True promises that `out` holds only +0.0: a
-    blocked bincount then writes the sums over it. Otherwise np.add.at adds
-    each block onto the flattened `out`, which must be C-contiguous, keyed
-    by idx * dim + j; either way every cell adds its terms as np.add.at
-    does, bitwise.
+    np.add.at adds each block of at most 8 columns onto the flattened `out`,
+    keyed by idx * dim + j. Every cell still adds its terms in ascending t,
+    so the result is bitwise that of row-wise np.add.at, which is 2-3x
+    slower.
     """
-    cuts = np.cumsum([0] + [len(p) for p in parts])
-    spans = list(zip(parts, signs or (1,) * len(parts), cuts[:-1], cuts[1:]))
-    n_rows, dim = out.shape
-    if not zeroed:
-        if not out.flags.c_contiguous:
-            raise ValueError("scatter_rows adds onto a C-contiguous output only")
-        flat = out.reshape(-1)
-    for lo, hi, keys, block in _column_blocks(idx, dim, None if zeroed else dim):
-        for part, sign, a, b in spans:
-            if sign > 0:
-                block[a:b] = part[:, lo:hi]
-            else:
-                np.negative(part[:, lo:hi], out=block[a:b])
-        if zeroed:
-            out[:, lo:hi] = _bincount_rows(keys, block, n_rows)
-        else:
-            np.add.at(flat[lo:], keys, block.reshape(-1))
+    if not out.flags.c_contiguous:
+        raise ValueError("scatter_rows adds onto a C-contiguous output only")
+    flat = out.reshape(-1)
+    for lo, hi, keys, block in _column_blocks(idx, out.shape[1], out.shape[1]):
+        np.copyto(block, rows[:, lo:hi])
+        np.add.at(flat[lo:], keys, block.reshape(-1))
     return out

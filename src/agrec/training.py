@@ -135,10 +135,11 @@ def backward(users, pos, negs, stack: LayerStack, bundle: GraphBundle,
     d = e_i[pos]
     d -= e_i[negs]
     d *= g
-    scatter_rows(grad_u, users, d, zeroed=True)
+    scatter_rows(grad_u, users, d)
     u_rows *= g
-    scatter_rows(grad_i, np.concatenate((pos, negs)), u_rows, u_rows,
-                 signs=(1, -1), zeroed=True)
+    scatter_rows(grad_i, pos, u_rows)
+    np.negative(u_rows, out=u_rows)
+    scatter_rows(grad_i, negs, u_rows)
     del d, u_rows  # training's peak memory falls in the adjoint gathers
 
     z = alpha[config.layers] * grad_final

@@ -112,38 +112,32 @@ def test_plan_rejects_negative_index():
 @settings(max_examples=150, deadline=None)
 @given(sizes=st.lists(st.integers(0, 40), min_size=1, max_size=3),
        n_out=st.integers(1, 6), dim=st.sampled_from([1, 3, 7, 8, 9, 16, 17]),
-       negate=st.lists(st.booleans(), min_size=3, max_size=3),
-       seed=st.integers(0, 2**32 - 1), specials=st.lists(_VALUES, max_size=8))
-def test_zeroed_scatter_is_bitwise_add_at(sizes, n_out, dim, negate, seed, specials):
-    # few output rows: every index repeats
+       zeroed=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       specials=st.lists(_VALUES, max_size=8))
+def test_scatter_is_bitwise_add_at(sizes, n_out, dim, zeroed, seed, specials):
+    # few output rows: every index repeats; several scatters in a row onto
+    # one output, as backward makes them
     rng = np.random.default_rng(seed)
-    parts = [rng.normal(size=(n, dim)) for n in sizes]
-    for part in parts:
-        flat = part.reshape(-1)
+    start = np.zeros((n_out, dim)) if zeroed else rng.normal(size=(n_out, dim))
+    got, want = start.copy(), start.copy()
+    for n in sizes:
+        rows = rng.normal(size=(n, dim))
+        flat = rows.reshape(-1)
         flat[rng.integers(0, flat.size, size=min(len(specials), flat.size))] = \
             specials[:flat.size]
-    signs = [-1 if neg else 1 for neg in negate[:len(parts)]]
-    idx = rng.integers(0, n_out, size=sum(sizes))
-    rows = np.concatenate([np.negative(p) if s < 0 else p
-                           for p, s in zip(parts, signs)])
-    want = np.zeros((n_out, dim))
-    base = rng.normal(size=(n_out, dim))  # the non-zero output's start
-    with np.errstate(invalid="ignore", over="ignore"):
-        got = scatter_rows(np.zeros((n_out, dim)), idx, *parts, signs=signs,
-                           zeroed=True)
-        onto = scatter_rows(base.copy(), idx, *parts, signs=signs)
-        np.add.at(want, idx, rows)
-        np.add.at(base, idx, rows)
+        idx = rng.integers(0, n_out, size=n)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert scatter_rows(got, idx, rows) is got
+            np.add.at(want, idx, rows)
     assert got.tobytes() == want.tobytes()
-    assert onto.tobytes() == base.tobytes()
 
 
-def test_zeroed_scatter_writes_into_a_row_slice_view():
+def test_scatter_adds_into_a_row_slice_view():
     # backward scatters into class views of one stacked gradient table
     stacked = np.zeros((5, 10))
     idx = np.array([0, 2, 2, 0])
     rows = np.arange(40.0).reshape(4, 10)
-    scatter_rows(stacked[1:4], idx, rows, zeroed=True)
+    scatter_rows(stacked[1:4], idx, rows)
     want = np.zeros((5, 10))
     np.add.at(want[1:4], idx, rows)
     assert stacked.tobytes() == want.tobytes()
