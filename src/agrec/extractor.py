@@ -10,6 +10,7 @@ cached per (item_id, kind, backend) and written as resumable JSONL.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -140,7 +141,8 @@ class HttpBackend:
     """Generic JSON-over-HTTP adapter: POST {prompt, image}, read {text}.
 
     The auth token is read from the environment variable named by
-    `auth_env` at construction time; a missing token is a startup error.
+    `auth_env` at construction time; a missing token is a startup error,
+    and so is a timeout that is not a finite number of seconds above 0.
     """
 
     name = "http"
@@ -149,6 +151,8 @@ class HttpBackend:
                  timeout: float = 30.0):
         if not base_url:
             raise ConfigError("http backend requires a base URL")
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise ConfigError(f"timeout must be finite and > 0, got {timeout}")
         token = os.environ.get(auth_env)
         if not token:
             raise ConfigError(f"auth token env var {auth_env} is not set")

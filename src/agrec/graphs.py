@@ -122,10 +122,20 @@ class PropagationOperator:
     index [users | items | item_attrs | aesthetics].
 
     x -> M x is ``gather_rows(op.forward, x)`` and backpropagation applies
-    Mᵀ as ``gather_rows(op.transpose, z)``. Each plan is built from the
-    relation graphs on first use, so a process that never backpropagates
-    never builds the transpose; no COO copy of the edges is kept.
-    ``bounds`` are the class boundaries in the stacked index.
+    Mᵀ as ``gather_rows(op.transpose, z)``. Only the user and item rows of
+    the last layer are scored, so ``op.head`` is M restricted to those rows
+    (``bounds[2]`` output rows) and ``op.head_transpose`` its transpose,
+    which reads only those rows of z. Forward applies M K−1 times and then
+    the head once; backward's first step is the head's transpose. Each row
+    of a head plan keeps its edges in the full plan's order, so the head
+    gives M's scored rows byte for byte. The transpose's skipped sources
+    are the attribute rows of z_K, which are +0.0; each skipped term is
+    then +0.0, and adding +0.0 to a sum begun at +0.0 never changes it, so
+    head_transpose gives Mᵀ z_K's bytes.
+
+    Each plan is built from the relation graphs on first use, so a process
+    that never backpropagates never builds a transpose; no COO copy of the
+    edges is kept. ``bounds`` are the class boundaries in the stacked index.
     """
 
     # (graph, left offset, right offset, also right <- left)
@@ -160,6 +170,13 @@ class PropagationOperator:
                 coef.append(g.coef)
         return tuple(np.concatenate(parts) for parts in (rows, cols, coef))
 
+    def _head_triplet(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries of M in its scored rows (users and items), in
+        _triplet's order, so every row keeps its entries' order."""
+        rows, cols, coef = self._triplet()
+        keep = rows < self.bounds[2]
+        return rows[keep], cols[keep], coef[keep]
+
     @cached_property
     def forward(self) -> GatherPlan:
         rows, cols, coef = self._triplet()
@@ -168,6 +185,16 @@ class PropagationOperator:
     @cached_property
     def transpose(self) -> GatherPlan:
         rows, cols, coef = self._triplet()
+        return plan_gather(cols, rows, coef, self.size)
+
+    @cached_property
+    def head(self) -> GatherPlan:
+        rows, cols, coef = self._head_triplet()
+        return plan_gather(rows, cols, coef, self.bounds[2])
+
+    @cached_property
+    def head_transpose(self) -> GatherPlan:
+        rows, cols, coef = self._head_triplet()
         return plan_gather(cols, rows, coef, self.size)
 
 

@@ -5,7 +5,9 @@ layer's values (Jacobi-style): items gather from item attributes, item
 attributes from items, aesthetic keywords from users, and users from both
 aesthetic keywords and items. That is one sparse operator M applied to the
 one trainable table, a row per vertex in graphs.PropagationOperator's order.
-Final user/item embeddings are the alpha-weighted sum over layers 0..K.
+Final user/item embeddings are the alpha-weighted sum over layers 0..K, so
+nothing reads the attribute rows of x_K: forward applies M K−1 times and
+then its user and item rows once (the operator's head plan).
 Everything is linear: no activations, attention weights, self-loops or dropout.
 """
 
@@ -77,7 +79,10 @@ class ModelConfig:
 
 @dataclass
 class LayerStack:
-    """Stacked embeddings x_0..x_K; `bounds` are the operator's class bounds."""
+    """Stacked embeddings x_0..x_K; `bounds` are the operator's class bounds.
+
+    x_K holds the users and items only (bounds[2] rows): its attribute
+    views from split(K) are empty."""
 
     layers: list[np.ndarray]
     bounds: tuple[int, ...]
@@ -111,12 +116,14 @@ def _check_rows(tables: np.ndarray, op) -> None:
 def forward(tables: np.ndarray, bundle: GraphBundle,
             config: ModelConfig) -> LayerStack:
     """Run K propagation layers x_{k+1} = M x_k on the stacked table;
-    layer 0 is the table itself."""
+    layer 0 is the table itself, and the last layer gathers only the
+    scored user and item rows."""
     op = bundle.operator
     _check_rows(tables, op)
     stack = LayerStack(layers=[tables], bounds=op.bounds)
     for k in range(config.layers):
-        x = gather_rows(op.forward, stack.layers[-1])
+        plan = op.head if k == config.layers - 1 else op.forward
+        x = gather_rows(plan, stack.layers[-1])
         stack.layers.append(x)
         if not np.isfinite(x).all():
             name = next(name for name, part in zip(_CLASS_NAMES, op.split(x))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +58,9 @@ def _sample_negatives_block(users: np.ndarray, item_count: int,
     return negs.astype(np.int64)
 
 
+PHASES = ("sample_s", "forward_s", "backward_s", "step_s", "validate_s")
+
+
 @dataclass
 class EpochStats:
     epoch: int
@@ -66,6 +69,21 @@ class EpochStats:
     triples: int
     seconds: float
     val_recall: float | None = None
+    phase_seconds: dict[str, float] = field(default_factory=dict)
+
+
+class _PhaseClock:
+    """Wall seconds per phase: lap(phase) charges the time since the last
+    lap (or the start) to `phase`, so the phases split the time between."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(PHASES, 0.0)
+        self._last = time.perf_counter()
+
+    def lap(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.seconds[phase] += now - self._last
+        self._last = now
 
 
 class TrainDivergedError(NumericError):
@@ -112,7 +130,8 @@ def backward(users, pos, negs, stack: LayerStack, bundle: GraphBundle,
 
     Returns (gradients, bpr_mean, reg_mean). The adjoint recursion mirrors the
     forward: z_K = alpha_K G and z_k = alpha_k G + Mᵀ z_{k+1}, where G is the
-    loss gradient on the final embeddings and Mᵀ the transposed operator.
+    loss gradient on the final embeddings and Mᵀ the transposed operator;
+    the first step applies the transpose of M's scored rows (op.head_transpose).
     """
     users = np.asarray(users, dtype=np.int64)
     pos = np.asarray(pos, dtype=np.int64)
@@ -142,9 +161,11 @@ def backward(users, pos, negs, stack: LayerStack, bundle: GraphBundle,
     scatter_rows(grad_i, negs, u_rows)
     del d, u_rows  # training's peak memory falls in the adjoint gathers
 
+    # z_K's attribute rows are +0.0, so its step reads the user and item rows
     z = alpha[config.layers] * grad_final
     for k in range(config.layers - 1, -1, -1):
-        z = gather_rows(op.transpose, z)
+        z = gather_rows(op.head_transpose if k == config.layers - 1
+                        else op.transpose, z)
         z += alpha[k] * grad_final
 
     reg_mean = 0.0
@@ -185,6 +206,9 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
     When a validation split is present, Recall@val_k is tracked per epoch,
     the best-validation tables are kept (and checkpointed if a path is
     given), and training stops after `patience` epochs without improvement.
+    Each epoch's `phase_seconds` splits its time by PHASES; the validation
+    forward counts under validate_s, and the next epoch's first batch
+    reuses it.
     """
     from . import evaluation  # local import; evaluation depends on model only
     from .model import save_checkpoint
@@ -208,11 +232,12 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
     if n_pairs == 0:
         raise DataError("empty training split")
     item_count = len(bundle.vocab_i)
-    # Build both plans before the first batch rather than inside its forward
-    # and backward. Live memory is about the same either way, but among the
-    # batch arrays the serve-wide world's train peak RSS measured 1.7 MB
-    # (2%) higher, through where the allocator placed them.
-    _ = bundle.operator.forward, bundle.operator.transpose
+    # Build all four plans before the first batch rather than inside its
+    # forward and backward. Live memory is about the same either way, but
+    # among the batch arrays the serve-wide world's train peak RSS measured
+    # 1.7 MB (2%) higher, through where the allocator placed them.
+    op = bundle.operator
+    _ = op.forward, op.head, op.transpose, op.head_transpose
     n_n = config.n_negatives
 
     val_by_user: dict[int, set[int]] = {}
@@ -232,6 +257,7 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
     stack = None  # forward of the current tables, once computed
     for epoch in range(1, epochs + 1):
         t0 = time.perf_counter()
+        clock = _PhaseClock()
         order = rng.permutation(n_pairs)
         loss_sum = reg_sum = 0.0
         batches = 0
@@ -243,10 +269,13 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
                 pos = np.repeat(pairs[sel, 1], n_n)
                 negs = _sample_negatives_block(users, item_count,
                                                split.user_positives, rng)
+                clock.lap("sample_s")
                 if stack is None:
                     stack = forward(tables, bundle, config)
+                clock.lap("forward_s")
                 grads, bpr_mean, reg_mean = backward(users, pos, negs, stack,
                                                      bundle, config)
+                clock.lap("backward_s")
                 if not np.isfinite(bpr_mean):
                     raise NumericError("loss became non-finite")
                 sgd_step(tables, grads, config.learning_rate)
@@ -254,11 +283,13 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
                 loss_sum += bpr_mean
                 reg_sum += reg_mean
                 batches += 1
+                clock.lap("step_s")
             if val_by_user:  # the next epoch's first batch reuses this stack
                 stack = forward(tables, bundle, config)
                 e_u, e_i = final_embeddings(stack, config.alpha())
                 val_recall = evaluation.mean_recall_at_k(
                     e_u, e_i, val_by_user, split.user_positives, val_k)
+                clock.lap("validate_s")
         except NumericError as exc:
             raise TrainDivergedError(
                 f"training diverged at epoch {epoch}: {exc}",
@@ -266,7 +297,8 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
 
         st = EpochStats(epoch=epoch, loss=loss_sum / batches,
                         reg=reg_sum / batches, triples=n_pairs * n_n,
-                        seconds=time.perf_counter() - t0, val_recall=val_recall)
+                        seconds=time.perf_counter() - t0, val_recall=val_recall,
+                        phase_seconds=clock.seconds)
         stats.append(st)
         last_good = tables.copy()
         if log_path is not None:
@@ -297,6 +329,7 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
 
 def _append_log_line(path, st: EpochStats, val_k: int) -> None:
     rec = {"epoch": st.epoch, "loss": st.loss, "reg": st.reg,
-           f"val_recall@{val_k}": st.val_recall, "seconds": st.seconds}
+           f"val_recall@{val_k}": st.val_recall, "seconds": st.seconds,
+           **st.phase_seconds}
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(rec, sort_keys=True) + "\n")

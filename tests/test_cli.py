@@ -105,7 +105,8 @@ class TestTrain:
         assert os.path.exists(pipeline_dir["model"])
         log = pipeline_dir["model"] + ".log.jsonl"
         lines = [json.loads(x) for x in open(log).read().splitlines()]
-        assert {"epoch", "loss", "reg", "val_recall@10", "seconds"} == set(lines[0])
+        assert {"epoch", "loss", "reg", "val_recall@10", "seconds", "sample_s",
+                "forward_s", "backward_s", "step_s", "validate_s"} == set(lines[0])
 
     def test_refuses_overwrite(self, pipeline_dir, capsys):
         code = main(["train", "--data", pipeline_dir["data"],
@@ -651,6 +652,28 @@ class TestRefusedSettings:
         proc = self.train(pipeline_dir, tmp_path,
                           *self.config(tmp_path, f"{key} = -1"))
         self.assert_clean_exit_2(proc, f"{key} must be >= 0, got -1")
+
+    def extract(self, world_dir, tmp_path, monkeypatch, *flags):
+        # the backend refuses the timeout before any request: no network
+        monkeypatch.setenv("AGREC_VLM_TOKEN", "sesame")
+        out = tmp_path / "attrs.jsonl"
+        proc = run_cli("extract", "--items", world_dir["items"],
+                       "--backend", "http", "--base-url", "http://127.0.0.1:9/",
+                       "--out", str(out), *flags)
+        assert not out.exists()
+        return proc
+
+    @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
+    def test_extract_timeout_flag(self, world_dir, tmp_path, monkeypatch, timeout):
+        proc = self.extract(world_dir, tmp_path, monkeypatch, "--timeout", timeout)
+        self.assert_clean_exit_2(proc, "timeout must be finite and > 0")
+
+    @pytest.mark.parametrize("timeout", ["-1", "nan"])
+    def test_extract_timeout_config_key(self, world_dir, tmp_path, monkeypatch,
+                                        timeout):
+        proc = self.extract(world_dir, tmp_path, monkeypatch,
+                            *self.config(tmp_path, f"timeout = {timeout}"))
+        self.assert_clean_exit_2(proc, "timeout must be finite and > 0")
 
     def test_zero_still_means_off(self, pipeline_dir, tmp_path):
         proc = run_cli("train", "--data", pipeline_dir["data"],

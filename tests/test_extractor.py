@@ -401,6 +401,13 @@ class TestHttpBackend:
         with pytest.raises(ConfigError, match="AGREC_VLM_TOKEN"):
             HttpBackend("http://example.invalid")
 
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
+    def test_unusable_timeout_refused(self, monkeypatch, timeout):
+        # socket.settimeout would raise a raw ValueError at the first request
+        monkeypatch.setenv("AGREC_VLM_TOKEN", "sesame")
+        with pytest.raises(ConfigError, match="timeout must be finite and > 0"):
+            HttpBackend("http://127.0.0.1:9/", timeout=timeout)
+
     def test_end_to_end(self, vlm_server, monkeypatch):
         monkeypatch.setenv("AGREC_VLM_TOKEN", "sesame")
         backend = HttpBackend(vlm_server, timeout=5.0)

@@ -63,9 +63,11 @@ class TestModelConfig:
 
 
 def layer_one(counts, iia=(), ui=(), uiaa=(), **given):
-    """Layer-1 embeddings of a hand-built bundle, by class name; `counts`
-    are the user, item, item-attribute and aesthetic vertex counts, and the
-    rows of the stacked layer-0 table not given are zero."""
+    """M applied once to the stacked layer-0 table of a hand-built bundle,
+    by class name; `counts` are the user, item, item-attribute and aesthetic
+    vertex counts, and the rows of the table not given are zero. This is
+    every row of x_1 at K >= 2 (at K = 1 forward keeps only the scored
+    rows)."""
     n_u, n_i, n_ia, n_iaa = counts
     vocabs = [Vocabulary.from_ids(f"{prefix}{j}" for j in range(n))
               for prefix, n in zip("uias", counts)]
@@ -75,8 +77,8 @@ def layer_one(counts, iia=(), ui=(), uiaa=(), **given):
     dim = next(iter(given.values())).shape[1]
     tables = np.concatenate([given.get(name, np.zeros((n, dim)))
                              for name, n in zip(CLASSES, counts)])
-    stack = forward(tables, bundle, ModelConfig(dim=dim, layers=1))
-    return dict(zip(CLASSES, stack.split(1)))
+    op = bundle.operator
+    return dict(zip(CLASSES, op.split(gather_rows(op.forward, tables))))
 
 
 class TestPropagation:
@@ -185,11 +187,25 @@ class TestOperator:
         assert op.bounds == (0, 5, 11, 15, 18)
 
     def test_transpose_plan_built_on_first_use(self):
-        bundle = random_bundle(np.random.default_rng(8), 4, 5, 3, 2, p=0.5)
-        cfg = ModelConfig(dim=2, layers=2, seed=0)
-        forward(init_tables(bundle, cfg), bundle, cfg)
-        assert "forward" in vars(bundle.operator)
-        assert "transpose" not in vars(bundle.operator)
+        plans = {"forward", "head", "transpose", "head_transpose"}
+        for layers, built in ((2, {"forward", "head"}), (1, {"head"})):
+            bundle = random_bundle(np.random.default_rng(8), 4, 5, 3, 2, p=0.5)
+            cfg = ModelConfig(dim=2, layers=layers, seed=0)
+            forward(init_tables(bundle, cfg), bundle, cfg)
+            assert plans & set(vars(bundle.operator)) == built
+
+    def test_head_plans_are_the_scored_rows(self):
+        # head: M's user and item rows; head_transpose: (those rows)ᵀ, each
+        # summing its entries in the full plan's order
+        bundle = random_bundle(np.random.default_rng(6), 5, 6, 4, 3, p=0.5)
+        op = bundle.operator
+        n_ui = op.bounds[2]
+        head = dense_union_matrix(bundle)[:n_ui]
+        assert op.head.n_out == n_ui and op.head_transpose.n_out == op.size
+        assert op.head_transpose.n_src <= n_ui
+        for plan, matrix in ((op.head, head), (op.head_transpose, head.T)):
+            got = plan_neighbours(plan)
+            assert got == [np.flatnonzero(row).tolist() for row in matrix]
 
     def test_adjoint_identity(self):
         # <M x, y> = <x, Mᵀ y>, with Mᵀ the plan backprop uses
@@ -205,6 +221,44 @@ class TestOperator:
             assert abs(float((mx * y).sum()) - float((x * mty).sum())) < 1e-12
 
 
+# 60 users or items at p = 0.8 give rows on both sides of the plans' hub degree
+_COUNTS = st.sampled_from([1, 3, 8, 60])
+_VALUES = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e300, np.inf, -np.inf, np.nan])
+
+
+def _sprinkle(rng, x, specials):
+    flat = x.reshape(-1)
+    if flat.size:
+        flat[rng.integers(0, flat.size, size=len(specials))] = specials
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=st.tuples(_COUNTS, _COUNTS, st.integers(0, 6), st.integers(0, 6)),
+       p=st.sampled_from([0.2, 0.5, 0.8]), dim=st.sampled_from([1, 3, 7, 8, 9, 16, 17]),
+       seed=st.integers(0, 2**32 - 1), specials=st.lists(_VALUES, max_size=8))
+def test_head_plans_are_bitwise_full_plans(counts, p, dim, seed, specials):
+    rng = np.random.default_rng(seed)
+    op = random_bundle(rng, *counts, p=p).operator
+    n_ui = op.bounds[2]
+    x = rng.normal(size=(op.size, dim))
+    _sprinkle(rng, x, specials)
+    z = np.zeros((op.size, dim))  # attribute rows +0.0, as z_K's are
+    z[:n_ui] = rng.normal(size=(n_ui, dim))
+    _sprinkle(rng, z[:n_ui], specials)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert (gather_rows(op.head, x).tobytes()
+                == gather_rows(op.forward, x)[:n_ui].tobytes())
+        assert (gather_rows(op.head_transpose, z).tobytes()
+                == gather_rows(op.transpose, z).tobytes())
+
+
+def test_largest_drawn_world_has_hub_and_jagged_rows():
+    # the largest world test_head_plans_are_bitwise_full_plans draws
+    op = random_bundle(np.random.default_rng(0), 60, 60, 6, 6, p=0.8).operator
+    for plan in (op.head, op.head_transpose):
+        assert plan.heavy_rows.size and plan.nbr.size
+
+
 class TestForward:
     def test_k0_stack_is_initial_tables(self):
         bundle = toy_bundle()
@@ -215,15 +269,18 @@ class TestForward:
         assert stack.layers[0] is tables
 
     def test_matches_dense_oracle_on_toy_graph(self):
+        # every row forward returns; x_K holds the users and items only
         rng = np.random.default_rng(11)
         bundle = random_bundle(rng, 3, 3, 3, 2, p=0.6)
         cfg = ModelConfig(dim=2, layers=2, seed=0)
         tables = random_tables(rng, bundle, 2)
         stack = forward(tables, bundle, cfg)
         dense = dense_forward(tables, bundle, 2)
+        op = bundle.operator
+        assert [x.shape[0] for x in stack.layers] == [op.size, op.size, op.bounds[2]]
         for k in range(3):
-            for g, w in zip(stack.split(k), dense[k]):
-                np.testing.assert_allclose(g, w, atol=1e-12)
+            want = np.concatenate(dense[k])[:stack.layers[k].shape[0]]
+            np.testing.assert_allclose(stack.layers[k], want, atol=1e-12)
 
     def test_linearity(self):
         rng = np.random.default_rng(2)

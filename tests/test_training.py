@@ -257,17 +257,19 @@ class TestTrainLoop:
         calls = []
 
         def add_at_gather(plan, src):
+            # full M or Mᵀ; the head plans are served M's scored rows and Mᵀ
             calls.append(plan)
-            out_rows, in_rows = (rows, cols) if plan is op.forward else (cols, rows)
+            along_m = plan is op.forward or plan is op.head
+            out_rows, in_rows = (rows, cols) if along_m else (cols, rows)
             out = np.zeros((op.size, src.shape[1]))
             np.add.at(out, out_rows, src[in_rows] * coef[:, None])
-            return out
+            return out[:op.bounds[2]] if plan is op.head else out
 
         monkeypatch.setattr(agrec.model, "gather_rows", add_at_gather)
         monkeypatch.setattr(agrec.training, "gather_rows", add_at_gather)
         ref = train(split, bundle, cfg, **kwargs)
-        assert any(p is op.forward for p in calls)
-        assert any(p is op.transpose for p in calls)
+        for plan in (op.forward, op.head, op.transpose, op.head_transpose):
+            assert any(p is plan for p in calls)
         for name, got, want in zip(("users", "items", "item_attrs", "aesthetics"),
                                    op.split(real.tables), op.split(ref.tables)):
             assert got.tobytes() == want.tobytes(), name
@@ -331,7 +333,12 @@ class TestTrainLoop:
               val_k=5, log_path=log)
         lines = [json.loads(x) for x in log.read_text().splitlines()]
         assert len(lines) == 2
-        assert set(lines[0]) == {"epoch", "loss", "reg", "val_recall@5", "seconds"}
+        phases = {"sample_s", "forward_s", "backward_s", "step_s", "validate_s"}
+        assert set(lines[0]) == {"epoch", "loss", "reg", "val_recall@5",
+                                 "seconds"} | phases
+        for line in lines:
+            assert all(line[p] > 0.0 for p in phases)
+            assert sum(line[p] for p in phases) <= line["seconds"]
 
     def test_checkpoint_file_matches_returned_tables(self, tmp_path):
         from agrec.model import load_checkpoint
