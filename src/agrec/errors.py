@@ -35,7 +35,3 @@ class NoKeywordsError(AgrecError):
 
 class BackendError(AgrecError):
     """Vision-language backend transport failure after retries."""
-
-
-class ColdItemError(AgrecError):
-    """A cold item has no keywords known to the trained vocabulary."""

@@ -23,11 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (ColdItemError, ConfigError, DataError, IntegrityError,
-                     NumericError)
-from .graphs import BipartiteGraph, GraphBundle, Vocabulary
+from .errors import ConfigError, DataError, IntegrityError, NumericError
+from .graphs import BipartiteGraph, GraphBundle
 from .ingest import parse_json
-from .kernels import gather_rows
+from .kernels import gather_rows, plan_gather
 
 CHECKPOINT_MAGIC = b"AGR1"
 
@@ -144,39 +143,33 @@ def final_embeddings(stack: LayerStack,
     return e[:n_u], e[n_u:]
 
 
-def cold_item_embedding(keywords: Sequence[str], vocab_ia: Vocabulary,
-                        g_iia: BipartiteGraph, stack: LayerStack,
-                        alpha: Sequence[float]) -> np.ndarray:
-    """Embed a never-trained item purely through its attribute keywords.
+def cold_item_embedding(edges: np.ndarray, n_items: int, g_iia: BipartiteGraph,
+                        stack: LayerStack, alpha: Sequence[float],
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Embed never-trained items purely through their attribute keywords.
 
-    The item is treated as a fresh vertex with a zero layer-0 embedding whose
-    degree is its number of known keywords; attribute degrees stay frozen at
-    their trained values so scoring is independent of query order. Keywords
-    absent from the trained vocabulary are dropped.
+    Each cold item is a fresh vertex with a zero layer-0 embedding, linked by
+    `edges` (item position, vocab_ia index) to its known keywords, so its
+    degree is its number of edges; attribute degrees stay frozen at their
+    trained values, so scoring is independent of query order. All items are
+    the rows of one gather plan with coefficients 1/sqrt(n_known * deg_kw),
+    and the embeddings are sum_k alpha_k * gather_rows(plan, x_{k-1}) over
+    the keyword rows. Returns the (n_items, dim) embeddings and which items
+    are scorable: an item with no edge is not, and its row is zero.
     """
-    known: list[int] = []
-    seen = set()
-    for kw in keywords:
-        if kw in seen:
-            continue
-        seen.add(kw)
-        if kw in vocab_ia:
-            known.append(vocab_ia.index_of(kw))
-    if not known:
-        raise ColdItemError("unscorable cold item: no keywords in trained vocabulary")
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape[0] != stack.depth + 1:
         raise ConfigError(
             f"alpha has {alpha.shape[0]} weights for {stack.depth + 1} layers")
-    idx = np.asarray(known, dtype=np.int64)
-    coef = 1.0 / np.sqrt(len(known) * g_iia.right_deg[idx].astype(np.float64))
-    rows = idx + stack.bounds[2]  # the keywords' rows in the stacked layers
-    out = np.zeros(stack.layers[0].shape[1], dtype=np.float64)
+    item, keyword = edges[:, 0], edges[:, 1]
+    n_known = np.bincount(item, minlength=n_items)
+    coef = 1.0 / np.sqrt(n_known[item] * g_iia.right_deg[keyword].astype(np.float64))
+    plan = plan_gather(item, keyword, coef, n_items)
+    out = np.zeros((n_items, stack.layers[0].shape[1]), dtype=np.float64)
     for k in range(1, stack.depth + 1):
-        if alpha[k] == 0.0:
-            continue
-        out += alpha[k] * (coef @ stack.layers[k - 1][rows])
-    return out
+        if alpha[k] != 0.0:
+            out += alpha[k] * gather_rows(plan, stack.split(k - 1)[2])
+    return out, n_known > 0
 
 
 # --- checkpoint serialization -------------------------------------------------

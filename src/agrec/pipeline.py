@@ -31,7 +31,7 @@ from .model import file_sha256
 MANIFEST_NAME = "manifest.json"
 TEXT_ATTRS_NAME = "text_attributes.jsonl"
 CACHE_NAME = "dataset.cache.npz"
-_CACHE_FORMAT = b"agrec dataset cache 1\n"  # the first bytes of every key
+_CACHE_FORMAT = b"agrec dataset cache 2\n"  # the first bytes of every key
 _VOCABS = ("vocab_u", "vocab_i", "vocab_ia", "vocab_iaa")
 # each relation with the vocabularies of its left and right vertices
 _GRAPHS = {"g_iia": ("vocab_i", "vocab_ia"), "g_ui": ("vocab_u", "vocab_i"),
@@ -224,10 +224,7 @@ def _write_cache(path, key: str, prepared: PreparedDataset) -> None:
             arrays[name] = _index_pairs(getattr(split, name))
         position = {iid: n for n, iid in enumerate(cold.ids)}
         arrays["cold_ids"] = _strings(cold.ids)
-        arrays["cold_keywords"] = _strings(
-            [kw for iid in cold.ids for kw in cold.keywords[iid]])
-        arrays["cold_lengths"] = np.array(
-            [len(cold.keywords[iid]) for iid in cold.ids], dtype=np.int64)
+        arrays["cold_edges"] = cold.edges
         arrays["cold_test"] = _index_pairs([(u, position[i]) for u, i in cold.test_pairs])
     except ValueError:
         return
@@ -282,14 +279,21 @@ def _member(arrays, name: str, kind: str, ndim: int) -> np.ndarray:
     return arr
 
 
-def _pairs(arrays: dict, name: str, left_count: int, right_count: int) -> list:
-    """An (n, 2) index array as a list of int tuples, range-checked."""
+def _index_array(arrays: dict, name: str, left_count: int, right_count: int
+                 ) -> np.ndarray:
+    """An (n, 2) int64 index array, range-checked column by column."""
     arr = _member(arrays, name, "i", 2)
     if arr.shape[1] != 2:
         raise ValueError(f"cache member {name} has shape {arr.shape}")
     if arr.size and not (arr.min() >= 0 and arr[:, 0].max() < left_count
                          and arr[:, 1].max() < right_count):
         raise GraphError(f"cache member {name}: index out of range")
+    return arr.astype(np.int64, copy=False)
+
+
+def _pairs(arrays: dict, name: str, left_count: int, right_count: int) -> list:
+    """An (n, 2) index array as a list of int tuples, range-checked."""
+    arr = _index_array(arrays, name, left_count, right_count)
     return list(zip(arr[:, 0].tolist(), arr[:, 1].tolist()))
 
 
@@ -320,22 +324,23 @@ def _from_arrays(arrays: dict) -> PreparedDataset:
         split_seed=parse_json(_member(arrays, "split_seed", "U", 0).item()))
 
     ids = _member(arrays, "cold_ids", "U", 1).tolist()
-    flat = _member(arrays, "cold_keywords", "U", 1).tolist()
-    lengths = _member(arrays, "cold_lengths", "i", 1)
-    if (lengths.shape[0] != len(ids) or (lengths < 0).any()
-            or int(lengths.sum()) != len(flat)):
-        raise ValueError("cache cold keyword lengths do not fit")
-    ends = np.cumsum(lengths).tolist()
-    keywords = {iid: flat[end - n:end]
-                for iid, n, end in zip(ids, lengths.tolist(), ends)}
-    if len(keywords) != len(ids):
+    if len(set(ids)) != len(ids):
         raise ValueError("cache member cold_ids repeats an entry")
     cold = ColdCandidates(
-        ids=ids, keywords=keywords,
+        ids=ids,
+        edges=_index_array(arrays, "cold_edges", len(ids), len(bundle.vocab_ia)),
         test_pairs=[(u, ids[p]) for u, p in _pairs(arrays, "cold_test", n_u, len(ids))])
     return PreparedDataset(
         dataset_hash=_member(arrays, "dataset_hash", "U", 0).item(),
         bundle=bundle, split=split, cold=cold)
+
+
+def _cold_edges(cold_keywords: dict[str, list[str]], vocab_ia: Vocabulary) -> np.ndarray:
+    """(position, vocab_ia index) edges of the cold items, in order: each
+    item's known keywords once, in order of first occurrence."""
+    index = vocab_ia.index
+    return _index_pairs([(n, kw) for n, keywords in enumerate(cold_keywords.values())
+                         for kw in dict.fromkeys(index[k] for k in keywords if k in index)])
 
 
 def build_bundle(id_split: SplitDataset, item_keyword_pairs, aesthetic_pairs,
@@ -346,8 +351,9 @@ def build_bundle(id_split: SplitDataset, item_keyword_pairs, aesthetic_pairs,
     `item_keyword_pairs` fix the item and item-attribute vocabularies in
     order of first appearance; users and aesthetic keywords are indexed as
     the training pairs reach them. `cold_keywords` lists the cold items in
-    order, and `cold_pairs` are the (user_id, item_id) pairs that hit them,
-    kept as cold test pairs when the user has trained.
+    order with their keywords, which become edges to the trained keywords;
+    `cold_pairs` are the (user_id, item_id) pairs that hit them, kept as
+    cold test pairs when the user has trained.
     """
     g_iia, vocab_i, vocab_ia = build_item_attribute_graph(item_keyword_pairs)
     g_ui, g_uiaa, vocab_u, vocab_iaa = build_user_graph(
@@ -371,7 +377,7 @@ def build_bundle(id_split: SplitDataset, item_keyword_pairs, aesthetic_pairs,
                          test=_indexed(id_split.test), user_positives=positives,
                          split_seed=id_split.split_seed)
     cold = ColdCandidates(
-        ids=list(cold_keywords), keywords=cold_keywords,
+        ids=list(cold_keywords), edges=_cold_edges(cold_keywords, vocab_ia),
         test_pairs=[(vocab_u.index_of(u), i) for u, i in cold_pairs
                     if u in vocab_u])
     return bundle, split, cold

@@ -11,9 +11,8 @@ import time
 
 import numpy as np
 
-from agrec.evaluation import (evaluate, mean_recall_at_k, ndcg_at_k,
-                              precision_at_k, recall_at_k, top_k,
-                              RankingResult)
+from agrec.evaluation import (evaluate, hit_matrix, mean_recall_at_k,
+                              ndcg_at_k, precision_at_k, recall_at_k, top_k)
 from agrec.extractor import PromptKind, render_prompt
 from agrec.model import (ModelConfig, final_embeddings, forward,
                          load_checkpoint, save_checkpoint)
@@ -21,7 +20,8 @@ from agrec.ingest import read_interactions, split_dataset
 from agrec.synth import assemble_world, hold_out_items, planted_world
 from agrec.training import backward, batch_loss, bpr_loss, train
 from helpers import (brute_force_metrics, dense_forward,
-                     finite_difference_gradients, random_bundle, random_tables)
+                     finite_difference_gradients, hits_of, random_bundle,
+                     random_tables)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -105,16 +105,15 @@ def test_metric_oracle():
         k = int(rng.integers(1, n + 1))
         positives = set(int(x) for x in
                         rng.choice(n, size=int(rng.integers(1, n)), replace=False))
-        res = RankingResult(user=0, ordering=ordering)
-        got = (recall_at_k(res, positives, k), ndcg_at_k(res, positives, k),
-               precision_at_k(res, positives, k))
+        hits, n_positives = hits_of(ordering, positives, k)
+        got = (recall_at_k(hits, n_positives)[0], ndcg_at_k(hits, n_positives)[0],
+               precision_at_k(hits)[0])
         want = brute_force_metrics(ordering, positives, k)
         worst = max(worst, max(abs(g - w) for g, w in zip(got, want)))
 
-    first = RankingResult(user=0, ordering=np.array([5, 1, 2]))
-    second = RankingResult(user=0, ordering=np.array([1, 5, 2]))
-    closed_ok = (ndcg_at_k(first, {5}, 3) == 1.0
-                 and abs(ndcg_at_k(second, {5}, 3) - 1 / math.log2(3)) <= 1e-12)
+    first = ndcg_at_k(*hits_of([5, 1, 2], {5}, 3))[0]
+    second = ndcg_at_k(*hits_of([1, 5, 2], {5}, 3))[0]
+    closed_ok = first == 1.0 and abs(second - 1 / math.log2(3)) <= 1e-12
     _report("metric-oracle",
             worst <= 1e-12 and closed_ok,
             f"max abs deviation {worst:.2e} (<= 1e-12), closed forms ok")
@@ -202,14 +201,12 @@ def test_cold_start_capability(tmp_path):
     rng = np.random.default_rng(555)
     id_rows = rng.normal(0.0, cfg.init_scale, size=(len(cold.ids), cfg.dim))
     row_of = {iid: t for t, iid in enumerate(cold.ids)}
-    by_user: dict[int, set[int]] = {}
-    for u, iid in cold.test_pairs:
-        by_user.setdefault(u, set()).add(row_of[iid])
-    users = sorted(by_user)
-    ablation_recalls = [
-        recall_at_k(RankingResult(u, top), by_user[u], 10)
-        for u, top in zip(users, top_k(e_u[users], id_rows, 10))]
-    ablation = float(np.mean(ablation_recalls))
+    keys = np.array(sorted({u * len(cold.ids) + row_of[iid]
+                            for u, iid in cold.test_pairs}), dtype=np.int64)
+    users = np.array(sorted({u for u, _ in cold.test_pairs}), dtype=np.int64)
+    hits = hit_matrix(top_k(e_u[users], id_rows, 10), users, keys, len(cold.ids), 10)
+    n_positives = np.bincount(keys // len(cold.ids))[users]
+    ablation = float(np.mean(recall_at_k(hits, n_positives)))
 
     _report("cold-start-capability",
             report.recall >= 5 * baseline and ablation <= 1.5 * baseline,

@@ -44,6 +44,60 @@ def pipeline_dir(world_dir, tmp_path_factory):
     return {"data": data, "attrs": attrs, "model": model, "base": base}
 
 
+@pytest.fixture(scope="module")
+def cold_dir(world_dir, tmp_path_factory):
+    """A trained pipeline whose last 6 items are held out of training
+    entirely: their interactions go straight into the manifest's test split
+    (the manifest is a public format, so an operator can stage strict
+    cold-start data)."""
+    from agrec.ingest import manifest_split, read_manifest, write_manifest
+
+    base = tmp_path_factory.mktemp("cold")
+    world = world_dir["world"]
+    cold = set(world.items[-6:])
+    inter = os.path.join(base, "warm.tsv")
+    with open(inter, "w") as fh:
+        fh.writelines(f"{u}\t{i}\n" for u, i in world.interactions
+                      if i not in cold)
+    data = str(base / "data")
+    attrs = str(base / "attrs.jsonl")
+    model = str(base / "model.agr")
+    assert main(["prepare", "--interactions", inter, "--items",
+                 world_dir["items"], "--min-users", "2", "--seed", "1",
+                 "--out", data]) == 0
+    manifest_path = os.path.join(data, "manifest.json")
+    doc = read_manifest(manifest_path)
+    split = manifest_split(doc)
+    split.test.extend((u, i) for u, i in world.interactions if i in cold)
+    write_manifest(manifest_path, seed=doc["seed"], ratios=doc["ratios"],
+                   split=split, config=doc.get("config"))
+    assert main(["extract", "--items", world_dir["items"], "--backend",
+                 "fixture", "--fixture", world_dir["fixture"],
+                 "--out", attrs]) == 0
+    assert main(["train", "--data", data, "--attrs", attrs,
+                 "--dim", "16", "--layers", "2", "--lr", "8.0",
+                 "--epochs", "12", "--batch", "128", "--val-k", "10",
+                 "--seed", "7", "--out", model]) == 0
+    return {"data": data, "attrs": attrs, "model": model}
+
+
+def modules_loaded(command, paths, names):
+    """[exit code, the `names` in sys.modules] after `command` ran on the
+    pipeline at `paths` in a fresh interpreter."""
+    script = (
+        "import json, sys\n"
+        "from agrec.cli import main\n"
+        f"code = main({command!r} + ['--model', {paths['model']!r},"
+        f" '--data', {paths['data']!r}, '--attrs', {paths['attrs']!r}])\n"
+        f"print(json.dumps([code, sorted(m for m in {tuple(names)!r}"
+        " if m in sys.modules)]))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestPrepare:
     def test_manifest_counts(self, pipeline_dir):
         doc = json.loads(open(os.path.join(pipeline_dir["data"], "manifest.json")).read())
@@ -208,40 +262,9 @@ class TestEvaluate:
         assert code == 3
         assert capsys.readouterr().out == ""  # no partial report
 
-    def test_cold_start_mode(self, world_dir, tmp_path, capsys):
-        from agrec.ingest import manifest_split, read_manifest, write_manifest
-
-        # hold the last 6 items out of training entirely: their interactions
-        # go straight into the manifest's test split (the manifest is a
-        # public format, so an operator can stage strict cold-start data)
-        world = world_dir["world"]
-        cold = set(world.items[-6:])
-        inter = os.path.join(tmp_path, "warm.tsv")
-        with open(inter, "w") as fh:
-            fh.writelines(f"{u}\t{i}\n" for u, i in world.interactions
-                          if i not in cold)
-        data = str(tmp_path / "data")
-        attrs = str(tmp_path / "attrs.jsonl")
-        model = str(tmp_path / "model.agr")
-        assert main(["prepare", "--interactions", inter, "--items",
-                     world_dir["items"], "--min-users", "2", "--seed", "1",
-                     "--out", data]) == 0
-        manifest_path = os.path.join(data, "manifest.json")
-        doc = read_manifest(manifest_path)
-        split = manifest_split(doc)
-        split.test.extend((u, i) for u, i in world.interactions if i in cold)
-        write_manifest(manifest_path, seed=doc["seed"], ratios=doc["ratios"],
-                       split=split, config=doc.get("config"))
-        assert main(["extract", "--items", world_dir["items"], "--backend",
-                     "fixture", "--fixture", world_dir["fixture"],
-                     "--out", attrs]) == 0
-        assert main(["train", "--data", data, "--attrs", attrs,
-                     "--dim", "16", "--layers", "2", "--lr", "8.0",
-                     "--epochs", "12", "--batch", "128", "--val-k", "10",
-                     "--seed", "7", "--out", model]) == 0
-        capsys.readouterr()
-        assert main(["evaluate", "--model", model, "--data", data,
-                     "--attrs", attrs, "--k", "3", "--cold-start"]) == 0
+    def test_cold_start_mode(self, cold_dir, capsys):
+        assert main(["evaluate", "--model", cold_dir["model"], "--data", cold_dir["data"],
+                     "--attrs", cold_dir["attrs"], "--k", "3", "--cold-start"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["mode"] == "cold_start"
         assert doc["users"] > 0
@@ -256,38 +279,24 @@ class TestEvaluate:
 
     def test_imports_neither_scipy_nor_numba(self, pipeline_dir):
         # every CLI process would pay their import time and memory
-        script = (
-            "import json, sys\n"
-            "from agrec.cli import main\n"
-            f"code = main(['evaluate', '--model', {pipeline_dir['model']!r},"
-            f" '--data', {pipeline_dir['data']!r},"
-            f" '--attrs', {pipeline_dir['attrs']!r}, '--k', '10'])\n"
-            "print(json.dumps([code, sorted(m for m in ('scipy', 'numba')"
-            " if m in sys.modules)]))\n")
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, check=True)
-        assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+        assert modules_loaded(["evaluate", "--k", "10"], pipeline_dir,
+                              ("scipy", "numba")) == [0, []]
 
     @pytest.mark.parametrize("command", [["evaluate", "--k", "10"],
                                          ["recommend", "--user", "u0003"]])
     def test_loads_no_network_or_thread_pool_modules(self, pipeline_dir, command):
         # only extract needs them, and each costs every other CLI process
         # import time and memory
-        script = (
-            "import json, sys\n"
-            "from agrec.cli import main\n"
-            f"code = main({command!r} + ['--model', {pipeline_dir['model']!r},"
-            f" '--data', {pipeline_dir['data']!r},"
-            f" '--attrs', {pipeline_dir['attrs']!r}])\n"
-            "print(json.dumps([code, sorted(m for m in ('urllib.request',"
-            " 'http.client', 'ssl', 'concurrent.futures') if m in sys.modules)]))\n")
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, check=True)
-        assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+        assert modules_loaded(command, pipeline_dir, (
+            "urllib.request", "http.client", "ssl", "concurrent.futures")) == [0, []]
+
+    @pytest.mark.parametrize("command", [["evaluate", "--k", "10"],
+                                         ["evaluate", "--k", "10", "--cold-start"],
+                                         ["recommend", "--user", "u0003"]])
+    def test_never_imports_numpy_ma(self, pipeline_dir, cold_dir, command):
+        # np.unique imports it on first use, ~15 ms per process
+        paths = cold_dir if "--cold-start" in command else pipeline_dir
+        assert modules_loaded(command, paths, ("numpy.ma",)) == [0, []]
 
 
     def test_truncated_checkpoint_exit_1_without_traceback(self, pipeline_dir,

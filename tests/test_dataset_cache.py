@@ -82,6 +82,14 @@ class TestHit:
         assert_same_dataset(pipeline.load_dataset(*copy), fresh)
         assert len(builds) == 1
 
+    def test_cold_edges_equal_fresh_build(self, copy, fresh, builds):
+        pipeline.load_dataset(*copy)
+        got = pipeline.load_dataset(*copy).cold
+        assert len(builds) == 1  # the second load was a hit
+        assert got.edges.size and got.edges.dtype == np.int64
+        np.testing.assert_array_equal(got.edges, fresh.cold.edges)
+        assert got.ids == fresh.cold.ids
+
     def test_cache_moves_with_its_directory(self, copy, tmp_path, fresh, builds):
         pipeline.load_dataset(*copy)
         moved = tmp_path / "moved"
@@ -177,15 +185,18 @@ class TestBadCache:
         lambda a: _bump("train", (0, 0), len(a["vocab_u"]))(a),
         lambda a: _bump("test", (0, 1), -1)(a),
         lambda a: _bump("cold_test", (0, 1), len(a["cold_ids"]))(a),
-        lambda a: _bump("cold_lengths", 0, a["cold_lengths"][0] + 1)(a),
-        lambda a: _bump("cold_lengths", 0, -1)(a),
+        lambda a: _bump("cold_edges", (0, 1), len(a["vocab_ia"]))(a),
+        lambda a: _bump("cold_edges", (-1, 0), len(a["cold_ids"]))(a),
+        lambda a: _bump("cold_edges", (0, 0), -1)(a),
+        lambda a: a.update(cold_edges=a["cold_edges"].reshape(-1)),
         lambda a: a.update(cold_ids=np.concatenate([a["cold_ids"][:1], a["cold_ids"][:-1]])),
         lambda a: a.update(split_seed=np.array("{")),
         lambda a: a.update(dataset_hash=np.array(7)),
     ], ids=["other-key", "missing-member", "float-edges", "2d-vocab", "1d-split",
             "split-shape", "edge-lengths", "repeated-vocab", "edge-range",
             "negative-edge", "split-range", "negative-split", "cold-range",
-            "cold-lengths-sum", "negative-length", "repeated-cold-id",
+            "cold-edge-range", "cold-position-range", "negative-cold-edge",
+            "1d-cold-edges", "repeated-cold-id",
             "bad-seed", "int-hash"])
     def test_inconsistent_cache_rebuilds(self, copy, fresh, builds, edit):
         pipeline.load_dataset(*copy)

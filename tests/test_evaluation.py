@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from agrec.errors import ConfigError, DataError, IntegrityError, NumericError
-from agrec.evaluation import (RankingResult, evaluate, mean_recall_at_k,
+from agrec.evaluation import (evaluate, hit_matrix, mean_recall_at_k,
                               ndcg_at_k, precision_at_k, rank_items,
                               recall_at_k, top_k)
 from agrec.model import ModelConfig, save_checkpoint, load_checkpoint
 from agrec.synth import assemble_world, planted_world
-from helpers import brute_force_metrics
+from helpers import brute_force_metrics, hits_of
 
 
 def embeddings_for_scores(scores):
@@ -108,39 +108,41 @@ class TestTopK:
             top_k(e_u, e_i, 0)
 
 
-def result_from_order(order):
-    return RankingResult(user=0, ordering=np.asarray(order, dtype=np.int64))
+def recall_of(order, positives, k):
+    return float(recall_at_k(*hits_of(order, positives, k))[0])
+
+
+def precision_of(order, positives, k):
+    return float(precision_at_k(hits_of(order, positives, k)[0])[0])
+
+
+def ndcg_of(order, positives, k):
+    return float(ndcg_at_k(*hits_of(order, positives, k))[0])
 
 
 class TestMetrics:
     def test_recall_fraction(self):
-        res = result_from_order([0, 1, 2, 3, 4, 5, 6, 7, 8, 9])
+        order = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
         # 5 positives, 2 inside top-3
-        assert recall_at_k(res, {0, 2, 7, 8, 9}, 3) == pytest.approx(0.4)
+        assert recall_of(order, {0, 2, 7, 8, 9}, 3) == pytest.approx(0.4)
 
     def test_recall_all_ranked_first(self):
-        res = result_from_order([3, 4, 0, 1, 2])
-        assert recall_at_k(res, {3, 4}, 2) == 1.0
+        assert recall_of([3, 4, 0, 1, 2], {3, 4}, 2) == 1.0
 
     def test_precision_two_hits_k50(self):
-        res = result_from_order(list(range(60)))
-        assert precision_at_k(res, {0, 1}, 50) == pytest.approx(0.04)
+        assert precision_of(list(range(60)), {0, 1}, 50) == pytest.approx(0.04)
 
     def test_precision_no_hits(self):
-        res = result_from_order([0, 1, 2])
-        assert precision_at_k(res, {99}, 3) == 0.0
+        assert precision_of([0, 1, 2], {99}, 3) == 0.0
 
     def test_ndcg_hit_at_rank_one(self):
-        res = result_from_order([5, 1, 2])
-        assert ndcg_at_k(res, {5}, 3) == 1.0
+        assert ndcg_of([5, 1, 2], {5}, 3) == 1.0
 
     def test_ndcg_hit_at_rank_two(self):
-        res = result_from_order([1, 5, 2])
-        assert ndcg_at_k(res, {5}, 3) == pytest.approx(1 / math.log2(3))
+        assert ndcg_of([1, 5, 2], {5}, 3) == pytest.approx(1 / math.log2(3))
 
     def test_ndcg_no_hit(self):
-        res = result_from_order([1, 2, 3])
-        assert ndcg_at_k(res, {9}, 3) == 0.0
+        assert ndcg_of([1, 2, 3], {9}, 3) == 0.0
 
     def test_ndcg_bounds_and_perfection(self):
         rng = np.random.default_rng(0)
@@ -150,7 +152,7 @@ class TestMetrics:
             k = int(rng.integers(1, n + 1))
             positives = set(int(x) for x in
                             rng.choice(n, size=int(rng.integers(1, n)), replace=False))
-            val = ndcg_at_k(result_from_order(order), positives, k)
+            val = ndcg_of(order, positives, k)
             assert 0.0 <= val <= 1.0 + 1e-12
             prefix = min(k, len(positives))
             all_prefix_hit = all(int(order[r]) in positives for r in range(prefix))
@@ -164,10 +166,9 @@ class TestMetrics:
             k = int(rng.integers(1, n + 1))
             positives = set(int(x) for x in
                             rng.choice(n, size=int(rng.integers(1, n)), replace=False))
-            res = result_from_order(order)
             want = brute_force_metrics(order, positives, k)
-            got = (recall_at_k(res, positives, k), ndcg_at_k(res, positives, k),
-                   precision_at_k(res, positives, k))
+            got = (recall_of(order, positives, k), ndcg_of(order, positives, k),
+                   precision_of(order, positives, k))
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-12
 
@@ -179,10 +180,33 @@ class TestMetrics:
             k = int(rng.integers(1, n + 1))
             positives = set(int(x) for x in
                             rng.choice(n, size=int(rng.integers(1, n)), replace=False))
-            res = result_from_order(order)
-            lhs = recall_at_k(res, positives, k) * len(positives)
-            rhs = precision_at_k(res, positives, k) * k
+            lhs = recall_of(order, positives, k) * len(positives)
+            rhs = precision_of(order, positives, k) * k
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 60), st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_one_user_at_a_time(self, k, seed):
+        # k up to 60: numpy sums 8 or more terms pairwise, not in sequence
+        rng = np.random.default_rng(seed)
+        hits = rng.random((int(rng.integers(0, 40)), k)) < rng.random()
+        n_positives = hits.sum(axis=1) + rng.integers(0, 3, size=hits.shape[0])
+        n_positives[n_positives == 0] = 1
+        recall, ndcg = recall_at_k(hits, n_positives), ndcg_at_k(hits, n_positives)
+        precision = precision_at_k(hits)
+        assert recall.shape == ndcg.shape == precision.shape == (hits.shape[0],)
+        for row, n, r, g, p in zip(hits, n_positives.tolist(), recall, ndcg, precision):
+            ranks = np.flatnonzero(row) + 1
+            ideal = np.arange(1, min(k, n) + 1)
+            want = (float(np.sum(1.0 / np.log2(ranks + 1)))
+                    / float(np.sum(1.0 / np.log2(ideal + 1))))
+            assert (r, g, p) == (ranks.size / n, want, ranks.size / k)
+
+    def test_no_positives_refused(self):
+        hits = np.zeros((2, 3), dtype=bool)
+        for metric in (recall_at_k, ndcg_at_k):
+            with pytest.raises(DataError, match="without positives"):
+                metric(hits, np.array([1, 0]))
 
     def test_invariant_under_monotone_score_transform(self):
         rng = np.random.default_rng(3)
@@ -193,6 +217,28 @@ class TestMetrics:
             e_u2, e_i2 = embeddings_for_scores(transform(scores))
             moved = rank_items(0, np.arange(20), e_u2, e_i2)
             np.testing.assert_array_equal(base.ordering, moved.ordering)
+
+
+class TestHitMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_equals_set_membership(self, seed):
+        rng = np.random.default_rng(seed)
+        n_users, n_items = int(rng.integers(1, 8)), int(rng.integers(1, 20))
+        k = int(rng.integers(1, n_items + 3))
+        positives = {u: set(rng.choice(n_items, size=int(rng.integers(0, n_items + 1)),
+                                       replace=False).tolist())
+                     for u in range(n_users)}
+        keys = np.sort(np.array([u * n_items + i for u, s in positives.items()
+                                 for i in s], dtype=np.int64))
+        users = rng.permutation(n_users)[:int(rng.integers(0, n_users + 1))]
+        tops = [rng.permutation(n_items)[:int(rng.integers(0, min(k, n_items) + 1))]
+                for _ in users]
+        hits = hit_matrix(tops, users, keys, n_items, k)
+        assert hits.shape == (len(tops), k) and hits.dtype == bool
+        for row, user, top in zip(hits, users.tolist(), tops):
+            want = [j < top.size and int(top[j]) in positives[user] for j in range(k)]
+            assert row.tolist() == want
 
 
 def trained_world(tmp_path, cold_fraction=0.0):
@@ -219,7 +265,8 @@ class TestEvaluate:
         vals = []
         for u in range(3):
             res = rank_items(u, np.arange(5), e_u, e_i)
-            vals.append((recall_at_k(res, {u}, 2), ndcg_at_k(res, {u}, 2)))
+            vals.append((recall_of(res.ordering, {u}, 2),
+                         ndcg_of(res.ordering, {u}, 2)))
         assert all(v == (1.0, 1.0) for v in vals)
 
     def test_random_scores_recall_matches_expectation(self):
@@ -231,7 +278,7 @@ class TestEvaluate:
             e_u = np.array([[1.0]])
             e_i = rng.normal(size=(n, 1))
             res = rank_items(0, np.arange(n), e_u, e_i)
-            hits.append(recall_at_k(res, {int(rng.integers(n))}, k))
+            hits.append(recall_of(res.ordering, {int(rng.integers(n))}, k))
         assert np.mean(hits) == pytest.approx(k / n, abs=0.05)
 
     def test_standard_mode_end_to_end(self, tmp_path):
@@ -303,8 +350,8 @@ class TestEvaluate:
         base = evaluate(checkpoint, bundle, split, k=3, mode="cold_start",
                         cold=cold)
         assert (base.unscorable_cold_items, base.excluded_users) == (0, 0)
-        unknown = dataclasses.replace(cold, keywords={
-            **cold.keywords, cold.ids[0]: ["no-such-keyword"]})
+        # the first cold item keeps no keyword the model was trained on
+        unknown = dataclasses.replace(cold, edges=cold.edges[cold.edges[:, 0] != 0])
         report = evaluate(checkpoint, bundle, split, k=3, mode="cold_start",
                           cold=unknown)
         assert report.unscorable_cold_items == 1

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agrec.errors import (AgrecError, ColdItemError, ConfigError, DataError,
-                          IntegrityError, NumericError)
+from agrec.errors import (AgrecError, ConfigError, DataError, IntegrityError,
+                          NumericError)
 from agrec.graphs import (BipartiteGraph, GraphBundle, Vocabulary,
                           build_item_attribute_graph, build_user_graph)
 from agrec.evaluation import top_k
@@ -17,9 +17,10 @@ from agrec.kernels import gather_rows
 from agrec.model import (ModelConfig, cold_item_embedding, final_embeddings,
                          forward, init_tables, load_checkpoint,
                          save_checkpoint)
+from agrec.pipeline import _cold_edges
 from helpers import (dense_forward, dense_propagation_matrix,
                      dense_union_matrix, random_bundle, random_tables,
-                     split_classes)
+                     reference_cold_item_embedding, split_classes)
 
 CLASSES = ("users", "items", "item_attrs", "aesthetics")
 
@@ -432,6 +433,14 @@ class TestScore:
         assert self.ranked(3.7 * e_u[0], e_i) == base
 
 
+def embed_cold(keyword_lists, bundle, stack, alpha):
+    """cold_item_embedding over the edges the pipeline builds from
+    `keyword_lists`, one list per cold item."""
+    edges = _cold_edges({str(n): kws for n, kws in enumerate(keyword_lists)},
+                        bundle.vocab_ia)
+    return cold_item_embedding(edges, len(keyword_lists), bundle.g_iia, stack, alpha)
+
+
 class TestColdItem:
     def test_single_known_keyword_unit_degree(self):
         g_iia, vocab_i, vocab_ia = build_item_attribute_graph([("i1", "a")])
@@ -442,17 +451,19 @@ class TestColdItem:
         tables = init_tables(bundle, cfg)
         stack = forward(tables, bundle, cfg)
         alpha = cfg.alpha()
-        got = cold_item_embedding(["a"], vocab_ia, g_iia, stack, alpha)
+        (got,), scorable = embed_cold([["a"]], bundle, stack, alpha)
         want = alpha[1] * stack.split(0)[2][0] + alpha[2] * stack.split(1)[2][0]
         np.testing.assert_allclose(got, want, atol=1e-12)
+        assert scorable.tolist() == [True]
 
-    def test_unknown_keywords_error(self):
+    def test_unknown_keywords_unscorable(self):
         bundle = toy_bundle()
         cfg = ModelConfig(dim=2, layers=1, seed=0)
         stack = forward(init_tables(bundle, cfg), bundle, cfg)
-        with pytest.raises(ColdItemError, match="unscorable cold item"):
-            cold_item_embedding(["never-seen"], bundle.vocab_ia, bundle.g_iia,
-                                stack, cfg.alpha())
+        got, scorable = embed_cold([["never-seen"], ["blue"], []], bundle, stack,
+                                   cfg.alpha())
+        assert scorable.tolist() == [False, True, False]
+        assert got.shape == (3, 2) and not got[[0, 2]].any() and got[1].any()
 
     def test_duplicate_keyword_set_matches_attribute_component(self):
         # a cold twin of item i1 reproduces i1's attribute-only component
@@ -461,8 +472,7 @@ class TestColdItem:
         tables = init_tables(bundle, cfg)
         stack = forward(tables, bundle, cfg)
         alpha = cfg.alpha()
-        twin = cold_item_embedding(["denim", "blue"], bundle.vocab_ia,
-                                   bundle.g_iia, stack, alpha)
+        (twin,), _ = embed_cold([["denim", "blue"]], bundle, stack, alpha)
         i1 = bundle.vocab_i.index_of("i1")
         attribute_component = sum(alpha[k] * stack.split(k)[1][i1]
                                   for k in range(1, 3))
@@ -474,11 +484,39 @@ class TestColdItem:
         bundle = toy_bundle()
         cfg = ModelConfig(dim=2, layers=1, seed=0)
         stack = forward(init_tables(bundle, cfg), bundle, cfg)
-        once = cold_item_embedding(["blue"], bundle.vocab_ia, bundle.g_iia,
-                                   stack, cfg.alpha())
-        twice = cold_item_embedding(["blue", "blue"], bundle.vocab_ia,
-                                    bundle.g_iia, stack, cfg.alpha())
+        (once, twice), _ = embed_cold([["blue"], ["blue", "blue"]], bundle, stack,
+                                      cfg.alpha())
         np.testing.assert_array_equal(once, twice)
+
+    def test_edges_keep_first_occurrences_of_known_keywords(self):
+        vocab = Vocabulary.from_ids(["a", "b", "c"])
+        edges = _cold_edges({"x": ["c", "zz", "a", "c", "a"], "y": ["zz"],
+                             "z": ["b", "b"]}, vocab)
+        assert edges.dtype == np.int64
+        assert edges.tolist() == [[0, 2], [0, 0], [2, 1]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+    def test_batched_matches_per_item_oracle(self, seed, layers):
+        rng = np.random.default_rng(seed)
+        bundle = random_bundle(rng, int(rng.integers(1, 8)), int(rng.integers(1, 10)),
+                               int(rng.integers(1, 8)), int(rng.integers(1, 5)))
+        # keywords without a trained edge have degree 0, which no pipeline builds
+        known = [kw for j, kw in enumerate(bundle.vocab_ia.entries)
+                 if bundle.g_iia.right_deg[j] > 0]
+        pool = known + ["unknown-1", "unknown-2"]
+        lists = [[pool[j] for j in rng.integers(0, len(pool), size=rng.integers(0, 6))]
+                 for _ in range(int(rng.integers(1, 12)))]
+        alpha = rng.random(layers + 1) * (rng.random(layers + 1) < 0.7)
+        cfg = ModelConfig(dim=int(rng.integers(1, 6)), layers=layers, seed=seed)
+        stack = forward(random_tables(rng, bundle, cfg.dim), bundle, cfg)
+        got, scorable = embed_cold(lists, bundle, stack, alpha)
+        want = [reference_cold_item_embedding(kws, bundle.vocab_ia, bundle.g_iia,
+                                              stack, alpha) for kws in lists]
+        assert scorable.tolist() == [w is not None for w in want]
+        assert int((~scorable).sum()) == sum(w is None for w in want)
+        for row, w in zip(got, want):
+            np.testing.assert_allclose(row, 0.0 if w is None else w, rtol=0, atol=1e-12)
 
 
 def toy_checkpoint_bytes(tmp_path) -> bytes:
