@@ -52,11 +52,49 @@ def _ratios(text: str) -> tuple[float, ...]:
     return parts
 
 
-def _resolve(args, spec: dict) -> dict:
+# Each command's settings, key -> (cast, default). Every key is also the
+# command's flag: "--" + key with "_" as "-", parsed by cast.
+SETTINGS = {
+    "prepare": {
+        "min_users": (int, 10),
+        "split": (_ratios, (0.8, 0.1, 0.1)),
+        "seed": (int, 0),
+        "price_buckets": (int, 10),
+    },
+    "extract": {
+        "backend": (str, "fixture"),
+        "fixture": (str, None),
+        "base_url": (str, None),
+        "auth_env": (str, "AGREC_VLM_TOKEN"),
+        "timeout": (float, 30.0),
+        "kinds": (str, "item,aesthetic"),
+        "threads": (int, 1),
+    },
+    "train": {
+        "dim": (int, 64),
+        "layers": (int, 3),
+        "lr": (float, 1e-3),
+        "l2": (float, 1e-4),
+        "neg": (int, 1),
+        "epochs": (int, 50),
+        "seed": (int, 0),
+        "batch": (int, 256),
+        "val_k": (int, 50),
+        "patience": (int, 5),
+        "init_scale": (float, 0.1),
+        "alpha": (_ratios, None),
+        "checkpoint_every": (int, 0),
+    },
+    "evaluate": {"k": (int, 50)},
+    "recommend": {"k": (int, 10)},
+}
+
+
+def _resolve(args) -> dict:
     """Merge defaults < config file < explicit flags, per-key."""
     file_cfg = read_config_file(args.config) if getattr(args, "config", None) else {}
     resolved = {}
-    for key, (cast, default) in spec.items():
+    for key, (cast, default) in SETTINGS[args.command].items():
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             resolved[key] = flag_value
@@ -90,13 +128,7 @@ def _refuse_overwrite(paths, force: bool) -> None:
 # --- prepare -----------------------------------------------------------------
 
 def cmd_prepare(args) -> int:
-    spec = {
-        "min_users": (int, 10),
-        "split": (_ratios, (0.8, 0.1, 0.1)),
-        "seed": (int, 0),
-        "price_buckets": (int, 10),
-    }
-    cfg = _resolve(args, spec)
+    cfg = _resolve(args)
     cfg.update(interactions=args.interactions, items=args.items, out=args.out,
                include_description=not args.no_description)
 
@@ -156,16 +188,7 @@ _KIND_NAMES = {"item": PromptKind.ITEM_ATTRIBUTES,
 
 
 def cmd_extract(args) -> int:
-    spec = {
-        "backend": (str, "fixture"),
-        "base_url": (str, None),
-        "fixture": (str, None),
-        "auth_env": (str, "AGREC_VLM_TOKEN"),
-        "timeout": (float, 30.0),
-        "kinds": (str, "item,aesthetic"),
-        "threads": (int, 1),
-    }
-    cfg = _resolve(args, spec)
+    cfg = _resolve(args)
     if cfg["backend"] == "fixture":
         if not cfg["fixture"]:
             raise ConfigError("--backend fixture requires --fixture")
@@ -197,22 +220,7 @@ def cmd_extract(args) -> int:
 # --- train -------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    spec = {
-        "dim": (int, 64),
-        "layers": (int, 3),
-        "lr": (float, 1e-3),
-        "l2": (float, 1e-4),
-        "neg": (int, 1),
-        "epochs": (int, 50),
-        "seed": (int, 0),
-        "batch": (int, 256),
-        "val_k": (int, 50),
-        "patience": (int, 5),
-        "init_scale": (float, 0.1),
-        "alpha": (_ratios, None),
-        "checkpoint_every": (int, 0),
-    }
-    cfg = _resolve(args, spec)
+    cfg = _resolve(args)
     cfg.update(data=args.data, attrs=args.attrs, out=args.out)
 
     log_path = args.log or (args.out + ".log.jsonl")
@@ -250,8 +258,7 @@ def cmd_train(args) -> int:
 # --- evaluate ----------------------------------------------------------------
 
 def cmd_evaluate(args) -> int:
-    spec = {"k": (int, 50)}
-    cfg = _resolve(args, spec)
+    cfg = _resolve(args)
     cfg.update(model=args.model, data=args.data, attrs=args.attrs,
                cold_start=args.cold_start)
 
@@ -282,8 +289,7 @@ def _item_keywords(bundle, item_idx: int) -> set[str]:
 
 
 def cmd_recommend(args) -> int:
-    spec = {"k": (int, 10)}
-    cfg = _resolve(args, spec)
+    cfg = _resolve(args)
     cfg.update(model=args.model, data=args.data, attrs=args.attrs,
                user=args.user, explain=args.explain)
 
@@ -325,6 +331,11 @@ def cmd_recommend(args) -> int:
 
 # --- parser ------------------------------------------------------------------
 
+def _add_settings(p: argparse.ArgumentParser, command: str) -> None:
+    for key, (cast, _) in SETTINGS[command].items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=cast)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="agrec",
@@ -337,10 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interactions", required=True)
     p.add_argument("--items", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-users", dest="min_users", type=int)
-    p.add_argument("--split", type=_ratios)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--price-buckets", dest="price_buckets", type=int)
+    _add_settings(p, "prepare")
     p.add_argument("--stop-words", dest="stop_words")
     p.add_argument("--no-description", dest="no_description", action="store_true")
     p.add_argument("--force", action="store_true")
@@ -350,13 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="run vision-language keyword extraction")
     p.add_argument("--items", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--backend", choices=["fixture", "http"])
-    p.add_argument("--fixture")
-    p.add_argument("--base-url", dest="base_url")
-    p.add_argument("--auth-env", dest="auth_env")
-    p.add_argument("--timeout", type=float)
-    p.add_argument("--kinds")
-    p.add_argument("--threads", type=int)
+    _add_settings(p, "extract")
     p.add_argument("--config")
     p.set_defaults(func=cmd_extract)
 
@@ -364,19 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--attrs")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--neg", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--val-k", dest="val_k", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--init-scale", dest="init_scale", type=float)
-    p.add_argument("--alpha", type=_ratios)
-    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
+    _add_settings(p, "train")
     p.add_argument("--log")
     p.add_argument("--force", action="store_true")
     p.add_argument("--config")
@@ -386,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--attrs")
-    p.add_argument("--k", type=int)
+    _add_settings(p, "evaluate")
     p.add_argument("--cold-start", dest="cold_start", action="store_true")
     p.add_argument("--out")
     p.add_argument("--config")
@@ -397,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--attrs")
     p.add_argument("--user", required=True)
-    p.add_argument("--k", type=int)
+    _add_settings(p, "recommend")
     p.add_argument("--explain", action="store_true")
     p.add_argument("--config")
     p.set_defaults(func=cmd_recommend)

@@ -9,12 +9,11 @@ averaged over users with at least one test positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .graphs import GraphBundle
+from .graphs import GraphBundle, _sorted_unique
 from .ingest import SplitDataset
 from .model import Checkpoint, cold_item_embedding, final_embeddings, forward
 
@@ -165,27 +164,15 @@ def ndcg_at_k(hits: np.ndarray, n_positives) -> np.ndarray:
     return dcg / idcg[ideal]
 
 
-def _columns(pairs) -> tuple[np.ndarray, np.ndarray]:
-    """(int, int) pairs as two int64 columns."""
-    flat = np.fromiter(chain.from_iterable(pairs), np.int64)
-    return flat[0::2], flat[1::2]
-
-
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """np.unique without its first-use import of numpy.ma (~15 ms per CLI
-    process)."""
-    values = np.sort(values)
-    return values[np.diff(values, prepend=values[:1] - 1) != 0]
-
-
-def _rank_positives(e_u: np.ndarray, items: np.ndarray, pair_users: np.ndarray,
-                    pair_items: np.ndarray, seen: dict[int, set[int]], k: int,
+def _rank_positives(e_u: np.ndarray, items: np.ndarray, pairs: np.ndarray,
+                    seen: dict[int, set[int]], k: int,
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Rank `items` for every user of a positive (user, item) pair, leaving
-    out the user's `seen` items. Returns the hit matrix and the positive
-    counts of the users that had a candidate left, in ascending user order."""
+    """Rank `items` for every user of the positive (user, item) `pairs`,
+    leaving out the user's `seen` items. Returns the hit matrix and the
+    positive counts of the users that had a candidate left, in ascending
+    user order; a repeated pair counts once."""
     n_items = items.shape[0]
-    keys = _sorted_unique(pair_users * n_items + pair_items)
+    keys = _sorted_unique(pairs[:, 0] * n_items + pairs[:, 1])
     owner = keys // n_items
     first = np.flatnonzero(np.diff(owner, prepend=-1))
     users = owner[first]
@@ -198,13 +185,11 @@ def _rank_positives(e_u: np.ndarray, items: np.ndarray, pair_users: np.ndarray,
     return hits, n_positives[ranked]
 
 
-def mean_recall_at_k(e_u: np.ndarray, e_i: np.ndarray,
-                     positives_by_user: dict[int, set[int]],
+def mean_recall_at_k(e_u: np.ndarray, e_i: np.ndarray, pairs: np.ndarray,
                      train_positives: dict[int, set[int]], k: int) -> float:
-    """Average Recall@k over users with positives; used for early stopping."""
-    users, items = _columns((u, i) for u, positives in positives_by_user.items()
-                            for i in positives)
-    hits, n_positives = _rank_positives(e_u, e_i, users, items, train_positives, k)
+    """Average Recall@k over the users of the (n, 2) (user, item) positive
+    `pairs`; used for early stopping."""
+    hits, n_positives = _rank_positives(e_u, e_i, pairs, train_positives, k)
     if not n_positives.size:
         return 0.0
     values = recall_at_k(hits, n_positives)
@@ -213,17 +198,19 @@ def mean_recall_at_k(e_u: np.ndarray, e_i: np.ndarray,
 
 @dataclass
 class ColdCandidates:
-    """Items absent from training interactions: external IDs, their known
-    attribute keywords and the (user index, item ID) test pairs that hit them.
+    """Items absent from training interactions: their external IDs at ID
+    level, and at index level their known attribute keywords and the test
+    pairs that hit them, both keyed by an item's position in `ids`.
 
-    `edges` is an (n, 2) int64 array of (position in ids, vocab_ia index),
-    grouped by position, each item's keywords in first-occurrence order and
-    without repeats; a keyword outside the trained vocabulary has no edge.
+    `edges` is an (n, 2) int64 array of (position, vocab_ia index), grouped
+    by position, each item's keywords in first-occurrence order and without
+    repeats; a keyword outside the trained vocabulary has no edge.
+    `test_pairs` is an (n, 2) int64 array of (vocab_u index, position).
     """
 
     ids: list[str]
     edges: np.ndarray
-    test_pairs: list[tuple[int, str]]
+    test_pairs: np.ndarray
 
 
 def _aggregate(per_user: np.ndarray) -> tuple[float, float, float]:
@@ -250,9 +237,8 @@ def evaluate(checkpoint: Checkpoint, bundle: GraphBundle, split: SplitDataset,
     e_u, e_i = final_embeddings(stack, config.alpha())
 
     if mode == "standard":
-        items, seen = e_i, split.user_positives
-        users, hit_items = _columns(split.test)
-        eligible = _sorted_unique(users).size
+        items, seen, pairs = e_i, split.user_positives, split.test
+        eligible = _sorted_unique(pairs[:, 0]).size
         unscorable = 0
     else:
         if cold is None:
@@ -262,14 +248,13 @@ def evaluate(checkpoint: Checkpoint, bundle: GraphBundle, split: SplitDataset,
         if not scorable.any():
             raise DataError("no scorable cold items")
         items, seen = embedded[scorable], {}
-        position = {item_id: n for n, item_id in enumerate(cold.ids)}
-        users, hit_items = _columns((u, position[i]) for u, i in cold.test_pairs)
-        eligible = _sorted_unique(users).size
-        keep = scorable[hit_items]  # an unscorable item is no candidate
-        users, hit_items = users[keep], (np.cumsum(scorable) - 1)[hit_items[keep]]
+        eligible = _sorted_unique(cold.test_pairs[:, 0]).size
+        # an unscorable item is no candidate; the rest become rows of `items`
+        pairs = cold.test_pairs[scorable[cold.test_pairs[:, 1]]]
+        pairs[:, 1] = (np.cumsum(scorable) - 1)[pairs[:, 1]]
         unscorable = len(cold.ids) - int(scorable.sum())
 
-    hits, n_positives = _rank_positives(e_u, items, users, hit_items, seen, k)
+    hits, n_positives = _rank_positives(e_u, items, pairs, seen, k)
     ranked = hits.shape[0]
     if ranked:
         recall, ndcg, precision = _aggregate(np.column_stack(

@@ -4,7 +4,8 @@ Two fixed prompts produce two keyword sets per item: attributes of the item
 itself, and aesthetic qualities of the photograph independent of the item.
 Backends are pluggable; `fixture` replays canned responses for deterministic
 runs, `http` is a generic prompt+image-in/text-out JSON adapter. Results are
-cached per (item_id, kind, backend) and written as resumable JSONL.
+written as resumable JSONL: a rerun queries only the (item_id, kind) pairs
+its output does not hold yet.
 """
 
 from __future__ import annotations
@@ -188,11 +189,10 @@ def _utc_now() -> str:
 
 
 class KeywordExtractor:
-    """Caching front end over a backend, with bounded retries.
+    """Front end over a backend, with bounded retries.
 
     Transport failures retry up to `retries` times with exponential backoff
     starting at `backoff` seconds; parse failures (no keywords) never retry.
-    The cache guarantees at most one backend call per (item_id, kind).
     """
 
     def __init__(self, backend, retries: int = 3, backoff: float = 1.0,
@@ -202,25 +202,15 @@ class KeywordExtractor:
         self.backoff = backoff
         self._sleep = sleep
         self._now = now
-        self._cache: dict[tuple[str, str, str], ExtractionRecord] = {}
-        self.cache_hits = 0
         self.backend_calls = 0
 
     def extract(self, item_id: str, image_ref: str | None,
                 kind: PromptKind) -> ExtractionRecord:
-        key = (item_id, kind.value, self.backend.name)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        prompt = render_prompt(kind)
-        raw = self._call_with_retries(item_id, image_ref, prompt)
-        record = ExtractionRecord(item_id=item_id, kind=kind,
-                                  keywords=parse_keyword_response(raw),
-                                  backend_name=self.backend.name,
-                                  retrieved_at=self._now())
-        self._cache[key] = record
-        return record
+        raw = self._call_with_retries(item_id, image_ref, render_prompt(kind))
+        return ExtractionRecord(item_id=item_id, kind=kind,
+                                keywords=parse_keyword_response(raw),
+                                backend_name=self.backend.name,
+                                retrieved_at=self._now())
 
     def _call_with_retries(self, item_id, image_ref, prompt) -> str:
         delay = self.backoff

@@ -20,6 +20,13 @@ from .errors import GraphError, UnknownIdError
 from .kernels import GatherPlan, plan_gather
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending. np.unique would import numpy.ma on
+    first use, about 17 ms and 1 MB in every CLI process."""
+    values = np.sort(values)
+    return values[np.diff(values, prepend=values[:1] - 1) != 0]
+
+
 @dataclass
 class Vocabulary:
     """Bijective mapping between external string IDs and dense 0-based indices.
@@ -76,10 +83,7 @@ class BipartiteGraph:
                 raise GraphError("left index out of range")
             if right.min() < 0 or right.max() >= right_count:
                 raise GraphError("right index out of range")
-        # sorted unique keys; np.unique would import numpy.ma on first use,
-        # about 17 ms and 1 MB in every CLI process
-        keys = np.sort(left * right_count + right)
-        keys = keys[np.diff(keys, prepend=-1) != 0]
+        keys = _sorted_unique(left * right_count + right)
         self.left, self.right = np.divmod(keys, right_count)
 
         self.edge_count = keys.shape[0]

@@ -15,6 +15,7 @@ import math
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -73,18 +74,28 @@ class PriceBuckets:
 
 @dataclass
 class SplitDataset:
-    """Train/validation/test interaction lists plus per-user positives.
+    """Train/validation/test (user, item) pairs. Every user in validation or
+    test also appears in train.
 
-    Pairs are (user, item) in whatever key space the caller supplied (string
-    IDs from ingestion, dense indices after vocabulary mapping). Every user in
-    validation/test also appears in train.
+    At ID level, from ingestion and the manifest, each split is a list of
+    (user_id, item_id) string tuples. At index level, from
+    pipeline.build_bundle and the dataset cache, each is an (n, 2) int64
+    array of (vocab_u index, vocab_i index).
     """
 
-    train: list = field(default_factory=list)
-    validation: list = field(default_factory=list)
-    test: list = field(default_factory=list)
-    user_positives: dict = field(default_factory=dict)
+    train: list | np.ndarray = field(default_factory=list)
+    validation: list | np.ndarray = field(default_factory=list)
+    test: list | np.ndarray = field(default_factory=list)
     split_seed: int = 0
+
+    @cached_property
+    def user_positives(self) -> dict:
+        """Each training user's set of training items, built on first use."""
+        train = self.train.tolist() if isinstance(self.train, np.ndarray) else self.train
+        positives: dict = {}
+        for user, item in train:
+            positives.setdefault(user, set()).add(item)
+        return positives
 
 
 def parse_interactions(lines: Iterable[str]) -> list[Interaction]:
@@ -282,11 +293,7 @@ def split_dataset(interactions: Sequence, ratios: Sequence[float] = (0.8, 0.1, 0
         val = val + list(reversed(back_val))
         test = test + list(reversed(back_test))
 
-    positives: dict = {}
-    for user, item in train:
-        positives.setdefault(user, set()).add(item)
-    return SplitDataset(train=train, validation=val, test=test,
-                        user_positives=positives, split_seed=seed)
+    return SplitDataset(train=train, validation=val, test=test, split_seed=seed)
 
 
 def fit_price_buckets(prices: Sequence[float], n_p: int) -> PriceBuckets:
@@ -418,8 +425,5 @@ def manifest_split(doc: dict) -> SplitDataset:
                             f"string IDs, got {json.dumps(rows[bad])[:60]}")
         parts.append(list(map(tuple, rows)))
     train, val, test = parts
-    positives: dict = {}
-    for user, item in train:
-        positives.setdefault(user, set()).add(item)
     return SplitDataset(train=train, validation=val, test=test,
-                        user_positives=positives, split_seed=doc["seed"])
+                        split_seed=doc["seed"])

@@ -260,14 +260,16 @@ def _check_header(header) -> None:
             and all(_is_count(counts.get(cls)) for cls in _TABLE_NAMES)):
         raise DataError("corrupt checkpoint: counts must be non-negative "
                         f"integers for {list(_TABLE_NAMES)}")
-    if not _is_count(header["dim"]) or header["dim"] < 1:
-        raise DataError(f"corrupt checkpoint: bad dim {header['dim']!r}")
-    if not _is_count(header["layers"]) or not isinstance(header["seed"], int):
-        raise DataError("corrupt checkpoint: layers and seed must be integers")
+    if not (_is_count(header["dim"]) and _is_count(header["layers"])
+            and isinstance(header["seed"], int)):
+        raise DataError("corrupt checkpoint: dim, layers and seed must be integers")
     alpha = header["alpha"]
-    if not (isinstance(alpha, list) and len(alpha) == header["layers"] + 1
-            and all(isinstance(a, (int, float)) for a in alpha)):
-        raise DataError("corrupt checkpoint: alpha must hold layers + 1 numbers")
+    if not (isinstance(alpha, list) and all(isinstance(a, (int, float)) for a in alpha)):
+        raise DataError("corrupt checkpoint: alpha must be a list of numbers")
+    try:
+        Checkpoint(header, None).config().validate()
+    except (ConfigError, OverflowError) as exc:  # an int alpha past float range
+        raise DataError(f"corrupt checkpoint: {exc}") from None
 
 
 def load_checkpoint(path) -> Checkpoint:

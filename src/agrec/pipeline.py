@@ -150,8 +150,7 @@ def _build_dataset(data_dir, attrs_path) -> PreparedDataset:
     cold_keywords = {iid: item_keywords[iid] for iid in item_order
                      if iid not in train_items}
     bundle, split, cold = build_bundle(
-        id_split, warm_pairs, aes_pairs, cold_keywords,
-        cold_pairs=[(u, i) for u, i in id_split.test if i in cold_keywords])
+        id_split, warm_pairs, aes_pairs, cold_keywords, cold_pairs=id_split.test)
     return PreparedDataset(dataset_hash=dataset_hash, bundle=bundle,
                            split=split, cold=cold)
 
@@ -221,11 +220,10 @@ def _write_cache(path, key: str, prepared: PreparedDataset) -> None:
             graph = getattr(bundle, name)
             arrays[name + "_left"], arrays[name + "_right"] = graph.left, graph.right
         for name in _SPLITS:
-            arrays[name] = _index_pairs(getattr(split, name))
-        position = {iid: n for n, iid in enumerate(cold.ids)}
+            arrays[name] = getattr(split, name)
         arrays["cold_ids"] = _strings(cold.ids)
         arrays["cold_edges"] = cold.edges
-        arrays["cold_test"] = _index_pairs([(u, position[i]) for u, i in cold.test_pairs])
+        arrays["cold_test"] = cold.test_pairs
     except ValueError:
         return
     arrays["digest"] = np.array(_payload_digest(arrays))
@@ -291,12 +289,6 @@ def _index_array(arrays: dict, name: str, left_count: int, right_count: int
     return arr.astype(np.int64, copy=False)
 
 
-def _pairs(arrays: dict, name: str, left_count: int, right_count: int) -> list:
-    """An (n, 2) index array as a list of int tuples, range-checked."""
-    arr = _index_array(arrays, name, left_count, right_count)
-    return list(zip(arr[:, 0].tolist(), arr[:, 1].tolist()))
-
-
 def _from_arrays(arrays: dict) -> PreparedDataset:
     vocabs = {}
     for name in _VOCABS:
@@ -315,12 +307,8 @@ def _from_arrays(arrays: dict) -> PreparedDataset:
     bundle = GraphBundle(**graphs, **vocabs)
 
     n_u, n_i = len(bundle.vocab_u), len(bundle.vocab_i)
-    train, validation, test = (_pairs(arrays, name, n_u, n_i) for name in _SPLITS)
-    positives: dict[int, set[int]] = {}
-    for u, i in train:
-        positives.setdefault(u, set()).add(i)
     split = SplitDataset(
-        train=train, validation=validation, test=test, user_positives=positives,
+        *(_index_array(arrays, name, n_u, n_i) for name in _SPLITS),
         split_seed=parse_json(_member(arrays, "split_seed", "U", 0).item()))
 
     ids = _member(arrays, "cold_ids", "U", 1).tolist()
@@ -329,7 +317,7 @@ def _from_arrays(arrays: dict) -> PreparedDataset:
     cold = ColdCandidates(
         ids=ids,
         edges=_index_array(arrays, "cold_edges", len(ids), len(bundle.vocab_ia)),
-        test_pairs=[(u, ids[p]) for u, p in _pairs(arrays, "cold_test", n_u, len(ids))])
+        test_pairs=_index_array(arrays, "cold_test", n_u, len(ids)))
     return PreparedDataset(
         dataset_hash=_member(arrays, "dataset_hash", "U", 0).item(),
         bundle=bundle, split=split, cold=cold)
@@ -352,8 +340,8 @@ def build_bundle(id_split: SplitDataset, item_keyword_pairs, aesthetic_pairs,
     order of first appearance; users and aesthetic keywords are indexed as
     the training pairs reach them. `cold_keywords` lists the cold items in
     order with their keywords, which become edges to the trained keywords;
-    `cold_pairs` are the (user_id, item_id) pairs that hit them, kept as
-    cold test pairs when the user has trained.
+    those of the (user_id, item_id) `cold_pairs` that hit a cold item and
+    whose user has trained become the cold test pairs.
     """
     g_iia, vocab_i, vocab_ia = build_item_attribute_graph(item_keyword_pairs)
     g_ui, g_uiaa, vocab_u, vocab_iaa = build_user_graph(
@@ -363,21 +351,18 @@ def build_bundle(id_split: SplitDataset, item_keyword_pairs, aesthetic_pairs,
                          vocab_ia=vocab_ia, vocab_iaa=vocab_iaa)
     bundle.validate()
 
-    def _indexed(pairs):
-        index_u, index_i = vocab_u.index, vocab_i.index
-        return [(a, b) for u, i in pairs
-                if (a := index_u.get(u)) is not None
-                and (b := index_i.get(i)) is not None]
+    def _indexed(pairs, vocab_right: Vocabulary) -> np.ndarray:
+        """The (user_id, right_id) pairs whose IDs are both known, indexed."""
+        index_u, index_r = vocab_u.index, vocab_right.index
+        return _index_pairs([(a, b) for u, r in pairs
+                             if (a := index_u.get(u)) is not None
+                             and (b := index_r.get(r)) is not None])
 
-    train_idx = _indexed(id_split.train)
-    positives: dict[int, set[int]] = {}
-    for u, i in train_idx:
-        positives.setdefault(u, set()).add(i)
-    split = SplitDataset(train=train_idx, validation=_indexed(id_split.validation),
-                         test=_indexed(id_split.test), user_positives=positives,
-                         split_seed=id_split.split_seed)
+    split = SplitDataset(
+        *(_indexed(getattr(id_split, name), vocab_i) for name in _SPLITS),
+        split_seed=id_split.split_seed)
+    vocab_cold = Vocabulary.from_ids(cold_keywords)
     cold = ColdCandidates(
-        ids=list(cold_keywords), edges=_cold_edges(cold_keywords, vocab_ia),
-        test_pairs=[(vocab_u.index_of(u), i) for u, i in cold_pairs
-                    if u in vocab_u])
+        ids=vocab_cold.entries, edges=_cold_edges(cold_keywords, vocab_ia),
+        test_pairs=_indexed(cold_pairs, vocab_cold))
     return bundle, split, cold

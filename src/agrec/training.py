@@ -227,8 +227,7 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
     rng = np.random.default_rng(config.seed)
     tables = init_tables(bundle, config, rng)
 
-    pairs = np.asarray(split.train, dtype=np.int64).reshape(-1, 2)
-    n_pairs = pairs.shape[0]
+    n_pairs = split.train.shape[0]
     if n_pairs == 0:
         raise DataError("empty training split")
     item_count = len(bundle.vocab_i)
@@ -239,10 +238,6 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
     op = bundle.operator
     _ = op.forward, op.head, op.transpose, op.head_transpose
     n_n = config.n_negatives
-
-    val_by_user: dict[int, set[int]] = {}
-    for u, i in split.validation:
-        val_by_user.setdefault(int(u), set()).add(int(i))
 
     stats: list[EpochStats] = []
     last_good: np.ndarray | None = None
@@ -265,8 +260,8 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
         try:  # propagation, the loss or the validation scores can overflow
             for start in range(0, n_pairs, batch_size):
                 sel = order[start:start + batch_size]
-                users = np.repeat(pairs[sel, 0], n_n)
-                pos = np.repeat(pairs[sel, 1], n_n)
+                users = np.repeat(split.train[sel, 0], n_n)
+                pos = np.repeat(split.train[sel, 1], n_n)
                 negs = _sample_negatives_block(users, item_count,
                                                split.user_positives, rng)
                 clock.lap("sample_s")
@@ -284,11 +279,11 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
                 reg_sum += reg_mean
                 batches += 1
                 clock.lap("step_s")
-            if val_by_user:  # the next epoch's first batch reuses this stack
+            if split.validation.size:  # the next epoch's first batch reuses this stack
                 stack = forward(tables, bundle, config)
                 e_u, e_i = final_embeddings(stack, config.alpha())
                 val_recall = evaluation.mean_recall_at_k(
-                    e_u, e_i, val_by_user, split.user_positives, val_k)
+                    e_u, e_i, split.validation, split.user_positives, val_k)
                 clock.lap("validate_s")
         except NumericError as exc:
             raise TrainDivergedError(

@@ -286,9 +286,15 @@ def write_prepared_dir(directory, seed=0):
     return data, attrs
 
 
+def _assert_same_pairs(got, want, name):
+    assert got.dtype == want.dtype == np.int64, name
+    assert got.shape == want.shape and got.ndim == 2 and got.shape[1] == 2, name
+    assert got.tobytes() == want.tobytes(), name
+
+
 def assert_same_dataset(got, want):
     """Field-by-field equality of two PreparedDatasets, down to the Python
-    types in the splits and the bytes of every coefficient."""
+    types of the IDs and the dtype, shape and bytes of every array."""
     assert type(got.dataset_hash) is str and got.dataset_hash == want.dataset_hash
     for name in ("vocab_u", "vocab_i", "vocab_ia", "vocab_iaa"):
         a, b = getattr(got.bundle, name), getattr(want.bundle, name)
@@ -302,19 +308,15 @@ def assert_same_dataset(got, want):
             x, y = getattr(a, field), getattr(b, field)
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (name, field)
     for name in ("train", "validation", "test"):
-        pairs = getattr(got.split, name)
-        assert pairs == getattr(want.split, name), name
-        assert all(type(p) is tuple and type(p[0]) is int and type(p[1]) is int
-                   for p in pairs), name
+        _assert_same_pairs(getattr(got.split, name), getattr(want.split, name), name)
     assert list(got.split.user_positives.items()) == \
         list(want.split.user_positives.items())
-    assert all(type(i) is int for s in got.split.user_positives.values() for i in s)
+    assert all(type(u) is int and all(type(i) is int for i in s)
+               for u, s in got.split.user_positives.items())
     # any JSON value; compared as JSON so that a NaN seed equals itself
     assert json.dumps(got.split.split_seed) == json.dumps(want.split.split_seed)
     assert type(got.split.split_seed) is type(want.split.split_seed)
     assert got.cold.ids == want.cold.ids
-    assert got.cold.edges.dtype == want.cold.edges.dtype == np.int64
-    assert got.cold.edges.shape == want.cold.edges.shape
-    assert got.cold.edges.tobytes() == want.cold.edges.tobytes()
-    assert got.cold.test_pairs == want.cold.test_pairs
-    assert all(type(u) is int and type(i) is str for u, i in got.cold.test_pairs)
+    assert all(type(i) is str for i in got.cold.ids)
+    _assert_same_pairs(got.cold.edges, want.cold.edges, "cold edges")
+    _assert_same_pairs(got.cold.test_pairs, want.cold.test_pairs, "cold test pairs")

@@ -167,10 +167,7 @@ def test_planted_preference_recovery():
                    patience=None, val_k=10)
     stack = forward(result.tables, bundle, cfg)
     e_u, e_i = final_embeddings(stack, cfg.alpha())
-    test_by_user: dict[int, set[int]] = {}
-    for u, i in split.test:
-        test_by_user.setdefault(u, set()).add(i)
-    recall = mean_recall_at_k(e_u, e_i, test_by_user, split.user_positives, 10)
+    recall = mean_recall_at_k(e_u, e_i, split.test, split.user_positives, 10)
     elapsed = time.perf_counter() - started
     baseline = 10 / len(bundle.vocab_i)  # random ranker: k / n_items ~ 0.02
     _report("planted-preference-recovery",
@@ -200,10 +197,9 @@ def test_cold_start_capability(tmp_path):
     e_u, _ = final_embeddings(stack, cfg.alpha())
     rng = np.random.default_rng(555)
     id_rows = rng.normal(0.0, cfg.init_scale, size=(len(cold.ids), cfg.dim))
-    row_of = {iid: t for t, iid in enumerate(cold.ids)}
-    keys = np.array(sorted({u * len(cold.ids) + row_of[iid]
-                            for u, iid in cold.test_pairs}), dtype=np.int64)
-    users = np.array(sorted({u for u, _ in cold.test_pairs}), dtype=np.int64)
+    keys = np.array(sorted({u * len(cold.ids) + row
+                            for u, row in cold.test_pairs.tolist()}), dtype=np.int64)
+    users = np.array(sorted({u for u, _ in cold.test_pairs.tolist()}), dtype=np.int64)
     hits = hit_matrix(top_k(e_u[users], id_rows, 10), users, keys, len(cold.ids), 10)
     n_positives = np.bincount(keys // len(cold.ids))[users]
     ablation = float(np.mean(recall_at_k(hits, n_positives)))

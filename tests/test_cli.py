@@ -315,15 +315,27 @@ class TestEvaluate:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("alpha", [[2.0, -1.0, 0.0], [float("nan"), 0.5, 0.5]],
+                             ids=["negative-weight", "nan-weight"])
+    def test_corrupt_alpha_exit_1_without_report(self, pipeline_dir, tmp_path,
+                                                 alpha):
+        model, out = tmp_path / "alpha.agr", tmp_path / "report.json"
+        craft_header(pipeline_dir["model"], model, lambda h: h.update(alpha=alpha))
+        proc = run_cli("evaluate", "--model", str(model), "--data", pipeline_dir["data"],
+                       "--attrs", pipeline_dir["attrs"], "--out", str(out))
+        assert_clean_exit_1(proc)
+        assert proc.stderr.startswith("error: corrupt checkpoint")
+        assert not out.exists()
 
-def craft_counts(model, path, edit, cut_rows=0):
-    """A copy of checkpoint `model` whose header counts went through `edit`,
-    its vocabulary hashes untouched, less its last `cut_rows` table rows."""
+
+def craft_header(model, path, edit, cut_rows=0):
+    """A copy of checkpoint `model` whose header went through `edit`, less
+    its last `cut_rows` table rows."""
     with open(model, "rb") as fh:
         blob = fh.read()
     (hlen,) = struct.unpack("<I", blob[4:8])
     header = json.loads(blob[8:8 + hlen])
-    edit(header["counts"])
+    edit(header)
     text = json.dumps(header, sort_keys=True).encode("utf-8")
     body = blob[8 + hlen:len(blob) - cut_rows * header["dim"] * 4]
     path.write_bytes(b"AGR1" + struct.pack("<I", len(text)) + text + body)
@@ -335,13 +347,14 @@ class TestCountsMismatch:
 
     @pytest.mark.parametrize("command", ["evaluate", "recommend"])
     @pytest.mark.parametrize("edit,cut_rows", [
-        (lambda c: c.update(users=c["users"] + 1, items=c["items"] - 1), 0),
-        (lambda c: c.update(aesthetics=c["aesthetics"] - 1), 1),
+        (lambda h: h["counts"].update(users=h["counts"]["users"] + 1,
+                                      items=h["counts"]["items"] - 1), 0),
+        (lambda h: h["counts"].update(aesthetics=h["counts"]["aesthetics"] - 1), 1),
     ], ids=["item-row-moved-to-users", "aesthetic-row-dropped"])
     def test_exit_3_without_traceback(self, pipeline_dir, tmp_path, command,
                                       edit, cut_rows):
         model = tmp_path / "crafted.agr"
-        craft_counts(pipeline_dir["model"], model, edit, cut_rows)
+        craft_header(pipeline_dir["model"], model, edit, cut_rows)
         extra = ["--user", "u0003"] if command == "recommend" else []
         proc = run_cli(command, "--model", str(model), "--data", pipeline_dir["data"],
                        "--attrs", pipeline_dir["attrs"], *extra)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from agrec import pipeline
 from agrec.cli import main
 from agrec.errors import DataError
+from agrec.ingest import manifest_split, read_manifest, write_manifest
 from helpers import assert_same_dataset, write_prepared_dir
 
 SRC = os.path.dirname(os.path.abspath(pipeline.__file__))
@@ -89,6 +90,18 @@ class TestHit:
         assert got.edges.size and got.edges.dtype == np.int64
         np.testing.assert_array_equal(got.edges, fresh.cold.edges)
         assert got.ids == fresh.cold.ids
+
+    def test_empty_validation_split(self, copy, builds):
+        path = os.path.join(copy[0], pipeline.MANIFEST_NAME)
+        doc = read_manifest(path)
+        split = manifest_split(doc)
+        split.train, split.validation = split.train + split.validation, []
+        write_manifest(path, seed=doc["seed"], ratios=doc["ratios"], split=split)
+        built = pipeline.load_dataset(*copy)
+        hit = pipeline.load_dataset(*copy)
+        assert len(builds) == 1  # the second load was a hit
+        assert built.split.validation.shape == (0, 2)
+        assert_same_dataset(hit, built)
 
     def test_cache_moves_with_its_directory(self, copy, tmp_path, fresh, builds):
         pipeline.load_dataset(*copy)

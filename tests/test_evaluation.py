@@ -322,24 +322,36 @@ class TestEvaluate:
     def test_users_without_test_positives_excluded(self):
         e_u = np.ones((2, 1))
         e_i = np.ones((3, 1))
-        vals = mean_recall_at_k(e_u, e_i, {}, {}, 2)
+        vals = mean_recall_at_k(e_u, e_i, np.empty((0, 2), np.int64), {}, 2)
         assert vals == 0.0
 
     def test_mean_recall_skips_user_without_candidates(self):
         e_u = np.ones((2, 1))
         e_i = np.array([[3.0], [2.0], [1.0]])
         # user 0 has seen every item; user 1 finds its positive at rank 2
-        vals = mean_recall_at_k(e_u, e_i, {0: {1}, 1: {1}},
+        vals = mean_recall_at_k(e_u, e_i, np.array([[0, 1], [1, 1]]),
                                 {0: {0, 1, 2}, 1: set()}, 2)
         assert vals == 1.0
+
+    def test_mean_recall_counts_a_repeated_pair_once(self):
+        rng = np.random.default_rng(4)
+        e_u, e_i = rng.normal(size=(6, 3)), rng.normal(size=(9, 3))
+        pairs = np.column_stack((rng.integers(0, 6, 30), rng.integers(0, 9, 30)))
+        assert len(set(map(tuple, pairs.tolist()))) < len(pairs)  # repeats
+        distinct = np.array(sorted(set(map(tuple, pairs.tolist()))))
+        seen = {0: {1, 2}, 3: {4}}
+        for k in (1, 3, 9):
+            assert mean_recall_at_k(e_u, e_i, pairs, seen, k) == \
+                mean_recall_at_k(e_u, e_i, distinct, seen, k)
 
     def test_user_who_has_seen_every_item_is_counted(self, tmp_path):
         checkpoint, bundle, split, _ = trained_world(tmp_path)
         base = evaluate(checkpoint, bundle, split, k=5)
         assert base.excluded_users == 0
-        user = int(split.test[0][0])
-        seen_all = dataclasses.replace(split, user_positives={
-            **split.user_positives, user: set(range(len(bundle.vocab_i)))})
+        user = int(split.test[0, 0])
+        every_item = np.arange(len(bundle.vocab_i))
+        seen_all = dataclasses.replace(split, train=np.concatenate(
+            (split.train, np.column_stack((np.full_like(every_item, user), every_item)))))
         report = evaluate(checkpoint, bundle, seen_all, k=5)
         assert report.excluded_users == 1
         assert report.users == base.users - 1
@@ -357,7 +369,7 @@ class TestEvaluate:
         assert report.unscorable_cold_items == 1
         assert report.to_dict()["unscorable_cold_items"] == 1
         # users whose only cold positive was that item can no longer be ranked
-        only_first = {u for u, _ in cold.test_pairs} - {
-            u for u, i in cold.test_pairs if i != cold.ids[0]}
+        only_first = {u for u, _ in cold.test_pairs.tolist()} - {
+            u for u, p in cold.test_pairs.tolist() if p != 0}
         assert report.excluded_users == len(only_first)
         assert report.users + report.excluded_users == base.users

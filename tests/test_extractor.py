@@ -75,20 +75,6 @@ class TestExtract:
         assert record.keywords == ["red1", "cotton"]
         assert record.backend_name == "fixture"
 
-    def test_cache_hit_skips_backend(self):
-        ex = KeywordExtractor(make_fixture())
-        first = ex.extract("i1", None, PromptKind.ITEM_ATTRIBUTES)
-        second = ex.extract("i1", None, PromptKind.ITEM_ATTRIBUTES)
-        assert second is first
-        assert ex.backend_calls == 1
-        assert ex.cache_hits == 1
-
-    def test_cache_keyed_by_kind(self):
-        ex = KeywordExtractor(make_fixture())
-        ex.extract("i1", None, PromptKind.ITEM_ATTRIBUTES)
-        ex.extract("i1", None, PromptKind.AESTHETIC_ATTRIBUTES)
-        assert ex.backend_calls == 2
-
     def test_retries_then_succeeds(self):
         calls = []
 

@@ -613,8 +613,11 @@ class TestCheckpoint:
         lambda h: h["counts"].pop("aesthetics"),
         lambda h: h.update(alpha=[0.5]),
         lambda h: h.update(layers="1"),
+        lambda h: h.update(alpha=[2.0, -1.0] + [0.0] * (len(h["alpha"]) - 2)),
+        lambda h: h.update(alpha=[float("nan")] + h["alpha"][1:]),
     ], ids=["negative-dim", "zero-dim", "negative-count", "string-count",
-            "missing-count", "short-alpha", "string-layers"])
+            "missing-count", "short-alpha", "string-layers", "negative-alpha",
+            "nan-alpha"])
     def test_bad_header_values(self, tmp_path, edit):
         path = rewrite_header(tmp_path, edit)
         with pytest.raises(DataError, match="corrupt checkpoint"):

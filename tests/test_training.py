@@ -206,13 +206,9 @@ class TestSgdProperties:
 def small_split(rng, bundle, n_rows=40):
     users = rng.integers(0, len(bundle.vocab_u), size=n_rows)
     items = rng.integers(0, len(bundle.vocab_i), size=n_rows)
-    train = [(int(u), int(i)) for u, i in zip(users, items)]
-    positives = {}
-    for u, i in train:
-        positives.setdefault(u, set()).add(i)
-    val = train[:4]
-    return SplitDataset(train=train, validation=val, test=[],
-                        user_positives=positives, split_seed=0)
+    train = np.column_stack((users, items))
+    return SplitDataset(train=train, validation=train[:4],
+                        test=np.empty((0, 2), np.int64), split_seed=0)
 
 
 class TestTrainLoop:
