@@ -21,7 +21,8 @@ from .extractor import (FixtureBackend, HttpBackend, PromptKind,
                         run_extraction_batch)
 from .ingest import (PriceBuckets, filter_min_popularity, fit_price_buckets,
                      open_text, read_interactions, read_items, split_dataset,
-                     tokenize_text_attributes, write_manifest)
+                     text_attributes_line, tokenize_text_attributes,
+                     write_manifest)
 from .model import (ModelConfig, file_sha256, final_embeddings, forward,
                     load_checkpoint)
 from .pipeline import MANIFEST_NAME, TEXT_ATTRS_NAME, load_dataset
@@ -153,12 +154,9 @@ def cmd_prepare(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     with open(text_attrs_path, "w", encoding="utf-8", newline="\n") as fh:
-        for meta in items:
-            keywords = tokenize_text_attributes(
-                meta, buckets, stop_words=stop_words,
-                include_description=cfg["include_description"])
-            fh.write(json.dumps({"item_id": meta.item_id, "keywords": keywords},
-                                sort_keys=True) + "\n")
+        fh.writelines(text_attributes_line(meta.item_id, tokenize_text_attributes(
+            meta, buckets, stop_words=stop_words,
+            include_description=cfg["include_description"])) for meta in items)
 
     user_vocab = list(dict.fromkeys(u for u, _ in filtered))
     item_vocab = list(dict.fromkeys(i for _, i in filtered))
@@ -303,16 +301,17 @@ def cmd_recommend(args) -> int:
     stack = forward(checkpoint.tables, bundle, config)
     e_u, e_i = final_embeddings(stack, config.alpha())
 
+    train = prepared.split.train
+    seen = train[train[:, 0] == user_idx, 1].tolist()  # may repeat an item
     user_vec = e_u[[user_idx]]
-    (top,) = top_k(user_vec, e_i, cfg["k"],
-                   exclude=[prepared.split.user_positives.get(user_idx, ())])
+    (top,) = top_k(user_vec, e_i, cfg["k"], exclude=[seen])
     if top.size == 0:
         raise DataError(f"user {args.user!r} has interacted with every item")
     scores = (user_vec @ e_i.T)[0, top]  # the row top_k ranked: non-increasing
 
     history_keywords: set[str] = set()
     if args.explain:
-        for i in prepared.split.user_positives.get(user_idx, ()):
+        for i in seen:
             history_keywords |= _item_keywords(bundle, i)
 
     recs = []

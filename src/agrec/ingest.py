@@ -5,16 +5,18 @@ File formats:
   * interactions: UTF-8 TSV ``user_id<TAB>item_id``, LF endings, no header
   * items: one JSON object per line, keys item_id (required), brand, price,
     category, color, description, image_ref
-  * split manifest: JSON with seed, counts and per-split interaction arrays
+  * split manifest: JSON with seed, counts and per-split interaction arrays,
+    in the fixed byte layout write_manifest documents
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -69,7 +71,7 @@ class PriceBuckets:
     boundaries: list[float]
 
     def assign(self, price: float) -> int:
-        return int(np.searchsorted(self.boundaries, price, side="right"))
+        return bisect_right(self.boundaries, price)
 
 
 @dataclass
@@ -155,6 +157,7 @@ def read_interactions(path) -> list[Interaction]:
 
 
 _ITEM_TEXT_FIELDS = ("brand", "category", "color", "description", "image_ref")
+_ITEM_FIELDS = tuple(f.name for f in fields(ItemMetadata))
 
 
 def _item_problem(obj) -> str | None:
@@ -166,9 +169,10 @@ def _item_problem(obj) -> str | None:
         return "missing item_id"
     if not isinstance(obj["item_id"], str):
         return "item_id must be a string"
-    bad = [f for f in _ITEM_TEXT_FIELDS if not isinstance(obj.get(f), (str, type(None)))]
-    if bad:
-        return f"{bad[0]} must be a string or null"
+    for name in _ITEM_TEXT_FIELDS:
+        value = obj.get(name)
+        if value is not None and not isinstance(value, str):
+            return f"{name} must be a string or null"
     return None
 
 
@@ -188,15 +192,7 @@ def parse_items(lines: Iterable[str], source: str = "items") -> list[ItemMetadat
         if problem:
             raise DataError(f"{source} line {lineno}: {problem}")
         try:
-            out.append(ItemMetadata(
-                item_id=obj["item_id"],
-                brand=obj.get("brand"),
-                price=obj.get("price"),
-                category=obj.get("category"),
-                color=obj.get("color"),
-                description=obj.get("description"),
-                image_ref=obj.get("image_ref"),
-            ))
+            out.append(ItemMetadata(*map(obj.get, _ITEM_FIELDS)))
         except DataError as exc:
             raise DataError(f"{source} line {lineno}: {exc}") from None
     return out
@@ -213,10 +209,8 @@ def filter_min_popularity(interactions: Sequence[Interaction],
     distinct users. Single pass, not iterated to fixpoint."""
     if threshold < 0:
         raise ConfigError("popularity threshold must be >= 0")
-    users_per_item: dict[str, set[str]] = {}
-    for user, item in interactions:
-        users_per_item.setdefault(item, set()).add(user)
-    return [(u, i) for u, i in interactions if len(users_per_item[i]) > threshold]
+    users_per_item = Counter(i for _, i in set(interactions))
+    return [(u, i) for u, i in interactions if users_per_item[i] > threshold]
 
 
 def _split_sizes(n: int, ratios: Sequence[float]) -> tuple[int, int]:
@@ -347,42 +341,77 @@ def tokenize_text_attributes(meta: ItemMetadata, buckets: PriceBuckets,
                 keywords.append(f"{namespace}:{normalized}")
     if include_description and meta.description:
         for raw in meta.description.lower().split():
-            token = "".join(ch for ch in raw if ch.isalnum())
+            token = raw if raw.isalnum() else "".join(filter(str.isalnum, raw))
             if len(token) < 2 or token in stop:
                 continue
             keywords.append(f"desc:{token}")
     return keywords
 
 
+# The C string encoder json.dumps itself uses with ensure_ascii: quotes and
+# escapes one str, without the encoder object json.dumps builds per call.
+_quote = json.encoder.encode_basestring_ascii
+
+
+def text_attributes_line(item_id: str, keywords: Sequence[str]) -> str:
+    """One text_attributes.jsonl line: the bytes of json.dumps({"item_id":
+    item_id, "keywords": keywords}, sort_keys=True) and a newline."""
+    return f'{{"item_id": {_quote(item_id)}, "keywords": [{", ".join(map(_quote, keywords))}]}}\n'
+
+
+def _pairs_json(pairs) -> str:
+    """A list of string pairs as json.dumps(..., indent=2) lays it out at
+    the depth of a split list in the manifest."""
+    if not pairs:
+        return "[]"
+    rows = "\n      ],\n      [\n        ".join(
+        f"{_quote(u)},\n        {_quote(i)}" for u, i in pairs)
+    return f"[\n      [\n        {rows}\n      ]\n    ]"
+
+
 def write_manifest(path, *, seed: int, ratios: Sequence[float],
                    split: SplitDataset, config: dict | None = None,
                    extra: dict | None = None) -> None:
-    """Write the split manifest (string-ID pairs) with count echo."""
-    users = {u for u, _ in split.train + split.validation + split.test}
-    items = {i for _, i in split.train + split.validation + split.test}
+    """Write the split manifest (string-ID pairs) with count echo; `extra`
+    adds top-level keys beside them.
+
+    The bytes are exactly those of ``json.dump(doc, fh, indent=2,
+    sort_keys=True)`` and a newline: 2-space indent, keys sorted, strings
+    escaped as with ensure_ascii (so the file is ASCII), each ID of a split
+    pair on a line of its own, LF line endings and a trailing newline.
+    ``dataset_hash`` and the dataset cache key are sha256 over these bytes.
+    json.dumps lays out the small part of the document; the split lists,
+    nearly all of the bytes, are written pair by pair with the C string
+    encoder, which json.dumps drops for a pure-Python one under indent=2.
+    """
+    pairs = split.train + split.validation + split.test
     doc = {
         "seed": seed,
         "ratios": list(ratios),
         "counts": {
-            "users": len(users),
-            "items": len(items),
-            "interactions": len(split.train) + len(split.validation) + len(split.test),
+            "users": len({u for u, _ in pairs}),
+            "items": len({i for _, i in pairs}),
+            "interactions": len(pairs),
             "train": len(split.train),
             "validation": len(split.validation),
             "test": len(split.test),
-        },
-        "splits": {
-            "train": [list(p) for p in split.train],
-            "validation": [list(p) for p in split.validation],
-            "test": [list(p) for p in split.test],
         },
     }
     if config is not None:
         doc["config"] = config
     if extra:
         doc.update(extra)
+    doc["splits"] = {}
+    # At 2-space indent only top-level keys start a line with `  "`, and
+    # strings hold no raw newline, so this text occurs once.
+    head, _, tail = json.dumps(doc, indent=2, sort_keys=True).partition(
+        '\n  "splits": {}')
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write(head)
+        fh.write(f'\n  "splits": {{\n    "test": {_pairs_json(split.test)},'
+                 f'\n    "train": {_pairs_json(split.train)},'
+                 f'\n    "validation": {_pairs_json(split.validation)}\n  }}')
+        fh.write(tail)
         fh.write("\n")
 
 

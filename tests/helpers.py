@@ -255,6 +255,37 @@ def finite_difference_gradients(tables, loss_fn, h=1e-5):
     return grad
 
 
+def reference_manifest_bytes(*, seed, ratios, split, config=None, extra=None):
+    """The manifest write_manifest must produce, as bytes: the document
+    dumped whole by json.dump(doc, fh, indent=2, sort_keys=True) and a
+    newline."""
+    import io
+
+    pairs = split.train + split.validation + split.test
+    doc = {
+        "seed": seed,
+        "ratios": list(ratios),
+        "counts": {
+            "users": len({u for u, _ in pairs}),
+            "items": len({i for _, i in pairs}),
+            "interactions": len(pairs),
+            "train": len(split.train),
+            "validation": len(split.validation),
+            "test": len(split.test),
+        },
+    }
+    if config is not None:
+        doc["config"] = config
+    if extra:
+        doc.update(extra)
+    doc["splits"] = {name: [list(p) for p in getattr(split, name)]
+                     for name in ("train", "validation", "test")}
+    fh = io.StringIO()
+    json.dump(doc, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+    return fh.getvalue().encode("utf-8")
+
+
 def write_prepared_dir(directory, seed=0):
     """A prepared data directory plus an extractor output for a small planted
     world with held-out cold items: returns (data_dir, attrs_path).

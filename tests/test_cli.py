@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -81,14 +82,13 @@ def cold_dir(world_dir, tmp_path_factory):
     return {"data": data, "attrs": attrs, "model": model}
 
 
-def modules_loaded(command, paths, names):
-    """[exit code, the `names` in sys.modules] after `command` ran on the
-    pipeline at `paths` in a fresh interpreter."""
+def modules_loaded(argv, names):
+    """[exit code, the `names` in sys.modules] after the CLI ran `argv` in a
+    fresh interpreter."""
     script = (
         "import json, sys\n"
         "from agrec.cli import main\n"
-        f"code = main({command!r} + ['--model', {paths['model']!r},"
-        f" '--data', {paths['data']!r}, '--attrs', {paths['attrs']!r}])\n"
+        f"code = main({argv!r})\n"
         f"print(json.dumps([code, sorted(m for m in {tuple(names)!r}"
         " if m in sys.modules)]))\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -96,6 +96,19 @@ def modules_loaded(command, paths, names):
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def served(command, paths):
+    """`command` run on the trained pipeline at `paths`."""
+    return command + ["--model", paths["model"], "--data", paths["data"],
+                      "--attrs", paths["attrs"]]
+
+
+# Only extract needs these, and each costs every other CLI process import
+# time and memory.
+NETWORK_AND_THREAD_POOL = ("urllib.request", "http.client", "ssl",
+                           "concurrent.futures")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "prepare")
 
 
 class TestPrepare:
@@ -128,6 +141,30 @@ class TestPrepare:
     def test_vocab_files_written(self, pipeline_dir):
         users = open(os.path.join(pipeline_dir["data"], "users.vocab.txt")).read().splitlines()
         assert len(users) == len(set(users)) > 0
+
+    def test_outputs_match_golden_hashes(self, tmp_path, monkeypatch):
+        # relative paths, so that the config echo in the manifest is stable
+        for name in ("interactions.tsv", "items.jsonl", "stop_words.txt"):
+            shutil.copy(os.path.join(GOLDEN, name), tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["prepare", "--interactions", "interactions.tsv",
+                     "--items", "items.jsonl", "--stop-words", "stop_words.txt",
+                     "--out", "data", "--min-users", "1", "--split", "0.6,0.2,0.2",
+                     "--seed", "5", "--price-buckets", "3"]) == 0
+        with open(os.path.join(GOLDEN, "outputs.sha256")) as fh:
+            want = dict(line.split()[::-1] for line in fh)
+        got = {}
+        for name in want:
+            with open(os.path.join("data", name), "rb") as fh:
+                got[name] = hashlib.sha256(fh.read()).hexdigest()
+        assert got == want
+
+    def test_loads_no_numpy_ma_network_or_thread_pool_modules(self, world_dir,
+                                                              tmp_path):
+        argv = ["prepare", "--interactions", world_dir["interactions"],
+                "--items", world_dir["items"], "--min-users", "2",
+                "--out", str(tmp_path / "data")]
+        assert modules_loaded(argv, ("numpy.ma",) + NETWORK_AND_THREAD_POOL) == [0, []]
 
 
 class TestExtract:
@@ -279,16 +316,14 @@ class TestEvaluate:
 
     def test_imports_neither_scipy_nor_numba(self, pipeline_dir):
         # every CLI process would pay their import time and memory
-        assert modules_loaded(["evaluate", "--k", "10"], pipeline_dir,
+        assert modules_loaded(served(["evaluate", "--k", "10"], pipeline_dir),
                               ("scipy", "numba")) == [0, []]
 
     @pytest.mark.parametrize("command", [["evaluate", "--k", "10"],
                                          ["recommend", "--user", "u0003"]])
     def test_loads_no_network_or_thread_pool_modules(self, pipeline_dir, command):
-        # only extract needs them, and each costs every other CLI process
-        # import time and memory
-        assert modules_loaded(command, pipeline_dir, (
-            "urllib.request", "http.client", "ssl", "concurrent.futures")) == [0, []]
+        assert modules_loaded(served(command, pipeline_dir),
+                              NETWORK_AND_THREAD_POOL) == [0, []]
 
     @pytest.mark.parametrize("command", [["evaluate", "--k", "10"],
                                          ["evaluate", "--k", "10", "--cold-start"],
@@ -296,7 +331,7 @@ class TestEvaluate:
     def test_never_imports_numpy_ma(self, pipeline_dir, cold_dir, command):
         # np.unique imports it on first use, ~15 ms per process
         paths = cold_dir if "--cold-start" in command else pipeline_dir
-        assert modules_loaded(command, paths, ("numpy.ma",)) == [0, []]
+        assert modules_loaded(served(command, paths), ("numpy.ma",)) == [0, []]
 
 
     def test_truncated_checkpoint_exit_1_without_traceback(self, pipeline_dir,
@@ -390,6 +425,33 @@ class TestRecommend:
                      "--user", "nobody", "--k", "5"])
         assert code == 4
         assert "nobody" in capsys.readouterr().err
+
+    def test_repeated_training_pair_changes_no_output(self, pipeline_dir,
+                                                       tmp_path, capsys):
+        from agrec.ingest import manifest_split, read_manifest, write_manifest
+
+        data = str(tmp_path / "data")
+        shutil.copytree(pipeline_dir["data"], data)
+        manifest_path = os.path.join(data, "manifest.json")
+        doc = read_manifest(manifest_path)
+        split = manifest_split(doc)
+        pair = next(p for p in split.train if p[0] == "u0003")
+        split.train.append(pair)
+        write_manifest(manifest_path, seed=doc["seed"], ratios=doc["ratios"],
+                       split=split, config=doc.get("config"))
+        repeated = load_dataset(data, pipeline_dir["attrs"]).split.train
+        assert (repeated == repeated[-1]).all(axis=1).sum() == 2
+
+        for flags in ([], ["--explain"]):
+            outputs = []
+            for directory in (pipeline_dir["data"], data):
+                assert main(["recommend", "--model", pipeline_dir["model"],
+                             "--data", directory, "--attrs", pipeline_dir["attrs"],
+                             "--user", "u0003", "--k", "8", *flags]) == 0
+                doc = json.loads(capsys.readouterr().out)
+                doc["config"].pop("data")
+                outputs.append(doc)
+            assert outputs[0] == outputs[1]
 
     def test_explain_lists_shared_keywords(self, pipeline_dir, capsys):
         assert main(["recommend", "--model", pipeline_dir["model"],

@@ -1,17 +1,26 @@
 import json
+import os
+import tempfile
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agrec.errors import ConfigError, DataError
-from agrec.ingest import (ItemMetadata, PriceBuckets, _split_sizes,
+from agrec.ingest import (SplitDataset, ItemMetadata, PriceBuckets, _split_sizes,
                           filter_min_popularity, fit_price_buckets,
                           manifest_split, parse_interactions, parse_items,
                           read_interactions, read_items, split_dataset,
-                          tokenize_text_attributes, write_manifest,
-                          read_manifest)
+                          text_attributes_line, tokenize_text_attributes,
+                          write_manifest, read_manifest)
+from helpers import reference_manifest_bytes
+
+# IDs and keywords that exercise every escape the JSON string encoder makes
+ODD_TEXT = (st.text(min_size=1, max_size=8)
+            | st.sampled_from(['"', "\\", "\x00", "\n\t", "caf\u00e9", "e\u0301",
+                               "\U0001f3a7", "\u2028", "\x7f", "\ufeff"]))
 
 
 class TestParseInteractions:
@@ -146,6 +155,27 @@ class TestPriceBuckets:
         with pytest.raises(ConfigError):
             fit_price_buckets([], 2)
 
+    @pytest.mark.parametrize("boundaries", [[], [5.0], [10.0, 20.0, 30.0],
+                                            [0.0, 0.5, 1e300]])
+    def test_assign_is_searchsorted_right(self, boundaries):
+        b = PriceBuckets(n_p=len(boundaries) + 1, boundaries=boundaries)
+        # below, on, just either side of and above each edge, and between
+        edges = [0.0, 1.0] + boundaries
+        prices = sorted({p for e in edges for p in (
+            e, e / 2, e + 1.0, np.nextafter(e, -np.inf), np.nextafter(e, np.inf))})
+        prices += [(lo + hi) / 2 for lo, hi in zip(boundaries, boundaries[1:])]
+        for price in prices:
+            want = int(np.searchsorted(boundaries, price, side="right"))
+            assert b.assign(float(price)) == want, price
+
+    @settings(max_examples=60)
+    @given(st.lists(st.floats(0, 1e6, allow_nan=False), min_size=1, max_size=40),
+           st.integers(1, 8), st.floats(0, 2e6, allow_nan=False))
+    def test_fitted_assign_is_searchsorted_right(self, prices, n_p, price):
+        b = fit_price_buckets(prices, n_p)
+        for p in prices + [price]:
+            assert b.assign(p) == int(np.searchsorted(b.boundaries, p, side="right"))
+
     @settings(max_examples=60)
     @given(st.lists(st.floats(0, 1e6, allow_nan=False), min_size=1, max_size=40),
            st.integers(1, 8))
@@ -184,6 +214,36 @@ class TestTokenizer:
         meta = ItemMetadata(item_id="x", description="a b cc")
         got = tokenize_text_attributes(meta, self.BUCKETS, stop_words=frozenset())
         assert got == ["desc:cc"]
+
+    @staticmethod
+    def per_character(description):
+        # the description filter written one character at a time
+        out = []
+        for raw in description.lower().split():
+            token = "".join(ch for ch in raw if ch.isalnum())
+            if len(token) >= 2:
+                out.append(f"desc:{token}")
+        return out
+
+    @pytest.mark.parametrize("word", ["naïve", "ß", "Ⅻ", "x²", "e\u0301",
+                                      "co-op.", "NAÏVE", "İstanbul", "٣٤"])
+    def test_whole_token_path_matches_per_character(self, word):
+        description = f"{word} {word}z z{word}!"
+        meta = ItemMetadata(item_id="x", description=description)
+        got = tokenize_text_attributes(meta, self.BUCKETS, stop_words=frozenset())
+        assert got == self.per_character(description)
+
+    @given(st.text(max_size=60))
+    def test_description_matches_per_character(self, description):
+        meta = ItemMetadata(item_id="x", description=description)
+        got = tokenize_text_attributes(meta, self.BUCKETS, stop_words=frozenset())
+        assert got == self.per_character(description)
+
+    @given(ODD_TEXT, st.lists(ODD_TEXT, max_size=5))
+    def test_line_is_json_dumps(self, item_id, keywords):
+        want = json.dumps({"item_id": item_id, "keywords": keywords},
+                          sort_keys=True) + "\n"
+        assert text_attributes_line(item_id, keywords) == want
 
     @given(st.builds(ItemMetadata,
                      item_id=st.just("x"),
@@ -265,3 +325,29 @@ class TestManifest:
         assert again.validation == split.validation
         assert again.test == split.test
         assert again.user_positives == split.user_positives
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
+               | st.floats() | ODD_TEXT)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(ODD_TEXT, inner, max_size=3), max_leaves=8)
+PAIRS = st.lists(st.tuples(ODD_TEXT, ODD_TEXT), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(-2**40, 2**40),
+       ratios=st.lists(st.floats(), max_size=3),
+       train=PAIRS, validation=PAIRS, test=PAIRS,
+       config=st.none() | st.dictionaries(ODD_TEXT, JSON_VALUES, max_size=4),
+       extra=st.none() | st.dictionaries(ODD_TEXT, JSON_VALUES, max_size=3))
+def test_manifest_bytes_match_json_dump(seed, ratios, train, validation, test,
+                                        config, extra):
+    split = SplitDataset(train=train, validation=validation, test=test)
+    kwargs = dict(seed=seed, ratios=ratios, split=split, config=config,
+                  extra=extra)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "manifest.json")
+        write_manifest(path, **kwargs)
+        with open(path, "rb") as fh:
+            assert fh.read() == reference_manifest_bytes(**kwargs)
