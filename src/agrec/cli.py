@@ -301,17 +301,17 @@ def cmd_recommend(args) -> int:
     stack = forward(checkpoint.tables, bundle, config)
     e_u, e_i = final_embeddings(stack, config.alpha())
 
-    train = prepared.split.train
-    seen = train[train[:, 0] == user_idx, 1].tolist()  # may repeat an item
+    lo, hi = bundle.g_ui.left.searchsorted((user_idx, user_idx + 1))
+    seen = bundle.g_ui.right[lo:hi]  # the user's items are row 0's keys
     user_vec = e_u[[user_idx]]
-    (top,) = top_k(user_vec, e_i, cfg["k"], exclude=[seen])
+    (top,) = top_k(user_vec, e_i, cfg["k"], exclude=seen)
     if top.size == 0:
         raise DataError(f"user {args.user!r} has interacted with every item")
     scores = (user_vec @ e_i.T)[0, top]  # the row top_k ranked: non-increasing
 
     history_keywords: set[str] = set()
     if args.explain:
-        for i in seen:
+        for i in seen.tolist():
             history_keywords |= _item_keywords(bundle, i)
 
     recs = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .graphs import GraphBundle, _sorted_unique
+from .graphs import BipartiteGraph, GraphBundle, _in_sorted, _sorted_unique
 from .ingest import SplitDataset
 from .model import Checkpoint, cold_item_embedding, final_embeddings, forward
 
@@ -62,17 +62,11 @@ class MetricsReport:
         }
 
 
-def rank_items(user: int, candidates, e_u: np.ndarray, e_i: np.ndarray,
-               train_positives=None) -> RankingResult:
+def rank_items(user: int, candidates, e_u: np.ndarray, e_i: np.ndarray) -> RankingResult:
     """Sort candidates by descending score for `user`, ties by ascending index."""
     candidates = np.asarray(candidates, dtype=np.int64)
     if candidates.size == 0:
         raise DataError("empty candidate set")
-    if train_positives:
-        overlap = set(int(c) for c in candidates) & set(train_positives)
-        if overlap:
-            raise DataError(
-                f"candidates include training positives: {sorted(overlap)[:5]}")
     scores = e_i[candidates] @ e_u[user]
     order = np.lexsort((candidates, -scores))
     return RankingResult(user=int(user), ordering=candidates[order])
@@ -83,10 +77,11 @@ _BLOCK_SCORES = 1 << 16
 
 
 def top_k(user_vecs: np.ndarray, item_vecs: np.ndarray, k: int,
-          exclude=None) -> list[np.ndarray]:
+          exclude: np.ndarray | None = None) -> list[np.ndarray]:
     """Best-first indices of the top k items for each user row, ties by
     ascending index also at the k-th place: row r is rank_items' ordering[:k]
-    over the items not in exclude[r], and shorter when fewer are left."""
+    over the items i whose key r * n_items + i is not in the ascending
+    `exclude` keys, and shorter when fewer are left."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     n_items = item_vecs.shape[0]
@@ -97,8 +92,10 @@ def top_k(user_vecs: np.ndarray, item_vecs: np.ndarray, k: int,
         np.negative(neg, out=neg)
         if not np.isfinite(neg).all():
             raise NumericError("non-finite ranking scores")
-        for r, excluded in enumerate(exclude[start:start + rows] if exclude else ()):
-            neg[r, list(excluded)] = np.inf
+        if exclude is not None:  # the block's cell j holds key first + j
+            first = start * n_items
+            lo, hi = np.searchsorted(exclude, (first, first + neg.size))
+            np.put(neg, exclude[lo:hi] - first, np.inf)
         for row in neg:
             idx = np.flatnonzero(row <= np.partition(row, kth)[kth])
             idx = idx[np.argsort(row[idx], kind="stable")][:k]
@@ -114,13 +111,11 @@ def hit_matrix(tops: list[np.ndarray], users: np.ndarray, keys: np.ndarray,
     One searchsorted answers every cell."""
     hits = np.zeros((len(tops), k), dtype=bool)
     lengths = np.array([top.size for top in tops], dtype=np.int64)
-    if not lengths.sum() or not keys.size:
+    if not lengths.sum():
         return hits
     row = np.repeat(np.arange(len(tops)), lengths)
     col = np.arange(row.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    query = users[row] * n_items + np.concatenate(tops)
-    at = np.minimum(np.searchsorted(keys, query), keys.size - 1)
-    hits[row, col] = keys[at] == query
+    hits[row, col] = _in_sorted(keys, users[row] * n_items + np.concatenate(tops))
     return hits
 
 
@@ -165,20 +160,21 @@ def ndcg_at_k(hits: np.ndarray, n_positives) -> np.ndarray:
 
 
 def _rank_positives(e_u: np.ndarray, items: np.ndarray, pairs: np.ndarray,
-                    seen: dict[int, set[int]], k: int,
+                    seen: BipartiteGraph, k: int,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Rank `items` for every user of the positive (user, item) `pairs`,
-    leaving out the user's `seen` items. Returns the hit matrix and the
-    positive counts of the users that had a candidate left, in ascending
-    user order; a repeated pair counts once."""
+    leaving out the user's edges in the `seen` graph. Returns the hit
+    matrix and the positive counts of the users that had a candidate left,
+    in ascending user order; a repeated pair counts once."""
     n_items = items.shape[0]
     keys = _sorted_unique(pairs[:, 0] * n_items + pairs[:, 1])
     owner = keys // n_items
     first = np.flatnonzero(np.diff(owner, prepend=-1))
     users = owner[first]
     n_positives = np.diff(np.append(first, keys.size))
-    tops = top_k(e_u[users], items, k,
-                 exclude=[seen.get(u, ()) for u in users.tolist()])
+    mine = _in_sorted(users, seen.left)  # edges sorted, so the keys are too
+    exclude = np.searchsorted(users, seen.left[mine]) * n_items + seen.right[mine]
+    tops = top_k(e_u[users], items, k, exclude=exclude)
     ranked = np.array([top.size > 0 for top in tops], dtype=bool)
     hits = hit_matrix([top for top in tops if top.size], users[ranked], keys,
                       n_items, k)
@@ -186,9 +182,9 @@ def _rank_positives(e_u: np.ndarray, items: np.ndarray, pairs: np.ndarray,
 
 
 def mean_recall_at_k(e_u: np.ndarray, e_i: np.ndarray, pairs: np.ndarray,
-                     train_positives: dict[int, set[int]], k: int) -> float:
+                     train_positives: BipartiteGraph, k: int) -> float:
     """Average Recall@k over the users of the (n, 2) (user, item) positive
-    `pairs`; used for early stopping."""
+    `pairs`, ranked outside their `train_positives` edges; for early stopping."""
     hits, n_positives = _rank_positives(e_u, e_i, pairs, train_positives, k)
     if not n_positives.size:
         return 0.0
@@ -237,7 +233,7 @@ def evaluate(checkpoint: Checkpoint, bundle: GraphBundle, split: SplitDataset,
     e_u, e_i = final_embeddings(stack, config.alpha())
 
     if mode == "standard":
-        items, seen, pairs = e_i, split.user_positives, split.test
+        items, seen, pairs = e_i, bundle.g_ui, split.test
         eligible = _sorted_unique(pairs[:, 0]).size
         unscorable = 0
     else:
@@ -247,7 +243,8 @@ def evaluate(checkpoint: Checkpoint, bundle: GraphBundle, split: SplitDataset,
             cold.edges, len(cold.ids), bundle.g_iia, stack, config.alpha())
         if not scorable.any():
             raise DataError("no scorable cold items")
-        items, seen = embedded[scorable], {}
+        # nobody has trained on a cold item
+        items, seen = embedded[scorable], BipartiteGraph(0, 0, ())
         eligible = _sorted_unique(cold.test_pairs[:, 0]).size
         # an unscorable item is no candidate; the rest become rows of `items`
         pairs = cold.test_pairs[scorable[cold.test_pairs[:, 1]]]

@@ -27,6 +27,13 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[np.diff(values, prepend=values[:1] - 1) != 0]
 
 
+def _in_sorted(keys: np.ndarray, query):
+    """Whether each query value is among the ascending `keys`; np.isin
+    would import numpy.ma."""
+    at = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+    return keys[at] == query if keys.size else np.zeros(np.shape(query), bool)
+
+
 @dataclass
 class Vocabulary:
     """Bijective mapping between external string IDs and dense 0-based indices.

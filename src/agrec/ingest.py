@@ -17,7 +17,6 @@ from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,22 +81,14 @@ class SplitDataset:
     At ID level, from ingestion and the manifest, each split is a list of
     (user_id, item_id) string tuples. At index level, from
     pipeline.build_bundle and the dataset cache, each is an (n, 2) int64
-    array of (vocab_u index, vocab_i index).
+    array of (vocab_u index, vocab_i index); the distinct train pairs are
+    the edges of the bundle's g_ui, from which training positives are read.
     """
 
     train: list | np.ndarray = field(default_factory=list)
     validation: list | np.ndarray = field(default_factory=list)
     test: list | np.ndarray = field(default_factory=list)
     split_seed: int = 0
-
-    @cached_property
-    def user_positives(self) -> dict:
-        """Each training user's set of training items, built on first use."""
-        train = self.train.tolist() if isinstance(self.train, np.ndarray) else self.train
-        positives: dict = {}
-        for user, item in train:
-            positives.setdefault(user, set()).add(item)
-        return positives
 
 
 def parse_interactions(lines: Iterable[str]) -> list[Interaction]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .graphs import GraphBundle
+from .graphs import GraphBundle, _in_sorted
 from .ingest import SplitDataset
 from .kernels import gather_rows, scatter_rows
 from .model import LayerStack, ModelConfig, final_embeddings, forward, init_tables
@@ -46,16 +46,20 @@ def bpr_loss(s_pos, s_neg):
 
 
 def _sample_negatives_block(users: np.ndarray, item_count: int,
-                            user_positives: dict,
+                            positives: np.ndarray,
                             rng: np.random.Generator) -> np.ndarray:
+    """A uniform item per entry of `users` outside the user's positives, the
+    sorted distinct keys `user * item_count + item`; hits redraw in order."""
     negs = rng.integers(item_count, size=users.shape[0])
-    for t in range(users.shape[0]):
-        positives = user_positives.get(int(users[t]), frozenset())
-        if item_count <= len(positives):
+    firsts = users * item_count
+    for t in np.flatnonzero(_in_sorted(positives, firsts + negs)).tolist():
+        lo, hi = np.searchsorted(positives, (firsts[t], firsts[t] + item_count))
+        if hi - lo == item_count:
             raise DataError(f"no negatives available for user {int(users[t])}")
-        while int(negs[t]) in positives:
+        negs[t] = rng.integers(item_count)
+        while _in_sorted(positives, firsts[t] + negs[t]):
             negs[t] = rng.integers(item_count)
-    return negs.astype(np.int64)
+    return negs
 
 
 PHASES = ("sample_s", "forward_s", "backward_s", "step_s", "validate_s")
@@ -231,6 +235,7 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
     if n_pairs == 0:
         raise DataError("empty training split")
     item_count = len(bundle.vocab_i)
+    positives = bundle.g_ui.left * item_count + bundle.g_ui.right  # sorted
     # Build all four plans before the first batch rather than inside its
     # forward and backward. Live memory is about the same either way, but
     # among the batch arrays the serve-wide world's train peak RSS measured
@@ -262,8 +267,7 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
                 sel = order[start:start + batch_size]
                 users = np.repeat(split.train[sel, 0], n_n)
                 pos = np.repeat(split.train[sel, 1], n_n)
-                negs = _sample_negatives_block(users, item_count,
-                                               split.user_positives, rng)
+                negs = _sample_negatives_block(users, item_count, positives, rng)
                 clock.lap("sample_s")
                 if stack is None:
                     stack = forward(tables, bundle, config)
@@ -283,7 +287,7 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
                 stack = forward(tables, bundle, config)
                 e_u, e_i = final_embeddings(stack, config.alpha())
                 val_recall = evaluation.mean_recall_at_k(
-                    e_u, e_i, split.validation, split.user_positives, val_k)
+                    e_u, e_i, split.validation, bundle.g_ui, val_k)
                 clock.lap("validate_s")
         except NumericError as exc:
             raise TrainDivergedError(

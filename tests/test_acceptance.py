@@ -167,7 +167,7 @@ def test_planted_preference_recovery():
                    patience=None, val_k=10)
     stack = forward(result.tables, bundle, cfg)
     e_u, e_i = final_embeddings(stack, cfg.alpha())
-    recall = mean_recall_at_k(e_u, e_i, split.test, split.user_positives, 10)
+    recall = mean_recall_at_k(e_u, e_i, split.test, bundle.g_ui, 10)
     elapsed = time.perf_counter() - started
     baseline = 10 / len(bundle.vocab_i)  # random ranker: k / n_items ~ 0.02
     _report("planted-preference-recovery",

@@ -211,6 +211,13 @@ class TestTrain:
                      "--attrs", pipeline_dir["attrs"], "--dim", "4",
                      "--layers", "6", "--epochs", "1", "--out", out]) == 0
 
+    def test_loads_no_numpy_ma_network_or_thread_pool_modules(self, pipeline_dir,
+                                                              tmp_path):
+        # the sampler and validation ranking are where np.isin would creep in
+        argv = ["train", "--data", pipeline_dir["data"], "--attrs", pipeline_dir["attrs"],
+                "--dim", "4", "--epochs", "2", "--out", str(tmp_path / "m.agr")]
+        assert modules_loaded(argv, ("numpy.ma",) + NETWORK_AND_THREAD_POOL) == [0, []]
+
     def test_lr_zero_completes(self, pipeline_dir, tmp_path):
         out = str(tmp_path / "noop.agr")
         assert main(["train", "--data", pipeline_dir["data"],

@@ -103,6 +103,16 @@ class TestHit:
         assert built.split.validation.shape == (0, 2)
         assert_same_dataset(hit, built)
 
+    def test_train_pairs_are_the_user_item_graph(self, copy, builds):
+        built = pipeline.load_dataset(*copy)
+        hit = pipeline.load_dataset(*copy)
+        assert len(builds) == 1  # the second load was a hit
+        for got in (built, hit):
+            g = got.bundle.g_ui
+            assert g.edge_count
+            assert sorted(set(map(tuple, got.split.train.tolist()))) == \
+                list(zip(g.left.tolist(), g.right.tolist()))
+
     def test_cache_moves_with_its_directory(self, copy, tmp_path, fresh, builds):
         pipeline.load_dataset(*copy)
         moved = tmp_path / "moved"

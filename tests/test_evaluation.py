@@ -8,12 +8,19 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from agrec.errors import ConfigError, DataError, IntegrityError, NumericError
+from agrec.graphs import BipartiteGraph
 from agrec.evaluation import (evaluate, hit_matrix, mean_recall_at_k,
                               ndcg_at_k, precision_at_k, rank_items,
                               recall_at_k, top_k)
 from agrec.model import ModelConfig, save_checkpoint, load_checkpoint
 from agrec.synth import assemble_world, planted_world
-from helpers import brute_force_metrics, hits_of
+from helpers import brute_force_metrics, hits_of, keys_of
+
+
+def seen_graph(n_users, n_items, seen):
+    """The users x items graph of a {user: items} mapping."""
+    return BipartiteGraph(n_users, n_items,
+                          [(u, i) for u, items in seen.items() for i in items])
 
 
 def embeddings_for_scores(scores):
@@ -35,11 +42,6 @@ class TestRankItems:
         e_u, e_i = embeddings_for_scores([0.5, 0.5, 0.5])
         got = rank_items(0, [2, 0, 1], e_u, e_i)
         np.testing.assert_array_equal(got.ordering, [0, 1, 2])
-
-    def test_training_positive_in_candidates_rejected(self):
-        e_u, e_i = embeddings_for_scores([1.0, 2.0])
-        with pytest.raises(DataError, match="training positives"):
-            rank_items(0, [0, 1], e_u, e_i, train_positives={1})
 
     def test_empty_candidates(self):
         e_u, e_i = embeddings_for_scores([1.0])
@@ -69,7 +71,8 @@ class TestTopK:
     @given(ranking_cases())
     def test_equals_full_ordering_prefix(self, case):
         e_u, e_i, exclude, k = case
-        tops = top_k(e_u, e_i, k, exclude=exclude)
+        tops = top_k(e_u, e_i, k, exclude=keys_of(dict(enumerate(exclude)),
+                                                  e_i.shape[0]))
         assert len(tops) == e_u.shape[0]
         for r, top in enumerate(tops):
             cand = [i for i in range(e_i.shape[0]) if i not in exclude[r]]
@@ -81,21 +84,27 @@ class TestTopK:
         e_u, e_i = embeddings_for_scores([0.2, 0.5, 0.9, 0.5, 0.5])
         (top,) = top_k(e_u, e_i, 3)
         np.testing.assert_array_equal(top, [2, 1, 3])
-        (top,) = top_k(e_u, e_i, 3, exclude=[{1}])
+        (top,) = top_k(e_u, e_i, 3, exclude=np.array([1]))
         np.testing.assert_array_equal(top, [2, 3, 4])
 
     def test_several_blocks_match_one_user_at_a_time(self):
-        # 30000 items make two users per block, so five users take three
+        # 30000 items make two users per block, so five users take three;
+        # row 0 excludes nothing, and each other row excludes its top 5
         rng = np.random.default_rng(6)
         e_u = rng.normal(size=(5, 3))
         e_i = np.round(rng.normal(size=(30000, 3)), 1)
-        exclude = [set(rng.choice(30000, size=50, replace=False).tolist())
-                   for _ in range(5)]
-        tops = top_k(e_u, e_i, 20, exclude=exclude)
+        full = top_k(e_u, e_i, 20)
+        exclude = [set()] + [set(rng.choice(30000, size=50, replace=False).tolist())
+                             | set(full[r][:5].tolist()) for r in range(1, 5)]
+        keys = keys_of(dict(enumerate(exclude)), 30000)
+        assert sorted(set((keys // 60000).tolist())) == [0, 1, 2]  # every block
+        tops = top_k(e_u, e_i, 20, exclude=keys)
         for r in range(5):
-            (alone,) = top_k(e_u[r:r + 1], e_i, 20, exclude=[exclude[r]])
+            (alone,) = top_k(e_u[r:r + 1], e_i, 20,
+                             exclude=keys_of({0: exclude[r]}, 30000))
             np.testing.assert_array_equal(tops[r], alone)
             assert not set(tops[r].tolist()) & exclude[r]
+        np.testing.assert_array_equal(tops[0], full[0])
 
     def test_non_finite_score_refused(self):
         e_u, e_i = embeddings_for_scores([1.0, np.nan])
@@ -322,7 +331,8 @@ class TestEvaluate:
     def test_users_without_test_positives_excluded(self):
         e_u = np.ones((2, 1))
         e_i = np.ones((3, 1))
-        vals = mean_recall_at_k(e_u, e_i, np.empty((0, 2), np.int64), {}, 2)
+        vals = mean_recall_at_k(e_u, e_i, np.empty((0, 2), np.int64),
+                                seen_graph(2, 3, {}), 2)
         assert vals == 0.0
 
     def test_mean_recall_skips_user_without_candidates(self):
@@ -330,7 +340,7 @@ class TestEvaluate:
         e_i = np.array([[3.0], [2.0], [1.0]])
         # user 0 has seen every item; user 1 finds its positive at rank 2
         vals = mean_recall_at_k(e_u, e_i, np.array([[0, 1], [1, 1]]),
-                                {0: {0, 1, 2}, 1: set()}, 2)
+                                seen_graph(2, 3, {0: {0, 1, 2}}), 2)
         assert vals == 1.0
 
     def test_mean_recall_counts_a_repeated_pair_once(self):
@@ -339,7 +349,7 @@ class TestEvaluate:
         pairs = np.column_stack((rng.integers(0, 6, 30), rng.integers(0, 9, 30)))
         assert len(set(map(tuple, pairs.tolist()))) < len(pairs)  # repeats
         distinct = np.array(sorted(set(map(tuple, pairs.tolist()))))
-        seen = {0: {1, 2}, 3: {4}}
+        seen = seen_graph(6, 9, {0: {1, 2}, 3: {4}})
         for k in (1, 3, 9):
             assert mean_recall_at_k(e_u, e_i, pairs, seen, k) == \
                 mean_recall_at_k(e_u, e_i, distinct, seen, k)
@@ -350,9 +360,13 @@ class TestEvaluate:
         assert base.excluded_users == 0
         user = int(split.test[0, 0])
         every_item = np.arange(len(bundle.vocab_i))
-        seen_all = dataclasses.replace(split, train=np.concatenate(
-            (split.train, np.column_stack((np.full_like(every_item, user), every_item)))))
-        report = evaluate(checkpoint, bundle, seen_all, k=5)
+        row = np.column_stack((np.full_like(every_item, user), every_item))
+        g = bundle.g_ui  # the training positives are its edges
+        seen_all = dataclasses.replace(bundle, g_ui=BipartiteGraph(
+            g.left_count, g.right_count,
+            np.concatenate((np.column_stack((g.left, g.right)), row))))
+        report = evaluate(checkpoint, seen_all, dataclasses.replace(
+            split, train=np.concatenate((split.train, row))), k=5)
         assert report.excluded_users == 1
         assert report.users == base.users - 1
         assert report.to_dict()["excluded_users"] == 1

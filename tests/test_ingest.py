@@ -116,12 +116,6 @@ class TestSplitDataset:
         b = split_dataset(rows, seed=2)
         assert a.train != b.train
 
-    def test_user_positives_from_train(self):
-        rows = [("u1", "i1"), ("u1", "i2"), ("u2", "i1")] * 3
-        s = split_dataset(rows, seed=0)
-        for u, i in s.train:
-            assert i in s.user_positives[u]
-
     def test_table_ii_arithmetic(self):
         assert _split_sizes(459_146, (0.8, 0.1, 0.1)) == (367_317, 45_914)
         # remainder: 459146 - 367317 - 45914 == 45915
@@ -324,7 +318,6 @@ class TestManifest:
         assert again.train == split.train
         assert again.validation == split.validation
         assert again.test == split.test
-        assert again.user_positives == split.user_positives
 
 
 JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2**70, 2**70)

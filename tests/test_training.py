@@ -1,20 +1,24 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import agrec.model
 import agrec.training
 from agrec.errors import ConfigError, DataError
+from agrec.graphs import BipartiteGraph
 from agrec.ingest import SplitDataset
 from agrec.model import ModelConfig, forward, init_tables
 from agrec.training import (TrainDivergedError, _sample_negatives_block,
                             backward, batch_loss, bpr_loss, sgd_step, sigmoid,
                             train)
 from agrec.synth import assemble_world, planted_world
-from helpers import (dense_union_matrix, finite_difference_gradients,
+from helpers import (dense_union_matrix, finite_difference_gradients, keys_of,
                      random_bundle, random_tables, reference_backward,
-                     split_classes)
+                     reference_sample_negatives, split_classes)
 
 
 def hub_world():
@@ -56,24 +60,61 @@ class TestBprLoss:
             math.log(2), abs=0.05)
 
 
+@st.composite
+def sampler_cases(draw):
+    """A block of users over a small catalogue: users without positives,
+    users one item short of all, random ones, and (the sampler must refuse
+    them) users with every item."""
+    n_items = draw(st.integers(1, 12))
+    every = set(range(n_items))
+    kinds = st.sampled_from(["none", "one short", "random", "random", "random", "all"])
+    positives = {}
+    for u in range(draw(st.integers(1, 6))):
+        kind = draw(kinds)
+        positives[u] = (set() if kind == "none"
+                        else every - {draw(st.integers(0, n_items - 1))}
+                        if kind == "one short"
+                        else every if kind == "all"
+                        else draw(st.sets(st.integers(0, n_items - 1))))
+    users = draw(st.lists(st.integers(0, len(positives) - 1), min_size=1, max_size=40))
+    return n_items, positives, np.array(users, dtype=np.int64), draw(st.integers(0, 2**32))
+
+
 class TestSampler:
+    @settings(max_examples=300, deadline=None)
+    @given(sampler_cases())
+    def test_same_draws_as_reference_loop(self, case):
+        n_items, positives, users, seed = case
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            want = reference_sample_negatives(users, n_items, positives, want_rng)
+        except DataError as exc:
+            with pytest.raises(DataError, match=f"^{exc}$"):
+                _sample_negatives_block(users, n_items, keys_of(positives, n_items),
+                                        got_rng)
+            return
+        got = _sample_negatives_block(users, n_items, keys_of(positives, n_items),
+                                      got_rng)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
     def test_single_candidate(self):
         rng = np.random.default_rng(0)
         users = np.zeros(3, dtype=np.int64)
-        got = _sample_negatives_block(users, 5, {0: {0, 1, 2, 3}}, rng)
+        got = _sample_negatives_block(users, 5, keys_of({0: {0, 1, 2, 3}}, 5), rng)
         assert got.tolist() == [4, 4, 4]
 
     def test_all_items_positive(self):
         rng = np.random.default_rng(0)
         users = np.array([1, 0], dtype=np.int64)
-        with pytest.raises(DataError, match="no negatives"):
-            _sample_negatives_block(users, 3, {0: {0, 1, 2}}, rng)
+        with pytest.raises(DataError, match="no negatives available for user 0"):
+            _sample_negatives_block(users, 3, keys_of({0: {0, 1, 2}}, 3), rng)
 
     def test_never_returns_positive_full_scan(self):
         rng = np.random.default_rng(7)
         positives = {0: set(range(0, 40, 2))}
         users = np.zeros(1_000_000, dtype=np.int64)
-        negs = _sample_negatives_block(users, 40, positives, rng)
+        negs = _sample_negatives_block(users, 40, keys_of(positives, 40), rng)
         assert not np.isin(negs, list(positives[0])).any()
 
     def test_uniform_over_non_positives(self):
@@ -81,7 +122,7 @@ class TestSampler:
         rng = np.random.default_rng(11)
         positives = {0: set(range(30, 40))}
         users = np.zeros(100_000, dtype=np.int64)
-        negs = _sample_negatives_block(users, 40, positives, rng)
+        negs = _sample_negatives_block(users, 40, keys_of(positives, 40), rng)
         counts = np.bincount(negs, minlength=40)
         assert (counts[30:] == 0).all()
         expected = 100_000 / 30
@@ -204,18 +245,29 @@ class TestSgdProperties:
 
 
 def small_split(rng, bundle, n_rows=40):
-    users = rng.integers(0, len(bundle.vocab_u), size=n_rows)
-    items = rng.integers(0, len(bundle.vocab_i), size=n_rows)
-    train = np.column_stack((users, items))
-    return SplitDataset(train=train, validation=train[:4],
-                        test=np.empty((0, 2), np.int64), split_seed=0)
+    """A trainable world where the train pairs are the graph: the bundle,
+    less the last g_ui edge of each user linked to every item (no negative
+    is left for them), and n_rows train pairs in random order that are its
+    g_ui edges, each at least once and the rest drawn at random."""
+    g = bundle.g_ui
+    last = np.append(g.left[1:] != g.left[:-1], True)
+    keep = ~(last & (g.left_deg[g.left] == g.right_count))
+    g = BipartiteGraph(g.left_count, g.right_count,
+                       np.column_stack((g.left, g.right))[keep])
+    assert 0 < g.edge_count <= n_rows
+    extra = rng.integers(0, g.edge_count, size=n_rows - g.edge_count)
+    pick = rng.permutation(np.concatenate((np.arange(g.edge_count), extra)))
+    train = np.column_stack((g.left, g.right))[pick]
+    return dataclasses.replace(bundle, g_ui=g), SplitDataset(
+        train=train, validation=train[:4], test=np.empty((0, 2), np.int64),
+        split_seed=0)
 
 
 class TestTrainLoop:
     def test_zero_lr_is_identity(self):
         rng = np.random.default_rng(9)
         bundle, cfg, _ = tiny_problem(rng, lr=0.0)
-        split = small_split(rng, bundle)
+        bundle, split = small_split(rng, bundle)
         fixed = (np.array([0, 1]), np.array([2, 3]), np.array([4, 5]))
         before = batch_loss(init_tables(bundle, cfg), bundle, cfg, *fixed)[0]
         result = train(split, bundle, cfg, epochs=3, batch_size=8,
@@ -233,7 +285,7 @@ class TestTrainLoop:
         bundle, _, _ = tiny_problem(rng)
         cfg = ModelConfig(dim=3, layers=1, n_negatives=3, learning_rate=0.1,
                           seed=0)
-        split = small_split(rng, bundle)
+        bundle, split = small_split(rng, bundle)
         result = train(split, bundle, cfg, epochs=2, batch_size=16,
                        patience=None, val_k=5)
         assert all(s.triples == len(split.train) * 3 for s in result.stats)
@@ -274,7 +326,7 @@ class TestTrainLoop:
     def test_validation_forward_serves_next_epoch(self, monkeypatch):
         rng = np.random.default_rng(13)
         bundle, cfg, _ = tiny_problem(rng)
-        split = small_split(rng, bundle)  # 40 pairs: 5 batches of 8
+        bundle, split = small_split(rng, bundle)  # 40 pairs: 5 batches of 8
         calls = []
 
         def counted(*args):
@@ -290,7 +342,7 @@ class TestTrainLoop:
     def test_seeded_determinism(self):
         rng = np.random.default_rng(11)
         bundle, cfg, _ = tiny_problem(rng, lr=0.5)
-        split = small_split(rng, bundle)
+        bundle, split = small_split(rng, bundle)
         a = train(split, bundle, cfg, epochs=4, batch_size=8, patience=None, val_k=5)
         b = train(split, bundle, cfg, epochs=4, batch_size=8, patience=None, val_k=5)
         np.testing.assert_array_equal(a.tables, b.tables)
@@ -300,7 +352,7 @@ class TestTrainLoop:
         rng = np.random.default_rng(12)
         bundle, _, _ = tiny_problem(rng)
         cfg = ModelConfig(dim=3, layers=2, learning_rate=1e12, seed=0)
-        split = small_split(rng, bundle)
+        bundle, split = small_split(rng, bundle)
         with np.errstate(all="ignore"):  # overflow on the way down is the point
             with pytest.raises(TrainDivergedError) as excinfo:
                 train(split, bundle, cfg, epochs=10, batch_size=8,
@@ -314,7 +366,7 @@ class TestTrainLoop:
     def test_rejects_empty_batches_and_epochs(self, kwargs):
         rng = np.random.default_rng(16)
         bundle, cfg, _ = tiny_problem(rng)
-        split = small_split(rng, bundle)
+        bundle, split = small_split(rng, bundle)
         with pytest.raises(ConfigError):
             train(split, bundle, cfg, **{"epochs": 1, "batch_size": 8, **kwargs})
 
@@ -323,7 +375,7 @@ class TestTrainLoop:
 
         rng = np.random.default_rng(13)
         bundle, cfg, _ = tiny_problem(rng, lr=0.1)
-        split = small_split(rng, bundle)
+        bundle, split = small_split(rng, bundle)
         log = tmp_path / "train.log.jsonl"
         train(split, bundle, cfg, epochs=2, batch_size=8, patience=None,
               val_k=5, log_path=log)
@@ -341,7 +393,7 @@ class TestTrainLoop:
 
         rng = np.random.default_rng(15)
         bundle, cfg, _ = tiny_problem(rng, lr=0.5)
-        split = small_split(rng, bundle)
+        bundle, split = small_split(rng, bundle)
         path = tmp_path / "model.agr"
         result = train(split, bundle, cfg, epochs=5, batch_size=8, patience=2,
                        val_k=5, checkpoint_path=path, checkpoint_every=2)
@@ -353,7 +405,7 @@ class TestTrainLoop:
         rng = np.random.default_rng(14)
         bundle = random_bundle(rng, 30, 60, 10, 5, p=0.2)
         cfg = ModelConfig(dim=8, layers=0, learning_rate=0.0, seed=3)
-        split = small_split(rng, bundle, n_rows=200)
-        result = train(split, bundle, cfg, epochs=1, batch_size=200,
+        bundle, split = small_split(rng, bundle, n_rows=400)
+        result = train(split, bundle, cfg, epochs=1, batch_size=400,
                        patience=None, val_k=5)
         assert result.stats[0].loss == pytest.approx(math.log(2), abs=0.05)
