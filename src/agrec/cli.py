@@ -19,10 +19,10 @@ from .errors import (AgrecError, ConfigError, DataError, IntegrityError,
 from .evaluation import evaluate, top_k
 from .extractor import (FixtureBackend, HttpBackend, PromptKind,
                         run_extraction_batch)
-from .ingest import (PriceBuckets, filter_min_popularity, fit_price_buckets,
-                     open_text, read_interactions, read_items, split_dataset,
-                     text_attributes_line, tokenize_text_attributes,
-                     write_manifest)
+from .ingest import (PriceBuckets, atomic_write, filter_min_popularity,
+                     fit_price_buckets, open_text, read_interactions, read_items,
+                     split_dataset, text_attributes_line,
+                     tokenize_text_attributes, write_manifest)
 from .model import (ModelConfig, file_sha256, final_embeddings, forward,
                     load_checkpoint)
 from .pipeline import MANIFEST_NAME, TEXT_ATTRS_NAME, load_dataset
@@ -84,7 +84,6 @@ SETTINGS = {
         "patience": (int, 5),
         "init_scale": (float, 0.1),
         "alpha": (_ratios, None),
-        "checkpoint_every": (int, 0),
     },
     "evaluate": {"k": (int, 50)},
     "recommend": {"k": (int, 10)},
@@ -153,16 +152,10 @@ def cmd_prepare(args) -> int:
             stop_words = frozenset(w.strip() for w in fh if w.strip())
 
     os.makedirs(args.out, exist_ok=True)
-    with open(text_attrs_path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(text_attrs_path) as fh:
         fh.writelines(text_attributes_line(meta.item_id, tokenize_text_attributes(
             meta, buckets, stop_words=stop_words,
             include_description=cfg["include_description"])) for meta in items)
-
-    user_vocab = list(dict.fromkeys(u for u, _ in filtered))
-    item_vocab = list(dict.fromkeys(i for _, i in filtered))
-    for name, ids in (("users.vocab.txt", user_vocab), ("items.vocab.txt", item_vocab)):
-        with open(os.path.join(args.out, name), "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(x + "\n" for x in ids)
 
     write_manifest(manifest_path, seed=cfg["seed"], ratios=cfg["split"],
                    split=split, config=_echoable(cfg),
@@ -170,7 +163,8 @@ def cmd_prepare(args) -> int:
 
     summary = {
         "out": args.out,
-        "users": len(user_vocab), "items": len(item_vocab),
+        "users": len({u for u, _ in filtered}),
+        "items": len({i for _, i in filtered}),
         "interactions": len(filtered),
         "train": len(split.train), "validation": len(split.validation),
         "test": len(split.test),
@@ -239,7 +233,6 @@ def cmd_train(args) -> int:
         epochs=cfg["epochs"], batch_size=cfg["batch"], val_k=cfg["val_k"],
         patience=cfg["patience"] or None,  # 0 turns early stopping off
         log_path=log_path, checkpoint_path=args.out,
-        checkpoint_every=cfg["checkpoint_every"],
         checkpoint_extra={"config": _echoable(cfg)})
 
     summary = {
@@ -272,7 +265,7 @@ def cmd_evaluate(args) -> int:
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(args.out) as fh:
             fh.write(text)
     return EXIT_OK
 

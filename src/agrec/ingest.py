@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from bisect import bisect_right
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
@@ -116,6 +117,22 @@ def open_text(path, error: type[Exception] = DataError):
             yield fh
         except UnicodeDecodeError as exc:
             raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Write `path` whole or not at all: into `<path>.<pid>.tmp` (text as UTF-8,
+    LF endings), renamed over `path` on a clean exit and removed on any error."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:  # KeyboardInterrupt too: never leave a torn file
+        with suppress(OSError):  # absent if open failed
+            os.remove(tmp)
+        raise
 
 
 def parse_json(text):
@@ -397,13 +414,12 @@ def write_manifest(path, *, seed: int, ratios: Sequence[float],
     # strings hold no raw newline, so this text occurs once.
     head, _, tail = json.dumps(doc, indent=2, sort_keys=True).partition(
         '\n  "splits": {}')
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write(head)
         fh.write(f'\n  "splits": {{\n    "test": {_pairs_json(split.test)},'
                  f'\n    "train": {_pairs_json(split.train)},'
                  f'\n    "validation": {_pairs_json(split.validation)}\n  }}')
-        fh.write(tail)
-        fh.write("\n")
+        fh.write(tail + "\n")
 
 
 def read_manifest(path) -> dict:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, IntegrityError, NumericError
 from .graphs import BipartiteGraph, GraphBundle
-from .ingest import parse_json
+from .ingest import atomic_write, parse_json
 from .kernels import gather_rows, plan_gather
 
 CHECKPOINT_MAGIC = b"AGR1"
@@ -210,11 +210,10 @@ def vocab_hashes(bundle: GraphBundle) -> dict[str, str]:
 def save_checkpoint(path, tables: np.ndarray, bundle: GraphBundle,
                     config: ModelConfig, extra: dict | None = None) -> None:
     """Write magic, length-prefixed JSON header, then the stacked table as
-    one float32 little-endian row-major block: users, items,
-    item-attributes, aesthetics, each class's rows as the header counts.
-
-    Refuses, before touching `path`, tables that are not finite in float32.
-    """
+    one float32 little-endian row-major block: users, items, item-attributes,
+    aesthetics, each class's rows as the header counts. The file is replaced
+    whole (ingest.atomic_write): a failed save leaves the old one. Refuses,
+    before touching `path`, tables that are not finite in float32."""
     op = bundle.operator
     _check_rows(tables, op)
     with np.errstate(over="ignore"):  # overflow is caught just below
@@ -235,10 +234,8 @@ def save_checkpoint(path, tables: np.ndarray, bundle: GraphBundle,
     if extra:
         header.update(extra)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
+    with atomic_write(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob)
         fh.write(block)  # the contiguous buffer itself, not a tobytes() copy
 
 

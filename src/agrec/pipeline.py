@@ -24,8 +24,8 @@ from .errors import DataError, GraphError
 from .evaluation import ColdCandidates
 from .graphs import (BipartiteGraph, GraphBundle, Vocabulary,
                      build_item_attribute_graph, build_user_graph)
-from .ingest import (SplitDataset, _utf8_problem, manifest_split, open_text,
-                     parse_json, read_manifest)
+from .ingest import (SplitDataset, _utf8_problem, atomic_write, manifest_split,
+                     open_text, parse_json, read_manifest)
 from .model import file_sha256
 
 MANIFEST_NAME = "manifest.json"
@@ -227,16 +227,11 @@ def _write_cache(path, key: str, prepared: PreparedDataset) -> None:
     except ValueError:
         return
     arrays["digest"] = np.array(_payload_digest(arrays))
-    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
+        with atomic_write(path, "wb") as fh:
             np.savez(fh, **arrays)
-        os.replace(tmp, path)
     except OSError:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
+        pass
 
 
 # What np.load and zipfile raise on a missing, cut or damaged file: an

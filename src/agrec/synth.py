@@ -16,7 +16,7 @@ import numpy as np
 
 from .evaluation import ColdCandidates
 from .graphs import GraphBundle
-from .ingest import SplitDataset, split_dataset
+from .ingest import SplitDataset, atomic_write, split_dataset
 from .pipeline import build_bundle
 
 
@@ -142,10 +142,9 @@ def write_world_files(world: PlantedWorld, directory) -> dict[str, str]:
         "items": os.path.join(directory, "items.jsonl"),
         "fixture": os.path.join(directory, "fixture.json"),
     }
-    with open(paths["interactions"], "w", encoding="utf-8", newline="\n") as fh:
-        for u, i in world.interactions:
-            fh.write(f"{u}\t{i}\n")
-    with open(paths["items"], "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(paths["interactions"]) as fh:
+        fh.writelines(f"{u}\t{i}\n" for u, i in world.interactions)
+    with atomic_write(paths["items"]) as fh:
         for j, iid in enumerate(world.items):
             fh.write(json.dumps({
                 "item_id": iid,
@@ -156,7 +155,6 @@ def write_world_files(world: PlantedWorld, directory) -> dict[str, str]:
     fixture = {iid: {"item": ", ".join(world.item_keywords[iid]),
                      "aesthetic": ", ".join(world.item_aesthetics[iid])}
                for iid in world.items}
-    with open(paths["fixture"], "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(fixture, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with atomic_write(paths["fixture"]) as fh:
+        fh.write(json.dumps(fixture, indent=2, sort_keys=True) + "\n")
     return paths

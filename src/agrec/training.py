@@ -49,16 +49,23 @@ def _sample_negatives_block(users: np.ndarray, item_count: int,
                             positives: np.ndarray,
                             rng: np.random.Generator) -> np.ndarray:
     """A uniform item per entry of `users` outside the user's positives, the
-    sorted distinct keys `user * item_count + item`; hits redraw in order."""
+    sorted distinct keys `user * item_count + item`; hits redraw in order,
+    against a set of the user's items built at the user's first hit."""
     negs = rng.integers(item_count, size=users.shape[0])
     firsts = users * item_count
+    seen: dict[int, set[int]] = {}
     for t in np.flatnonzero(_in_sorted(positives, firsts + negs)).tolist():
-        lo, hi = np.searchsorted(positives, (firsts[t], firsts[t] + item_count))
-        if hi - lo == item_count:
-            raise DataError(f"no negatives available for user {int(users[t])}")
-        negs[t] = rng.integers(item_count)
-        while _in_sorted(positives, firsts[t] + negs[t]):
-            negs[t] = rng.integers(item_count)
+        user = int(users[t])
+        items = seen.get(user)
+        if items is None:
+            lo, hi = np.searchsorted(positives, (firsts[t], firsts[t] + item_count))
+            if hi - lo == item_count:
+                raise DataError(f"no negatives available for user {user}")
+            items = seen[user] = set((positives[lo:hi] - firsts[t]).tolist())
+        neg = int(rng.integers(item_count))
+        while neg in items:
+            neg = int(rng.integers(item_count))
+        negs[t] = neg
     return negs
 
 
@@ -203,16 +210,16 @@ class TrainResult:
 def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
           epochs: int, batch_size: int = 256, val_k: int = 50,
           patience: int | None = 5, log_path=None, checkpoint_path=None,
-          checkpoint_every: int = 0, checkpoint_extra: dict | None = None) -> TrainResult:
+          checkpoint_extra: dict | None = None) -> TrainResult:
     """Run shuffled mini-batch SGD epochs; single-threaded and deterministic.
 
     Each epoch expands every training interaction into n_negatives triples.
-    When a validation split is present, Recall@val_k is tracked per epoch,
-    the best-validation tables are kept (and checkpointed if a path is
-    given), and training stops after `patience` epochs without improvement.
-    Each epoch's `phase_seconds` splits its time by PHASES; the validation
-    forward counts under validate_s, and the next epoch's first batch
-    reuses it.
+    With a validation split, Recall@val_k is tracked per epoch, training
+    stops after `patience` epochs without improvement, and the best tables
+    are kept and, given `checkpoint_path`, saved whole there on each
+    improvement and at the end. Each epoch's `phase_seconds` splits its
+    time by PHASES; the validation forward counts under validate_s, and the
+    next epoch's first batch reuses it.
     """
     from . import evaluation  # local import; evaluation depends on model only
     from .model import save_checkpoint
@@ -226,8 +233,6 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
         raise ConfigError(f"validation k must be >= 1, got {val_k}")
     if patience is not None and patience < 0:
         raise ConfigError(f"patience must be >= 0, got {patience}")
-    if checkpoint_every < 0:
-        raise ConfigError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     rng = np.random.default_rng(config.seed)
     tables = init_tables(bundle, config, rng)
 
@@ -250,9 +255,6 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
     best_val = -np.inf
     best_epoch = None
     stale = 0
-
-    def _checkpoint(path, tbl):
-        save_checkpoint(path, tbl, bundle, config, extra=checkpoint_extra)
 
     stack = None  # forward of the current tables, once computed
     for epoch in range(1, epochs + 1):
@@ -302,8 +304,6 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
         last_good = tables.copy()
         if log_path is not None:
             _append_log_line(log_path, st, val_k)
-        if checkpoint_every and epoch % checkpoint_every == 0 and checkpoint_path:
-            _checkpoint(checkpoint_path, tables)
 
         if val_recall is not None:
             if val_recall > best_val + 1e-12:
@@ -312,7 +312,8 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
                 best_tables = tables.copy()
                 stale = 0
                 if checkpoint_path:
-                    _checkpoint(checkpoint_path, tables)
+                    save_checkpoint(checkpoint_path, tables, bundle, config,
+                                    extra=checkpoint_extra)
             else:
                 stale += 1
                 if patience is not None and stale >= patience:
@@ -321,7 +322,8 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
     final = best_tables if best_tables is not None else tables
     if checkpoint_path:
         # authoritative write: the file always matches the returned tables
-        _checkpoint(checkpoint_path, final)
+        save_checkpoint(checkpoint_path, final, bundle, config,
+                        extra=checkpoint_extra)
     return TrainResult(tables=final, stats=stats, best_epoch=best_epoch,
                        best_val_recall=None if best_epoch is None else best_val)
 

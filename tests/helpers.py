@@ -5,12 +5,14 @@ explicit set arithmetic) so they stay independent of the production path
 they check.
 """
 
+import errno
 import json
 import math
 import os
 
 import numpy as np
 
+from agrec import ingest
 from agrec.errors import DataError
 from agrec.graphs import BipartiteGraph, GraphBundle, Vocabulary
 from agrec.ingest import split_dataset, write_manifest
@@ -368,3 +370,62 @@ def assert_same_dataset(got, want):
     assert all(type(i) is str for i in got.cold.ids)
     _assert_same_pairs(got.cold.edges, want.cold.edges, "cold edges")
     _assert_same_pairs(got.cold.test_pairs, want.cold.test_pairs, "cold test pairs")
+
+
+class _TornFile:
+    """A writable file that runs out of space: once `budget` bytes (text
+    characters) are written, a write puts what still fits and then raises
+    ENOSPC, as a full disk tears a file part-way through."""
+
+    def __init__(self, fh, budget):
+        self._fh, self._budget = fh, budget
+
+    def write(self, data):
+        if not isinstance(data, str):
+            data = memoryview(data).cast("B")
+        if len(data) > self._budget:
+            self._fh.write(data[:self._budget])
+            self._fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self._budget -= len(data)
+        return self._fh.write(data)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def tear_nth_write(monkeypatch, nth=1, budget=64):
+    """Make the `nth` file agrec opens for writing fail after `budget`
+    bytes; returns the list of paths opened for writing so far. Every
+    whole-file writer opens through ingest.atomic_write, so the patch is on
+    that module's `open`."""
+    opened = []
+
+    def torn_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if "w" not in mode:
+            return fh
+        opened.append(str(path))
+        return _TornFile(fh, budget) if len(opened) == nth else fh
+
+    monkeypatch.setattr(ingest, "open", torn_open, raising=False)
+    return opened
+
+
+def snapshot(directory):
+    """{name: bytes} of every file in `directory`."""
+    out = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as fh:
+            out[name] = fh.read()
+    return out

@@ -11,6 +11,7 @@ import pytest
 from agrec.cli import main
 from agrec.pipeline import load_dataset
 from agrec.synth import planted_world, write_world_files
+from helpers import snapshot, tear_nth_write
 
 
 @pytest.fixture(scope="module")
@@ -138,9 +139,18 @@ class TestPrepare:
                      "--out", str(tmp_path / "d")])
         assert code == 2
 
-    def test_vocab_files_written(self, pipeline_dir):
-        users = open(os.path.join(pipeline_dir["data"], "users.vocab.txt")).read().splitlines()
-        assert len(users) == len(set(users)) > 0
+    @pytest.mark.parametrize("nth", [1, 2])  # text_attributes.jsonl, manifest
+    def test_failed_force_keeps_the_old_outputs(self, world_dir, tmp_path,
+                                                monkeypatch, nth):
+        out = str(tmp_path / "data")
+        args = ["prepare", "--interactions", world_dir["interactions"],
+                "--items", world_dir["items"], "--min-users", "2", "--out", out]
+        assert main(args) == 0
+        before = snapshot(out)
+        opened = tear_nth_write(monkeypatch, nth=nth)
+        assert main(args + ["--seed", "9", "--force"]) == 1
+        assert len(opened) == nth
+        assert snapshot(out) == before
 
     def test_outputs_match_golden_hashes(self, tmp_path, monkeypatch):
         # relative paths, so that the config echo in the manifest is stable
@@ -287,6 +297,18 @@ class TestEvaluate:
                      "--out", out]) == 0
         stdout = capsys.readouterr().out
         assert open(out).read() == stdout
+
+    def test_failed_report_keeps_the_old_one(self, pipeline_dir, tmp_path,
+                                             monkeypatch, capsys):
+        args = ["evaluate", "--model", pipeline_dir["model"],
+                "--data", pipeline_dir["data"], "--attrs", pipeline_dir["attrs"],
+                "--out", str(tmp_path / "report.json")]
+        assert main(args + ["--k", "10"]) == 0  # also leaves the dataset cached
+        before = snapshot(tmp_path)
+        tear_nth_write(monkeypatch)
+        assert main(args + ["--k", "5"]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert snapshot(tmp_path) == before
 
     def test_evaluate_is_deterministic(self, pipeline_dir, tmp_path):
         outs = []
@@ -732,13 +754,12 @@ class TestRefusedSettings:
                             *self.config(tmp_path, "split = nan,0.1,0.1"))
         self.assert_clean_exit_2(proc, "split ratios must be finite")
 
-    @pytest.mark.parametrize("flag,key", [("--patience", "patience"),
-                                          ("--checkpoint-every", "checkpoint_every")])
+    @pytest.mark.parametrize("flag,key", [("--patience", "patience")])
     def test_negative_flag(self, pipeline_dir, tmp_path, flag, key):
         proc = self.train(pipeline_dir, tmp_path, flag, "-2")
         self.assert_clean_exit_2(proc, f"{key} must be >= 0, got -2")
 
-    @pytest.mark.parametrize("key", ["patience", "checkpoint_every"])
+    @pytest.mark.parametrize("key", ["patience"])
     def test_negative_config_key(self, pipeline_dir, tmp_path, key):
         proc = self.train(pipeline_dir, tmp_path,
                           *self.config(tmp_path, f"{key} = -1"))
@@ -769,7 +790,7 @@ class TestRefusedSettings:
     def test_zero_still_means_off(self, pipeline_dir, tmp_path):
         proc = run_cli("train", "--data", pipeline_dir["data"],
                        "--attrs", pipeline_dir["attrs"], "--dim", "4",
-                       "--epochs", "2", "--patience", "0", "--checkpoint-every", "0",
+                       "--epochs", "2", "--patience", "0",
                        "--out", str(tmp_path / "off.agr"))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["epochs_run"] == 2

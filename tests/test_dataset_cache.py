@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from agrec import pipeline
+from agrec import ingest, pipeline
 from agrec.cli import main
 from agrec.errors import DataError
 from agrec.ingest import manifest_split, read_manifest, write_manifest
@@ -315,7 +315,8 @@ class TestWrite:
         elif target == "savez":
             monkeypatch.setattr(pipeline.np, "savez", boom)
         else:
-            monkeypatch.setattr(pipeline, "open", no_new_files, raising=False)
+            # the cache file is opened by the one atomic writer
+            monkeypatch.setattr(ingest, "open", no_new_files, raising=False)
         assert_same_dataset(pipeline.load_dataset(*copy), fresh)
         assert _leftovers(copy[0]) == []
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import tempfile
@@ -8,14 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agrec import ingest
 from agrec.errors import ConfigError, DataError
 from agrec.ingest import (SplitDataset, ItemMetadata, PriceBuckets, _split_sizes,
-                          filter_min_popularity, fit_price_buckets,
+                          atomic_write, filter_min_popularity, fit_price_buckets,
                           manifest_split, parse_interactions, parse_items,
                           read_interactions, read_items, split_dataset,
                           text_attributes_line, tokenize_text_attributes,
                           write_manifest, read_manifest)
-from helpers import reference_manifest_bytes
+from helpers import reference_manifest_bytes, snapshot, tear_nth_write
 
 # IDs and keywords that exercise every escape the JSON string encoder makes
 ODD_TEXT = (st.text(min_size=1, max_size=8)
@@ -318,6 +320,85 @@ class TestManifest:
         assert again.train == split.train
         assert again.validation == split.validation
         assert again.test == split.test
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        rows = [(f"u{k % 4}", f"i{k}") for k in range(30)]
+        path = tmp_path / "manifest.json"
+        write_manifest(path, seed=9, ratios=(0.8, 0.1, 0.1),
+                       split=split_dataset(rows, seed=9))
+        before = snapshot(tmp_path)
+        tear_nth_write(monkeypatch, budget=200)
+        with pytest.raises(OSError, match="No space"):
+            write_manifest(path, seed=3, ratios=(0.8, 0.1, 0.1),
+                           split=split_dataset(rows, seed=3))
+        assert snapshot(tmp_path) == before
+
+
+class TestAtomicWrite:
+    def test_text_is_utf8_with_lf_endings(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with atomic_write(path) as fh:
+            fh.write("caf\u00e9\n")
+        assert path.read_bytes() == b"caf\xc3\xa9\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    @pytest.mark.parametrize("exc", [OSError, ValueError, KeyboardInterrupt])
+    def test_exception_keeps_the_previous_file(self, tmp_path, exc):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        with pytest.raises(exc):
+            with atomic_write(path, "wb") as fh:
+                fh.write(b"new, and more")
+                raise exc()
+        assert snapshot(tmp_path) == {"out.bin": b"old"}
+
+    def test_unopenable_temporary_file_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            with atomic_write(tmp_path / "absent" / "out.txt"):
+                pass
+        assert os.listdir(tmp_path) == []
+
+
+def _is_call(node, name, owner=None):
+    """`node` is a call of `name`, or of `owner.name` when owner is given."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if owner is None:
+        return isinstance(func, ast.Name) and func.id == name
+    return (isinstance(func, ast.Attribute) and func.attr == name
+            and isinstance(func.value, ast.Name) and func.value.id == owner)
+
+
+def _writes(call) -> bool:
+    """An open() call whose mode has "w" or is not a string literal."""
+    modes = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg == "mode"]
+    if not modes:
+        return False
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and "w" not in mode.value)
+
+
+def test_atomic_write_is_the_only_whole_file_writer():
+    """Every artifact is written through atomic_write: no other open() in
+    agrec takes a "w" mode, and os.replace is called nowhere else."""
+    src = os.path.dirname(ingest.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        writers = [f for f in ast.walk(tree) if name == "ingest.py"
+                   and isinstance(f, ast.FunctionDef) and f.name == "atomic_write"]
+        allowed = {id(node) for f in writers for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if ((_is_call(node, "open") and _writes(node))
+                    or _is_call(node, "replace", owner="os")):
+                found.append((name, node.lineno, id(node) in allowed))
+    assert [f for f in found if not f[2]] == []
+    assert len(found) == 2  # atomic_write's own open() and os.replace
 
 
 JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2**70, 2**70)

@@ -20,7 +20,8 @@ from agrec.model import (ModelConfig, cold_item_embedding, final_embeddings,
 from agrec.pipeline import _cold_edges
 from helpers import (dense_forward, dense_propagation_matrix,
                      dense_union_matrix, random_bundle, random_tables,
-                     reference_cold_item_embedding, split_classes)
+                     reference_cold_item_embedding, snapshot, split_classes,
+                     tear_nth_write)
 
 CLASSES = ("users", "items", "item_attrs", "aesthetics")
 
@@ -556,6 +557,24 @@ class TestCheckpoint:
         # float32 round-trip: values equal after f32 cast
         np.testing.assert_array_equal(ckpt.tables,
                                       tables.astype(np.float32).astype(np.float64))
+
+    # torn in the magic, the length prefix, the header and the table block
+    @pytest.mark.parametrize("budget", [2, 6, 100, -20])
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch,
+                                                 budget):
+        bundle = toy_bundle()
+        cfg = ModelConfig(dim=3, layers=1, seed=4)
+        path = tmp_path / "model.agr"
+        save_checkpoint(path, init_tables(bundle, cfg), bundle, cfg)
+        before = snapshot(tmp_path)
+        if budget < 0:
+            budget += len(before["model.agr"])
+        tear_nth_write(monkeypatch, budget=budget)
+        other = init_tables(bundle, ModelConfig(dim=3, layers=1, seed=5))
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(path, other, bundle, cfg)
+        assert snapshot(tmp_path) == before
+        load_checkpoint(path)
 
     def test_magic_guard(self, tmp_path):
         path = tmp_path / "bad.agr"

@@ -18,7 +18,8 @@ from agrec.training import (TrainDivergedError, _sample_negatives_block,
 from agrec.synth import assemble_world, planted_world
 from helpers import (dense_union_matrix, finite_difference_gradients, keys_of,
                      random_bundle, random_tables, reference_backward,
-                     reference_sample_negatives, split_classes)
+                     reference_sample_negatives, snapshot, split_classes,
+                     tear_nth_write)
 
 
 def hub_world():
@@ -361,8 +362,7 @@ class TestTrainLoop:
         assert err.last_good is None or err.last_good.shape == (bundle.operator.size, 3)
 
     @pytest.mark.parametrize("kwargs", [dict(batch_size=0), dict(epochs=0),
-                                        dict(val_k=0), dict(patience=-1),
-                                        dict(checkpoint_every=-1)])
+                                        dict(val_k=0), dict(patience=-1)])
     def test_rejects_empty_batches_and_epochs(self, kwargs):
         rng = np.random.default_rng(16)
         bundle, cfg, _ = tiny_problem(rng)
@@ -396,10 +396,37 @@ class TestTrainLoop:
         bundle, split = small_split(rng, bundle)
         path = tmp_path / "model.agr"
         result = train(split, bundle, cfg, epochs=5, batch_size=8, patience=2,
-                       val_k=5, checkpoint_path=path, checkpoint_every=2)
+                       val_k=5, checkpoint_path=path)
         ckpt = load_checkpoint(path)
         np.testing.assert_array_equal(
             ckpt.tables, result.tables.astype(np.float32).astype(np.float64))
+
+    def test_failed_save_keeps_the_best_checkpoint_so_far(self, tmp_path,
+                                                          monkeypatch):
+        from agrec.model import load_checkpoint
+
+        world = planted_world(n_users=20, n_items=40, n_item_keywords=4,
+                              n_aesthetic_keywords=3, tastes_per_user=1, seed=3)
+        bundle, split, _ = assemble_world(world, seed=1)
+        cfg = ModelConfig(dim=4, layers=1, learning_rate=2.0, seed=2)
+        saved = []
+        real_save = agrec.model.save_checkpoint
+
+        def recording_save(path, tables, *args, **kwargs):
+            saved.append(tables.copy())
+            real_save(path, tables, *args, **kwargs)
+
+        monkeypatch.setattr(agrec.model, "save_checkpoint", recording_save)
+        tear_nth_write(monkeypatch, nth=3, budget=600)
+        path = tmp_path / "model.agr"
+        with pytest.raises(OSError, match="No space"):
+            train(split, bundle, cfg, epochs=8, batch_size=16, patience=None,
+                  val_k=5, checkpoint_path=path)
+        assert len(saved) == 3  # epochs 1-3 each improved validation recall
+        assert list(snapshot(tmp_path)) == ["model.agr"]
+        np.testing.assert_array_equal(
+            load_checkpoint(path).tables,
+            saved[1].astype(np.float32).astype(np.float64))
 
     def test_mean_initial_loss_near_ln2(self):
         rng = np.random.default_rng(14)
