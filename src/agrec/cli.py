@@ -109,13 +109,8 @@ def _resolve(args) -> dict:
 
 
 def _echoable(resolved: dict) -> dict:
-    out = {}
-    for key, value in resolved.items():
-        if isinstance(value, tuple):
-            out[key] = list(value)
-        else:
-            out[key] = value
-    return out
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in resolved.items()}
 
 
 def _refuse_overwrite(paths, force: bool) -> None:
@@ -226,8 +221,6 @@ def cmd_train(args) -> int:
     config.validate()
 
     prepared = load_dataset(args.data, args.attrs)
-    if os.path.exists(log_path):
-        os.remove(log_path)
     result = train(
         prepared.split, prepared.bundle, config,
         epochs=cfg["epochs"], batch_size=cfg["batch"], val_k=cfg["val_k"],

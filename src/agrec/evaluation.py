@@ -8,7 +8,7 @@ averaged over users with at least one test positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,14 +52,7 @@ class MetricsReport:
     unscorable_cold_items: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode, "k": self.k, "users": self.users,
-            "recall": self.recall, "ndcg": self.ndcg, "precision": self.precision,
-            "checkpoint_hash": self.checkpoint_hash,
-            "dataset_hash": self.dataset_hash,
-            "excluded_users": self.excluded_users,
-            "unscorable_cold_items": self.unscorable_cold_items,
-        }
+        return asdict(self)
 
 
 def rank_items(user: int, candidates, e_u: np.ndarray, e_i: np.ndarray) -> RankingResult:

@@ -68,7 +68,8 @@ def parse_keyword_response(raw: str) -> list[str]:
     seen: set[str] = set()
     keywords: list[str] = []
     for chunk in raw.replace("\n", ",").split(","):
-        kw = "".join(ch if ch.isprintable() else " " for ch in chunk)
+        kw = chunk if chunk.isprintable() else "".join(
+            ch if ch.isprintable() else " " for ch in chunk)
         kw = kw.strip().rstrip(".").strip().lower()
         kw = " ".join(kw.split())
         if not kw or not any(ch.isalnum() for ch in kw):

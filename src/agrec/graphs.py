@@ -142,7 +142,12 @@ class PropagationOperator:
     gives M's scored rows byte for byte. The transpose's skipped sources
     are the attribute rows of z_K, which are +0.0; each skipped term is
     then +0.0, and adding +0.0 to a sum begun at +0.0 never changes it, so
-    head_transpose gives Mᵀ z_K's bytes.
+    head_transpose gives Mᵀ z_K's bytes. Both hold for every cell but a
+    NaN one, whose sign bit may differ: numpy's in-place add of two NaNs
+    of opposite sign gives a sign that depends on the element's position,
+    and a row sits at other positions in a head plan than in the full one.
+    No NaN reaches an artifact: forward raises NumericError on any
+    non-finite layer, and save_checkpoint refuses non-finite tables.
 
     Each plan is built from the relation graphs on first use, so a process
     that never backpropagates never builds a transpose; no COO copy of the

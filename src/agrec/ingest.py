@@ -89,7 +89,6 @@ class SplitDataset:
     train: list | np.ndarray = field(default_factory=list)
     validation: list | np.ndarray = field(default_factory=list)
     test: list | np.ndarray = field(default_factory=list)
-    split_seed: int = 0
 
 
 def parse_interactions(lines: Iterable[str]) -> list[Interaction]:
@@ -184,10 +183,10 @@ def _item_problem(obj) -> str | None:
     return None
 
 
-def parse_items(lines: Iterable[str], source: str = "items") -> list[ItemMetadata]:
-    """Parse the one-JSON-object-per-line items file; errors name `source`
-    and the line."""
-    out = []
+def jsonl_records(lines: Iterable[str], source, problem):
+    """(lineno, record) per non-blank JSON line. A line that does not parse,
+    whose record `problem(record)` names a fault of, or that holds a string
+    UTF-8 cannot encode raises DataError naming `source` and the line."""
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -196,9 +195,17 @@ def parse_items(lines: Iterable[str], source: str = "items") -> list[ItemMetadat
             obj = parse_json(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{source} line {lineno}: invalid JSON ({exc.msg})") from None
-        problem = _item_problem(obj) or _utf8_problem(line, obj)
-        if problem:
-            raise DataError(f"{source} line {lineno}: {problem}")
+        fault = problem(obj) or _utf8_problem(line, obj)
+        if fault:
+            raise DataError(f"{source} line {lineno}: {fault}")
+        yield lineno, obj
+
+
+def parse_items(lines: Iterable[str], source: str = "items") -> list[ItemMetadata]:
+    """Parse the one-JSON-object-per-line items file; errors name `source`
+    and the line."""
+    out = []
+    for lineno, obj in jsonl_records(lines, source, _item_problem):
         try:
             out.append(ItemMetadata(*map(obj.get, _ITEM_FIELDS)))
         except DataError as exc:
@@ -295,7 +302,7 @@ def split_dataset(interactions: Sequence, ratios: Sequence[float] = (0.8, 0.1, 0
         val = val + list(reversed(back_val))
         test = test + list(reversed(back_test))
 
-    return SplitDataset(train=train, validation=val, test=test, split_seed=seed)
+    return SplitDataset(train=train, validation=val, test=test)
 
 
 def fit_price_buckets(prices: Sequence[float], n_p: int) -> PriceBuckets:
@@ -460,6 +467,4 @@ def manifest_split(doc: dict) -> SplitDataset:
             raise DataError(f"manifest splits.{name}[{bad}] must be a pair of "
                             f"string IDs, got {json.dumps(rows[bad])[:60]}")
         parts.append(list(map(tuple, rows)))
-    train, val, test = parts
-    return SplitDataset(train=train, validation=val, test=test,
-                        split_seed=doc["seed"])
+    return SplitDataset(*parts)

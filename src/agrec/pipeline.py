@@ -12,7 +12,6 @@ candidates back instead of parsing and building again.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import zipfile
 from dataclasses import dataclass
@@ -24,14 +23,14 @@ from .errors import DataError, GraphError
 from .evaluation import ColdCandidates
 from .graphs import (BipartiteGraph, GraphBundle, Vocabulary,
                      build_item_attribute_graph, build_user_graph)
-from .ingest import (SplitDataset, _utf8_problem, atomic_write, manifest_split,
-                     open_text, parse_json, read_manifest)
+from .ingest import (SplitDataset, atomic_write, jsonl_records, manifest_split,
+                     open_text, read_manifest)
 from .model import file_sha256
 
 MANIFEST_NAME = "manifest.json"
 TEXT_ATTRS_NAME = "text_attributes.jsonl"
 CACHE_NAME = "dataset.cache.npz"
-_CACHE_FORMAT = b"agrec dataset cache 2\n"  # the first bytes of every key
+_CACHE_FORMAT = b"agrec dataset cache 3\n"  # the first bytes of every key
 _VOCABS = ("vocab_u", "vocab_i", "vocab_ia", "vocab_iaa")
 # each relation with the vocabularies of its left and right vertices
 _GRAPHS = {"g_iia": ("vocab_i", "vocab_ia"), "g_ui": ("vocab_u", "vocab_i"),
@@ -63,51 +62,32 @@ def _record_problem(obj, fields: tuple[str, ...]) -> str | None:
     return None
 
 
-def _read_jsonl(path, fields: tuple[str, ...]):
-    """(lineno, record) per non-blank line, each record checked."""
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = parse_json(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path} line {lineno}: invalid JSON ({exc.msg})") from None
-            problem = _record_problem(obj, fields) or _utf8_problem(line, obj)
-            if problem:
-                raise DataError(f"{path} line {lineno}: {problem}")
-            yield lineno, obj
-
-
 def load_attribute_files(text_attrs_path=None, attrs_path=None):
     """Merge item keywords from the text tokenizer output and extractor
-    records; returns (item_order, item_keywords, aesthetic_keywords)."""
-    item_order: list[str] = []
+    records; returns (item_keywords, aesthetic_keywords), items in order of
+    first appearance, each with its keywords in file order, repeats kept."""
     item_keywords: dict[str, list[str]] = {}
     aesthetic_keywords: dict[str, list[str]] = {}
-
-    def _register(item_id: str, keywords, target: dict):
-        if item_id not in item_keywords and target is item_keywords:
-            item_order.append(item_id)
-        bucket = target.setdefault(item_id, [])
-        for kw in keywords:
-            if kw not in bucket:
-                bucket.append(kw)
-
     if text_attrs_path and os.path.exists(text_attrs_path):
-        for _, obj in _read_jsonl(text_attrs_path, ("item_id", "keywords")):
-            _register(obj["item_id"], obj["keywords"], item_keywords)
+        with open_text(text_attrs_path) as fh:
+            records = jsonl_records(fh, text_attrs_path, lambda obj: _record_problem(
+                obj, ("item_id", "keywords")))
+            for _, obj in records:
+                item_keywords.setdefault(obj["item_id"], []).extend(obj["keywords"])
     if attrs_path:
-        for lineno, obj in _read_jsonl(attrs_path, ("item_id", "kind", "keywords")):
-            kind = obj["kind"]
-            if kind == "item":
-                _register(obj["item_id"], obj["keywords"], item_keywords)
-            elif kind == "aesthetic":
-                _register(obj["item_id"], obj["keywords"], aesthetic_keywords)
-            else:
-                raise DataError(f"{attrs_path} line {lineno}: unknown kind {kind!r}")
-    return item_order, item_keywords, aesthetic_keywords
+        with open_text(attrs_path) as fh:
+            records = jsonl_records(fh, attrs_path, lambda obj: _record_problem(
+                obj, ("item_id", "kind", "keywords")))
+            for lineno, obj in records:
+                kind = obj["kind"]
+                if kind == "item":
+                    target = item_keywords
+                elif kind == "aesthetic":
+                    target = aesthetic_keywords
+                else:
+                    raise DataError(f"{attrs_path} line {lineno}: unknown kind {kind!r}")
+                target.setdefault(obj["item_id"], []).extend(obj["keywords"])
+    return item_keywords, aesthetic_keywords
 
 
 def load_dataset(data_dir, attrs_path=None) -> PreparedDataset:
@@ -133,7 +113,7 @@ def _build_dataset(data_dir, attrs_path) -> PreparedDataset:
     dataset_hash = file_sha256(manifest_path)
     id_split = manifest_split(read_manifest(manifest_path))
 
-    item_order, item_keywords, aesthetic_keywords = load_attribute_files(
+    item_keywords, aesthetic_keywords = load_attribute_files(
         os.path.join(data_dir, TEXT_ATTRS_NAME), attrs_path)
 
     train_items = {i for _, i in id_split.train}
@@ -144,10 +124,10 @@ def _build_dataset(data_dir, attrs_path) -> PreparedDataset:
             f"{len(missing)} training items have no attribute keywords "
             f"(first few: {missing[:5]}); provide text attributes or --attrs")
 
-    warm_pairs = [(iid, kw) for iid in item_order if iid in train_items
-                  for kw in item_keywords[iid]]
+    warm_pairs = [(iid, kw) for iid, kws in item_keywords.items()
+                  if iid in train_items for kw in kws]
     aes_pairs = [(iid, kw) for iid, kws in aesthetic_keywords.items() for kw in kws]
-    cold_keywords = {iid: item_keywords[iid] for iid in item_order
+    cold_keywords = {iid: kws for iid, kws in item_keywords.items()
                      if iid not in train_items}
     bundle, split, cold = build_bundle(
         id_split, warm_pairs, aes_pairs, cold_keywords, cold_pairs=id_split.test)
@@ -212,8 +192,7 @@ def _write_cache(path, key: str, prepared: PreparedDataset) -> None:
     cannot take the file, or strings numpy cannot hold, leave no cache."""
     bundle, split, cold = prepared.bundle, prepared.split, prepared.cold
     try:
-        arrays = {"key": np.array(key), "dataset_hash": np.array(prepared.dataset_hash),
-                  "split_seed": np.array(json.dumps(split.split_seed))}
+        arrays = {"key": np.array(key), "dataset_hash": np.array(prepared.dataset_hash)}
         for name in _VOCABS:
             arrays[name] = _strings(getattr(bundle, name).entries)
         for name in _GRAPHS:
@@ -302,9 +281,7 @@ def _from_arrays(arrays: dict) -> PreparedDataset:
     bundle = GraphBundle(**graphs, **vocabs)
 
     n_u, n_i = len(bundle.vocab_u), len(bundle.vocab_i)
-    split = SplitDataset(
-        *(_index_array(arrays, name, n_u, n_i) for name in _SPLITS),
-        split_seed=parse_json(_member(arrays, "split_seed", "U", 0).item()))
+    split = SplitDataset(*(_index_array(arrays, name, n_u, n_i) for name in _SPLITS))
 
     ids = _member(arrays, "cold_ids", "U", 1).tolist()
     if len(set(ids)) != len(ids):
@@ -353,9 +330,7 @@ def build_bundle(id_split: SplitDataset, item_keyword_pairs, aesthetic_pairs,
                              if (a := index_u.get(u)) is not None
                              and (b := index_r.get(r)) is not None])
 
-    split = SplitDataset(
-        *(_indexed(getattr(id_split, name), vocab_i) for name in _SPLITS),
-        split_seed=id_split.split_seed)
+    split = SplitDataset(*(_indexed(getattr(id_split, name), vocab_i) for name in _SPLITS))
     vocab_cold = Vocabulary.from_ids(cold_keywords)
     cold = ColdCandidates(
         ids=vocab_cold.entries, edges=_cold_edges(cold_keywords, vocab_ia),

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
 from .graphs import GraphBundle, _in_sorted
-from .ingest import SplitDataset
+from .ingest import SplitDataset, atomic_write
 from .kernels import gather_rows, scatter_rows
 from .model import LayerStack, ModelConfig, final_embeddings, forward, init_tables
 
@@ -95,16 +95,6 @@ class _PhaseClock:
         now = time.perf_counter()
         self.seconds[phase] += now - self._last
         self._last = now
-
-
-class TrainDivergedError(NumericError):
-    """Loss became non-finite; carries the tables from the last good epoch."""
-
-    def __init__(self, message: str, last_good: np.ndarray | None,
-                 stats: list[EpochStats]):
-        super().__init__(message)
-        self.last_good = last_good
-        self.stats = stats
 
 
 def _pair_scores(e_u, e_i, users, pos, negs):
@@ -217,9 +207,12 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
     With a validation split, Recall@val_k is tracked per epoch, training
     stops after `patience` epochs without improvement, and the best tables
     are kept and, given `checkpoint_path`, saved whole there on each
-    improvement and at the end. Each epoch's `phase_seconds` splits its
-    time by PHASES; the validation forward counts under validate_s, and the
-    next epoch's first batch reuses it.
+    improvement and at the end. Each epoch appends one JSON line to
+    `log_path`; with a `checkpoint_path` the first save replaces the old
+    file with this run's lines, so a run that saves nothing leaves both
+    files as they were. Each epoch's `phase_seconds` splits its time by
+    PHASES; the validation forward counts under validate_s, and the next
+    epoch's first batch reuses it.
     """
     from . import evaluation  # local import; evaluation depends on model only
     from .model import save_checkpoint
@@ -250,11 +243,19 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
     n_n = config.n_negatives
 
     stats: list[EpochStats] = []
-    last_good: np.ndarray | None = None
     best_tables: np.ndarray | None = None
     best_val = -np.inf
     best_epoch = None
     stale = 0
+    log_in_file = not checkpoint_path  # else the old log stays until a save
+
+    def _save(t: np.ndarray) -> None:
+        nonlocal log_in_file
+        save_checkpoint(checkpoint_path, t, bundle, config, extra=checkpoint_extra)
+        if log_path is not None and not log_in_file:
+            with atomic_write(log_path) as fh:
+                fh.writelines(_log_line(s, val_k) for s in stats)
+        log_in_file = True
 
     stack = None  # forward of the current tables, once computed
     for epoch in range(1, epochs + 1):
@@ -292,18 +293,16 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
                     e_u, e_i, split.validation, bundle.g_ui, val_k)
                 clock.lap("validate_s")
         except NumericError as exc:
-            raise TrainDivergedError(
-                f"training diverged at epoch {epoch}: {exc}",
-                last_good, stats) from exc
+            raise NumericError(f"training diverged at epoch {epoch}: {exc}") from exc
 
         st = EpochStats(epoch=epoch, loss=loss_sum / batches,
                         reg=reg_sum / batches, triples=n_pairs * n_n,
                         seconds=time.perf_counter() - t0, val_recall=val_recall,
                         phase_seconds=clock.seconds)
         stats.append(st)
-        last_good = tables.copy()
-        if log_path is not None:
-            _append_log_line(log_path, st, val_k)
+        if log_path is not None and log_in_file:
+            with open(log_path, "a", encoding="utf-8") as fh:
+                fh.write(_log_line(st, val_k))
 
         if val_recall is not None:
             if val_recall > best_val + 1e-12:
@@ -312,8 +311,7 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
                 best_tables = tables.copy()
                 stale = 0
                 if checkpoint_path:
-                    save_checkpoint(checkpoint_path, tables, bundle, config,
-                                    extra=checkpoint_extra)
+                    _save(tables)
             else:
                 stale += 1
                 if patience is not None and stale >= patience:
@@ -322,15 +320,13 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
     final = best_tables if best_tables is not None else tables
     if checkpoint_path:
         # authoritative write: the file always matches the returned tables
-        save_checkpoint(checkpoint_path, final, bundle, config,
-                        extra=checkpoint_extra)
+        _save(final)
     return TrainResult(tables=final, stats=stats, best_epoch=best_epoch,
                        best_val_recall=None if best_epoch is None else best_val)
 
 
-def _append_log_line(path, st: EpochStats, val_k: int) -> None:
+def _log_line(st: EpochStats, val_k: int) -> str:
     rec = {"epoch": st.epoch, "loss": st.loss, "reg": st.reg,
            f"val_recall@{val_k}": st.val_recall, "seconds": st.seconds,
            **st.phase_seconds}
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    return json.dumps(rec, sort_keys=True) + "\n"

@@ -270,6 +270,51 @@ class TestTrain:
         assert "not finite in float32" in capsys.readouterr().err
         assert not out.exists()
 
+    def _good_run(self, pipeline_dir, tmp_path):
+        """Train 3 epochs into tmp_path/m.agr; returns the argv."""
+        args = ["train", "--data", pipeline_dir["data"], "--attrs", pipeline_dir["attrs"],
+                "--dim", "4", "--epochs", "3", "--out", str(tmp_path / "m.agr")]
+        assert main(args) == 0
+        return args
+
+    def test_failed_force_keeps_model_and_log(self, pipeline_dir, tmp_path, capsys):
+        # the log beside --out describes the checkpoint there
+        args = self._good_run(pipeline_dir, tmp_path)
+        before = snapshot(tmp_path)
+        assert main(args + ["--force", "--lr", "1e30"]) == 1
+        assert "not finite in float32" in capsys.readouterr().err
+        assert snapshot(tmp_path) == before  # both files as they were, no *.tmp
+
+    def test_failure_after_a_save_logs_that_run_only(self, pipeline_dir, tmp_path,
+                                                     monkeypatch):
+        import agrec.evaluation
+        from agrec.errors import NumericError
+        from agrec.model import load_checkpoint
+
+        args = self._good_run(pipeline_dir, tmp_path)
+        real, calls = agrec.evaluation.mean_recall_at_k, []
+
+        def fail_second(*a, **kw):  # epoch 2's validation, after epoch 1's save
+            calls.append(1)
+            if len(calls) == 2:
+                raise NumericError("injected")
+            return real(*a, **kw)
+
+        monkeypatch.setattr(agrec.evaluation, "mean_recall_at_k", fail_second)
+        assert main(args + ["--force", "--seed", "8"]) == 1
+        monkeypatch.undo()
+        # a clean 1-epoch run of the same config gives epoch 1's line and tables
+        ref = str(tmp_path / "ref.agr")
+        assert main(args[:-1] + [ref, "--epochs", "1", "--seed", "8"]) == 0
+
+        def untimed(model):
+            with open(model + ".log.jsonl") as fh:
+                return [{k: v for k, v in json.loads(line).items()
+                         if k != "seconds" and not k.endswith("_s")} for line in fh]
+
+        assert untimed(args[-1]) == untimed(ref) and len(untimed(ref)) == 1
+        assert (load_checkpoint(args[-1]).tables == load_checkpoint(ref).tables).all()
+
     def test_threads_flag_removed(self, pipeline_dir, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             self._train(pipeline_dir, tmp_path, "--threads", "2")

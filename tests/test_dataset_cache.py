@@ -213,14 +213,12 @@ class TestBadCache:
         lambda a: _bump("cold_edges", (0, 0), -1)(a),
         lambda a: a.update(cold_edges=a["cold_edges"].reshape(-1)),
         lambda a: a.update(cold_ids=np.concatenate([a["cold_ids"][:1], a["cold_ids"][:-1]])),
-        lambda a: a.update(split_seed=np.array("{")),
         lambda a: a.update(dataset_hash=np.array(7)),
     ], ids=["other-key", "missing-member", "float-edges", "2d-vocab", "1d-split",
             "split-shape", "edge-lengths", "repeated-vocab", "edge-range",
             "negative-edge", "split-range", "negative-split", "cold-range",
             "cold-edge-range", "cold-position-range", "negative-cold-edge",
-            "1d-cold-edges", "repeated-cold-id",
-            "bad-seed", "int-hash"])
+            "1d-cold-edges", "repeated-cold-id", "int-hash"])
     def test_inconsistent_cache_rebuilds(self, copy, fresh, builds, edit):
         pipeline.load_dataset(*copy)
         _rewrite(copy[0], edit)

@@ -61,6 +61,24 @@ class TestParseKeywordResponse:
         keywords = list(dict.fromkeys(" ".join(k.split()) for k in keywords))
         assert parse_keyword_response(", ".join(keywords)) == keywords
 
+    @given(st.text(st.characters() | st.sampled_from(",.\n\t\x07   "),
+                   max_size=40))
+    def test_same_keywords_as_per_character_rebuild(self, raw):
+        """Printable chunks are used as they are; every chunk rebuilt with
+        each non-printable character as a space gives the same keywords."""
+        seen, want = set(), []
+        for chunk in raw.replace("\n", ",").split(","):
+            kw = "".join(ch if ch.isprintable() else " " for ch in chunk)
+            kw = " ".join(kw.strip().rstrip(".").strip().lower().split())
+            if kw and any(ch.isalnum() for ch in kw) and kw not in seen:
+                seen.add(kw)
+                want.append(kw)
+        if not want:
+            with pytest.raises(NoKeywordsError):
+                parse_keyword_response(raw)
+        else:
+            assert parse_keyword_response(raw) == want
+
 
 def make_fixture(n=3):
     return FixtureBackend({
