@@ -19,10 +19,10 @@ from .errors import (AgrecError, ConfigError, DataError, IntegrityError,
 from .evaluation import evaluate, top_k
 from .extractor import (FixtureBackend, HttpBackend, PromptKind,
                         run_extraction_batch)
-from .ingest import (PriceBuckets, atomic_write, filter_min_popularity,
-                     fit_price_buckets, open_text, read_interactions, read_items,
-                     split_dataset, text_attributes_line,
-                     tokenize_text_attributes, write_manifest)
+from .ingest import (atomic_write, filter_min_popularity, fit_price_buckets,
+                     open_text, read_interactions, read_items, split_dataset,
+                     text_attributes_line, tokenize_text_attributes,
+                     write_manifest)
 from .model import (ModelConfig, file_sha256, final_embeddings, forward,
                     load_checkpoint)
 from .pipeline import MANIFEST_NAME, TEXT_ATTRS_NAME, load_dataset
@@ -139,8 +139,7 @@ def cmd_prepare(args) -> int:
 
     items = read_items(args.items)
     prices = [m.price for m in items if m.price is not None]
-    buckets = (fit_price_buckets(prices, cfg["price_buckets"]) if prices
-               else PriceBuckets(n_p=cfg["price_buckets"], boundaries=[]))
+    buckets = fit_price_buckets(prices, cfg["price_buckets"])
     stop_words = None
     if args.stop_words:
         with open_text(args.stop_words) as fh:
@@ -224,7 +223,7 @@ def cmd_train(args) -> int:
     result = train(
         prepared.split, prepared.bundle, config,
         epochs=cfg["epochs"], batch_size=cfg["batch"], val_k=cfg["val_k"],
-        patience=cfg["patience"] or None,  # 0 turns early stopping off
+        patience=cfg["patience"],
         log_path=log_path, checkpoint_path=args.out,
         checkpoint_extra={"config": _echoable(cfg)})
 

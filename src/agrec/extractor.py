@@ -123,20 +123,12 @@ class FixtureBackend:
             raise DataError(f"{path}: a fixture maps item IDs to objects of strings")
         return cls(doc)
 
-    def complete(self, item_id: str, image_ref: str | None, prompt: str) -> str:
-        kind = _kind_of_prompt(prompt)
+    def complete(self, item_id: str, image_ref: str | None, kind: PromptKind) -> str:
         try:
             return self.responses[item_id][kind.value]
         except KeyError:
             raise BackendError(
                 f"fixture has no {kind.value} response for item {item_id!r}") from None
-
-
-def _kind_of_prompt(prompt: str) -> PromptKind:
-    for kind, text in _PROMPTS.items():
-        if prompt == text:
-            return kind
-    raise ConfigError("prompt does not match any known kind")
 
 
 class HttpBackend:
@@ -162,13 +154,14 @@ class HttpBackend:
         self.token = token
         self.timeout = timeout
 
-    def complete(self, item_id: str, image_ref: str | None, prompt: str) -> str:
+    def complete(self, item_id: str, image_ref: str | None, kind: PromptKind) -> str:
         # imported here: urllib.request pulls in http.client and ssl, which
         # no CLI stage but extract --backend http needs
         import urllib.error
         import urllib.request
 
-        payload = json.dumps({"prompt": prompt, "image": image_ref}).encode("utf-8")
+        payload = json.dumps({"prompt": render_prompt(kind),
+                              "image": image_ref}).encode("utf-8")
         req = urllib.request.Request(
             self.base_url, data=payload, method="POST",
             headers={"Content-Type": "application/json",
@@ -207,18 +200,18 @@ class KeywordExtractor:
 
     def extract(self, item_id: str, image_ref: str | None,
                 kind: PromptKind) -> ExtractionRecord:
-        raw = self._call_with_retries(item_id, image_ref, render_prompt(kind))
+        raw = self._call_with_retries(item_id, image_ref, kind)
         return ExtractionRecord(item_id=item_id, kind=kind,
                                 keywords=parse_keyword_response(raw),
                                 backend_name=self.backend.name,
                                 retrieved_at=self._now())
 
-    def _call_with_retries(self, item_id, image_ref, prompt) -> str:
+    def _call_with_retries(self, item_id, image_ref, kind) -> str:
         delay = self.backoff
         for attempt in range(1, self.retries + 1):
             try:
                 self.backend_calls += 1
-                return self.backend.complete(item_id, image_ref, prompt)
+                return self.backend.complete(item_id, image_ref, kind)
             except BackendError:
                 if attempt == self.retries:
                     raise

@@ -111,16 +111,6 @@ class GraphBundle:
     vocab_ia: Vocabulary
     vocab_iaa: Vocabulary
 
-    def validate(self) -> None:
-        if self.g_ui.left_count != len(self.vocab_u) or self.g_uiaa.left_count != len(self.vocab_u):
-            raise GraphError("user vertex counts disagree across relations")
-        if self.g_iia.left_count != len(self.vocab_i) or self.g_ui.right_count != len(self.vocab_i):
-            raise GraphError("item vertex counts disagree across relations")
-        if self.g_iia.right_count != len(self.vocab_ia):
-            raise GraphError("item-attribute vertex count mismatch")
-        if self.g_uiaa.right_count != len(self.vocab_iaa):
-            raise GraphError("aesthetic vertex count mismatch")
-
     @cached_property
     def operator(self) -> "PropagationOperator":
         """The union propagation operator, built on first use."""
@@ -135,23 +125,19 @@ class PropagationOperator:
     x -> M x is ``gather_rows(op.forward, x)`` and backpropagation applies
     Mᵀ as ``gather_rows(op.transpose, z)``. Only the user and item rows of
     the last layer are scored, so ``op.head`` is M restricted to those rows
-    (``bounds[2]`` output rows) and ``op.head_transpose`` its transpose,
-    which reads only those rows of z. Forward applies M K−1 times and then
-    the head once; backward's first step is the head's transpose. Each row
-    of a head plan keeps its edges in the full plan's order, so the head
-    gives M's scored rows byte for byte. The transpose's skipped sources
-    are the attribute rows of z_K, which are +0.0; each skipped term is
-    then +0.0, and adding +0.0 to a sum begun at +0.0 never changes it, so
-    head_transpose gives Mᵀ z_K's bytes. Both hold for every cell but a
-    NaN one, whose sign bit may differ: numpy's in-place add of two NaNs
-    of opposite sign gives a sign that depends on the element's position,
-    and a row sits at other positions in a head plan than in the full one.
-    No NaN reaches an artifact: forward raises NumericError on any
-    non-finite layer, and save_checkpoint refuses non-finite tables.
+    (``bounds[2]`` output rows): forward applies M K−1 times and then the
+    head once. Each row of the head keeps its edges in the full plan's
+    order, so it gives M's scored rows byte for byte, except in a NaN
+    cell, whose sign bit may differ: numpy's in-place add of two NaNs of
+    opposite sign gives a sign that depends on the element's position, and
+    a row sits at another position in the head than in the full plan. No
+    NaN reaches an artifact: forward raises NumericError on any non-finite
+    layer, and save_checkpoint refuses non-finite tables.
 
     Each plan is built from the relation graphs on first use, so a process
-    that never backpropagates never builds a transpose; no COO copy of the
-    edges is kept. ``bounds`` are the class boundaries in the stacked index.
+    that never backpropagates never builds the transpose; no COO copy of
+    the edges is kept. ``bounds`` are the class boundaries in the stacked
+    index.
     """
 
     # (graph, left offset, right offset, also right <- left)
@@ -186,13 +172,6 @@ class PropagationOperator:
                 coef.append(g.coef)
         return tuple(np.concatenate(parts) for parts in (rows, cols, coef))
 
-    def _head_triplet(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The entries of M in its scored rows (users and items), in
-        _triplet's order, so every row keeps its entries' order."""
-        rows, cols, coef = self._triplet()
-        keep = rows < self.bounds[2]
-        return rows[keep], cols[keep], coef[keep]
-
     @cached_property
     def forward(self) -> GatherPlan:
         rows, cols, coef = self._triplet()
@@ -205,13 +184,11 @@ class PropagationOperator:
 
     @cached_property
     def head(self) -> GatherPlan:
-        rows, cols, coef = self._head_triplet()
-        return plan_gather(rows, cols, coef, self.bounds[2])
-
-    @cached_property
-    def head_transpose(self) -> GatherPlan:
-        rows, cols, coef = self._head_triplet()
-        return plan_gather(cols, rows, coef, self.size)
+        """M's scored rows (users and items), in _triplet's order, so every
+        row keeps its entries' order."""
+        rows, cols, coef = self._triplet()
+        keep = rows < self.bounds[2]
+        return plan_gather(rows[keep], cols[keep], coef[keep], self.bounds[2])
 
 
 def build_operator(bundle: GraphBundle) -> PropagationOperator:

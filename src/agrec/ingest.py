@@ -60,14 +60,11 @@ class ItemMetadata:
 
 @dataclass
 class PriceBuckets:
-    """Equal-frequency price discretization into n_p categories.
-
-    ``boundaries`` are ascending lower edges of buckets 1..n_p-1; ties in the
-    fitted prices can collapse boundaries, in which case fewer than n_p
-    distinct labels occur. Labels are always in 0..n_p-1 and monotone in price.
+    """Price discretization: ``boundaries`` are the ascending lower edges
+    of buckets 1, 2, ..., so a price's label is the number of boundaries
+    at or below it, monotone in price.
     """
 
-    n_p: int
     boundaries: list[float]
 
     def assign(self, price: float) -> int:
@@ -306,11 +303,11 @@ def split_dataset(interactions: Sequence, ratios: Sequence[float] = (0.8, 0.1, 0
 
 
 def fit_price_buckets(prices: Sequence[float], n_p: int) -> PriceBuckets:
-    """Equal-frequency bucket boundaries; equal prices always share a bucket."""
+    """Equal-frequency boundaries for n_p buckets; equal prices always share
+    a bucket, so ties can collapse boundaries and leave fewer than n_p
+    labels. Without prices there are no boundaries."""
     if n_p < 1:
-        raise ConfigError(f"n_p must be >= 1, got {n_p}")
-    if not len(prices):
-        raise ConfigError("at least one price is required to fit buckets")
+        raise ConfigError(f"price_buckets must be >= 1, got {n_p}")
     values, counts = np.unique(np.asarray(prices, dtype=np.float64), return_counts=True)
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])  # first occurrence ranks
     n = int(counts.sum())
@@ -324,7 +321,7 @@ def fit_price_buckets(prices: Sequence[float], n_p: int) -> PriceBuckets:
         v = float(values[k])
         if not boundaries or v > boundaries[-1]:
             boundaries.append(v)
-    return PriceBuckets(n_p=n_p, boundaries=boundaries)
+    return PriceBuckets(boundaries)
 
 
 def _normalize_field(value: str) -> str:

@@ -211,9 +211,10 @@ def save_checkpoint(path, tables: np.ndarray, bundle: GraphBundle,
                     config: ModelConfig, extra: dict | None = None) -> None:
     """Write magic, length-prefixed JSON header, then the stacked table as
     one float32 little-endian row-major block: users, items, item-attributes,
-    aesthetics, each class's rows as the header counts. The file is replaced
-    whole (ingest.atomic_write): a failed save leaves the old one. Refuses,
-    before touching `path`, tables that are not finite in float32."""
+    aesthetics, each class's rows as the header counts, and the block's
+    sha256 as `table_sha256`. The file is replaced whole
+    (ingest.atomic_write): a failed save leaves the old one. Refuses, before
+    touching `path`, tables that are not finite in float32."""
     op = bundle.operator
     _check_rows(tables, op)
     with np.errstate(over="ignore"):  # overflow is caught just below
@@ -230,6 +231,7 @@ def save_checkpoint(path, tables: np.ndarray, bundle: GraphBundle,
         "counts": dict(zip(_TABLE_NAMES, np.diff(op.bounds).tolist())),
         "vocab_sha256": vocab_hashes(bundle),
         "seed": config.seed,
+        "table_sha256": hashlib.sha256(block).hexdigest(),
     }
     if extra:
         header.update(extra)
@@ -239,7 +241,8 @@ def save_checkpoint(path, tables: np.ndarray, bundle: GraphBundle,
         fh.write(block)  # the contiguous buffer itself, not a tobytes() copy
 
 
-_HEADER_KEYS = ("dim", "counts", "alpha", "layers", "seed", "vocab_sha256")
+_HEADER_KEYS = ("dim", "counts", "alpha", "layers", "seed", "vocab_sha256",
+                "table_sha256")
 
 
 def _is_count(value) -> bool:
@@ -271,8 +274,9 @@ def _check_header(header) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a save_checkpoint file, which must be exactly magic, length
-    prefix, header and the table block the header sizes: a short file or
-    any byte after the table is a DataError."""
+    prefix, header and the table block the header sizes and digests: a
+    short file, any byte after the table or a table whose sha256 is not
+    the header's is a DataError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -302,6 +306,8 @@ def load_checkpoint(path) -> Checkpoint:
         raw = fh.read(size)
         if len(raw) != size:
             raise DataError("truncated checkpoint: table block")
+    if hashlib.sha256(raw).hexdigest() != header["table_sha256"]:
+        raise DataError("corrupt checkpoint: table digest mismatch")
     tables = np.frombuffer(raw, dtype="<f4").reshape(-1, dim).astype(np.float64)
     return Checkpoint(header=header, tables=tables)
 

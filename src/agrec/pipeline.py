@@ -321,7 +321,6 @@ def build_bundle(id_split: SplitDataset, item_keyword_pairs, aesthetic_pairs,
     bundle = GraphBundle(g_iia=g_iia, g_ui=g_ui, g_uiaa=g_uiaa,
                          vocab_u=vocab_u, vocab_i=vocab_i,
                          vocab_ia=vocab_ia, vocab_iaa=vocab_iaa)
-    bundle.validate()
 
     def _indexed(pairs, vocab_right: Vocabulary) -> np.ndarray:
         """The (user_id, right_id) pairs whose IDs are both known, indexed."""

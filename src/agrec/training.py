@@ -131,8 +131,7 @@ def backward(users, pos, negs, stack: LayerStack, bundle: GraphBundle,
 
     Returns (gradients, bpr_mean, reg_mean). The adjoint recursion mirrors the
     forward: z_K = alpha_K G and z_k = alpha_k G + Mᵀ z_{k+1}, where G is the
-    loss gradient on the final embeddings and Mᵀ the transposed operator;
-    the first step applies the transpose of M's scored rows (op.head_transpose).
+    loss gradient on the final embeddings and Mᵀ the transposed operator.
     """
     users = np.asarray(users, dtype=np.int64)
     pos = np.asarray(pos, dtype=np.int64)
@@ -162,11 +161,9 @@ def backward(users, pos, negs, stack: LayerStack, bundle: GraphBundle,
     scatter_rows(grad_i, negs, u_rows)
     del d, u_rows  # training's peak memory falls in the adjoint gathers
 
-    # z_K's attribute rows are +0.0, so its step reads the user and item rows
     z = alpha[config.layers] * grad_final
     for k in range(config.layers - 1, -1, -1):
-        z = gather_rows(op.head_transpose if k == config.layers - 1
-                        else op.transpose, z)
+        z = gather_rows(op.transpose, z)
         z += alpha[k] * grad_final
 
     reg_mean = 0.0
@@ -199,15 +196,15 @@ class TrainResult:
 
 def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
           epochs: int, batch_size: int = 256, val_k: int = 50,
-          patience: int | None = 5, log_path=None, checkpoint_path=None,
+          patience: int = 5, log_path=None, checkpoint_path=None,
           checkpoint_extra: dict | None = None) -> TrainResult:
     """Run shuffled mini-batch SGD epochs; single-threaded and deterministic.
 
     Each epoch expands every training interaction into n_negatives triples.
     With a validation split, Recall@val_k is tracked per epoch, training
-    stops after `patience` epochs without improvement, and the best tables
-    are kept and, given `checkpoint_path`, saved whole there on each
-    improvement and at the end. Each epoch appends one JSON line to
+    stops after `patience` epochs without improvement (never with 0), and
+    the best tables are kept and, given `checkpoint_path`, saved whole there
+    on each improvement and at the end. Each epoch appends one JSON line to
     `log_path`; with a `checkpoint_path` the first save replaces the old
     file with this run's lines, so a run that saves nothing leaves both
     files as they were. Each epoch's `phase_seconds` splits its time by
@@ -224,7 +221,7 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     if val_k < 1:
         raise ConfigError(f"validation k must be >= 1, got {val_k}")
-    if patience is not None and patience < 0:
+    if patience < 0:
         raise ConfigError(f"patience must be >= 0, got {patience}")
     rng = np.random.default_rng(config.seed)
     tables = init_tables(bundle, config, rng)
@@ -234,12 +231,12 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
         raise DataError("empty training split")
     item_count = len(bundle.vocab_i)
     positives = bundle.g_ui.left * item_count + bundle.g_ui.right  # sorted
-    # Build all four plans before the first batch rather than inside its
+    # Build the three plans before the first batch rather than inside its
     # forward and backward. Live memory is about the same either way, but
     # among the batch arrays the serve-wide world's train peak RSS measured
     # 1.7 MB (2%) higher, through where the allocator placed them.
     op = bundle.operator
-    _ = op.forward, op.head, op.transpose, op.head_transpose
+    _ = op.forward, op.head, op.transpose
     n_n = config.n_negatives
 
     stats: list[EpochStats] = []
@@ -314,7 +311,7 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
                     _save(tables)
             else:
                 stale += 1
-                if patience is not None and stale >= patience:
+                if stale == patience:  # stale >= 1 here, so never with 0
                     break
 
     final = best_tables if best_tables is not None else tables

@@ -164,7 +164,7 @@ def test_planted_preference_recovery():
     world, bundle, split, _ = _planted_bundle()
     cfg = ModelConfig(**PLANTED_CONFIG)
     result = train(split, bundle, cfg, epochs=50, batch_size=256,
-                   patience=None, val_k=10)
+                   patience=0, val_k=10)
     stack = forward(result.tables, bundle, cfg)
     e_u, e_i = final_embeddings(stack, cfg.alpha())
     recall = mean_recall_at_k(e_u, e_i, split.test, bundle.g_ui, 10)
@@ -183,7 +183,7 @@ def test_cold_start_capability(tmp_path):
     assert len(cold.ids) == 50
     cfg = ModelConfig(**PLANTED_CONFIG)
     result = train(split, bundle, cfg, epochs=50, batch_size=256,
-                   patience=None, val_k=10)
+                   patience=0, val_k=10)
 
     path = tmp_path / "cold.agr"
     save_checkpoint(path, result.tables, bundle, cfg)
@@ -221,7 +221,7 @@ def test_determinism(tmp_path):
         cfg = ModelConfig(dim=16, layers=2, learning_rate=8.0,
                           l2_weight=1e-4, seed=7)
         result = train(split, bundle, cfg, epochs=8, batch_size=128,
-                       patience=None, val_k=10)
+                       patience=0, val_k=10)
         path = tmp_path / f"run{run}.agr"
         save_checkpoint(path, result.tables, bundle, cfg)
         report = evaluate(load_checkpoint(path), bundle, split, k=10,

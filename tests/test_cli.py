@@ -436,17 +436,29 @@ class TestEvaluate:
         assert proc.stderr.startswith("error: corrupt checkpoint")
         assert not out.exists()
 
+    def test_flipped_table_byte_exit_1_without_report(self, pipeline_dir, tmp_path):
+        model, out = tmp_path / "flipped.agr", tmp_path / "report.json"
+        blob = bytearray(open(pipeline_dir["model"], "rb").read())
+        blob[-4] ^= 0x01  # the lowest mantissa bit of the last value
+        model.write_bytes(bytes(blob))
+        proc = run_cli("evaluate", "--model", str(model), "--data", pipeline_dir["data"],
+                       "--attrs", pipeline_dir["attrs"], "--out", str(out))
+        assert_clean_exit_1(proc)
+        assert proc.stderr.startswith("error: corrupt checkpoint: table digest mismatch")
+        assert not out.exists()
+
 
 def craft_header(model, path, edit, cut_rows=0):
     """A copy of checkpoint `model` whose header went through `edit`, less
-    its last `cut_rows` table rows."""
+    its last `cut_rows` table rows; the table digest follows the rows."""
     with open(model, "rb") as fh:
         blob = fh.read()
     (hlen,) = struct.unpack("<I", blob[4:8])
     header = json.loads(blob[8:8 + hlen])
     edit(header)
-    text = json.dumps(header, sort_keys=True).encode("utf-8")
     body = blob[8 + hlen:len(blob) - cut_rows * header["dim"] * 4]
+    header["table_sha256"] = hashlib.sha256(body).hexdigest()
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
     path.write_bytes(b"AGR1" + struct.pack("<I", len(text)) + text + body)
 
 
@@ -809,6 +821,21 @@ class TestRefusedSettings:
         proc = self.train(pipeline_dir, tmp_path,
                           *self.config(tmp_path, f"{key} = -1"))
         self.assert_clean_exit_2(proc, f"{key} must be >= 0, got -1")
+
+    @pytest.mark.parametrize("priced", [True, False], ids=["priced", "unpriced"])
+    @pytest.mark.parametrize("n_p", ["0", "-5"])
+    def test_price_buckets_below_one(self, tmp_path, priced, n_p):
+        interactions, items = tmp_path / "interactions.tsv", tmp_path / "items.jsonl"
+        interactions.write_text("".join(f"u{u}\ti{i}\n" for u in range(3)
+                                        for i in range(2)))
+        items.write_text("".join(json.dumps(
+            {"item_id": f"i{i}", **({"price": 10.0 * (i + 1)} if priced else {})})
+            + "\n" for i in range(2)))
+        proc = run_cli("prepare", "--interactions", str(interactions),
+                       "--items", str(items), "--min-users", "1",
+                       "--out", str(tmp_path / "data"), "--price-buckets", n_p)
+        self.assert_clean_exit_2(proc, f"price_buckets must be >= 1, got {n_p}")
+        assert not (tmp_path / "data").exists()
 
     def extract(self, world_dir, tmp_path, monkeypatch, *flags):
         # the backend refuses the timeout before any request: no network

@@ -260,7 +260,7 @@ def trained_world(tmp_path, cold_fraction=0.0):
     bundle, split, cold = assemble_world(world, seed=2, cold_items=cold_ids)
     cfg = ModelConfig(dim=8, layers=2, learning_rate=8.0, l2_weight=1e-4, seed=1)
     result = train(split, bundle, cfg, epochs=15, batch_size=64,
-                   patience=None, val_k=5)
+                   patience=0, val_k=5)
     path = tmp_path / "model.agr"
     save_checkpoint(path, result.tables, bundle, cfg)
     return load_checkpoint(path), bundle, split, cold

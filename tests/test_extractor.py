@@ -93,13 +93,30 @@ class TestExtract:
         assert record.keywords == ["red1", "cotton"]
         assert record.backend_name == "fixture"
 
+    def test_backend_receives_the_prompt_kind(self):
+        kinds = []
+
+        class Recording(FixtureBackend):
+            def complete(self, item_id, image_ref, kind):
+                kinds.append(kind)
+                return super().complete(item_id, image_ref, kind)
+
+        ex = KeywordExtractor(Recording(make_fixture().responses))
+        for kind in PromptKind:
+            ex.extract("i1", None, kind)
+        assert kinds == list(PromptKind)
+        backend = make_fixture()
+        assert backend.complete("i2", None, PromptKind.AESTHETIC_ATTRIBUTES) == "bright2, airy"
+        with pytest.raises(BackendError, match="no aesthetic response for item 'i9'"):
+            backend.complete("i9", None, PromptKind.AESTHETIC_ATTRIBUTES)
+
     def test_retries_then_succeeds(self):
         calls = []
 
         class Flaky:
             name = "flaky"
 
-            def complete(self, item_id, image_ref, prompt):
+            def complete(self, item_id, image_ref, kind):
                 calls.append(item_id)
                 if len(calls) < 3:
                     raise BackendError("transient")
@@ -115,7 +132,7 @@ class TestExtract:
         class Dead:
             name = "dead"
 
-            def complete(self, item_id, image_ref, prompt):
+            def complete(self, item_id, image_ref, kind):
                 raise BackendError("down")
 
         ex = KeywordExtractor(Dead(), retries=3, sleep=lambda _: None)
@@ -129,7 +146,7 @@ class TestExtract:
         class Empty:
             name = "empty"
 
-            def complete(self, item_id, image_ref, prompt):
+            def complete(self, item_id, image_ref, kind):
                 calls.append(1)
                 return "..."
 
@@ -242,7 +259,7 @@ class CountingBackend:
         self.lock = threading.Lock()
         self.calls = self.in_flight = self.peak = 0
 
-    def complete(self, item_id, image_ref, prompt):
+    def complete(self, item_id, image_ref, kind):
         with self.lock:
             self.calls += 1
             self.in_flight += 1
@@ -307,8 +324,8 @@ class TestDispatch:
         # while the first pair is slow, the other worker runs ahead of the
         # writer by at most 2 * threads chunks
         class SlowFirst(CountingBackend):
-            def complete(self, item_id, image_ref, prompt):
-                text = super().complete(item_id, image_ref, prompt)
+            def complete(self, item_id, image_ref, kind):
+                text = super().complete(item_id, image_ref, kind)
                 if item_id == "i0":
                     self.calls_when_first_done = self.calls
                 return text
@@ -365,8 +382,11 @@ class TestDispatch:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    prompts: list[str] = []  # every prompt received, in order
+
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.prompts.append(body["prompt"])
         token = self.headers.get("Authorization")
         if token not in ("Bearer sesame", "Bearer deep", "Bearer number"):
             self.send_response(403)
@@ -416,10 +436,13 @@ class TestHttpBackend:
         monkeypatch.setenv("AGREC_VLM_TOKEN", "sesame")
         backend = HttpBackend(vlm_server, timeout=5.0)
         ex = KeywordExtractor(backend, sleep=lambda _: None)
+        _Handler.prompts.clear()
         record = ex.extract("i1", "images/i1.jpg", PromptKind.ITEM_ATTRIBUTES)
         assert record.keywords == ["red", "cotton"]
         record = ex.extract("i1", "images/i1.jpg", PromptKind.AESTHETIC_ATTRIBUTES)
         assert record.keywords == ["bright", "airy"]
+        # the prompt text on the wire, byte for byte
+        assert _Handler.prompts == [PROMPT_ITEM_ATTRIBUTES, PROMPT_AESTHETIC_ATTRIBUTES]
 
     def test_bad_token_is_backend_error(self, vlm_server, monkeypatch):
         monkeypatch.setenv("AGREC_VLM_TOKEN", "wrong")
@@ -437,4 +460,4 @@ class TestHttpBackend:
         monkeypatch.setenv("AGREC_VLM_TOKEN", token)
         with pytest.raises(BackendError, match=message):
             HttpBackend(vlm_server, timeout=5.0).complete(
-                "i1", None, PROMPT_ITEM_ATTRIBUTES)
+                "i1", None, PromptKind.ITEM_ATTRIBUTES)

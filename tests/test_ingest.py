@@ -144,17 +144,22 @@ class TestPriceBuckets:
         assert all(b.assign(7) == 0 for _ in range(3))
 
     def test_bad_n_p(self):
-        with pytest.raises(ConfigError):
-            fit_price_buckets([1.0], 0)
+        for prices in ([1.0], []):  # refused with or without prices
+            for n_p in (0, -5):
+                with pytest.raises(ConfigError,
+                                   match=f"price_buckets must be >= 1, got {n_p}"):
+                    fit_price_buckets(prices, n_p)
 
     def test_empty_prices(self):
-        with pytest.raises(ConfigError):
-            fit_price_buckets([], 2)
+        # no price to split: every label is 0, however many buckets
+        b = fit_price_buckets([], 2)
+        assert b.boundaries == []
+        assert b.assign(123.0) == 0
 
     @pytest.mark.parametrize("boundaries", [[], [5.0], [10.0, 20.0, 30.0],
                                             [0.0, 0.5, 1e300]])
     def test_assign_is_searchsorted_right(self, boundaries):
-        b = PriceBuckets(n_p=len(boundaries) + 1, boundaries=boundaries)
+        b = PriceBuckets(boundaries)
         # below, on, just either side of and above each edge, and between
         edges = [0.0, 1.0] + boundaries
         prices = sorted({p for e in edges for p in (
@@ -184,7 +189,7 @@ class TestPriceBuckets:
 
 
 class TestTokenizer:
-    BUCKETS = PriceBuckets(n_p=4, boundaries=[10.0, 20.0, 30.0])
+    BUCKETS = PriceBuckets(boundaries=[10.0, 20.0, 30.0])
 
     def test_structured_fields(self):
         meta = ItemMetadata(item_id="x", brand="Acme", price=25.0,

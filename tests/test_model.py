@@ -13,11 +13,12 @@ from agrec.errors import (AgrecError, ConfigError, DataError, IntegrityError,
 from agrec.graphs import (BipartiteGraph, GraphBundle, Vocabulary,
                           build_item_attribute_graph, build_user_graph)
 from agrec.evaluation import top_k
-from agrec.kernels import gather_rows
+from agrec.kernels import GatherPlan, gather_rows
 from agrec.model import (ModelConfig, cold_item_embedding, final_embeddings,
                          forward, init_tables, load_checkpoint,
                          save_checkpoint)
 from agrec.pipeline import _cold_edges
+from agrec.training import backward
 from helpers import (dense_forward, dense_propagation_matrix,
                      dense_union_matrix, random_bundle, random_tables,
                      reference_cold_item_embedding, snapshot, split_classes,
@@ -189,25 +190,27 @@ class TestOperator:
         assert op.bounds == (0, 5, 11, 15, 18)
 
     def test_transpose_plan_built_on_first_use(self):
-        plans = {"forward", "head", "transpose", "head_transpose"}
-        for layers, built in ((2, {"forward", "head"}), (1, {"head"})):
+        def built(op):
+            return {k for k, v in vars(op).items() if isinstance(v, GatherPlan)}
+
+        for layers, after_forward in ((2, {"forward", "head"}), (1, {"head"})):
             bundle = random_bundle(np.random.default_rng(8), 4, 5, 3, 2, p=0.5)
             cfg = ModelConfig(dim=2, layers=layers, seed=0)
-            forward(init_tables(bundle, cfg), bundle, cfg)
-            assert plans & set(vars(bundle.operator)) == built
+            stack = forward(init_tables(bundle, cfg), bundle, cfg)
+            assert built(bundle.operator) == after_forward
+            backward([0], [0], [1], stack, bundle, cfg)
+            assert built(bundle.operator) == after_forward | {"transpose"}
 
     def test_head_plans_are_the_scored_rows(self):
-        # head: M's user and item rows; head_transpose: (those rows)ᵀ, each
-        # summing its entries in the full plan's order
+        # head: M's user and item rows, each summing its entries in the
+        # full plan's order
         bundle = random_bundle(np.random.default_rng(6), 5, 6, 4, 3, p=0.5)
         op = bundle.operator
         n_ui = op.bounds[2]
         head = dense_union_matrix(bundle)[:n_ui]
-        assert op.head.n_out == n_ui and op.head_transpose.n_out == op.size
-        assert op.head_transpose.n_src <= n_ui
-        for plan, matrix in ((op.head, head), (op.head_transpose, head.T)):
-            got = plan_neighbours(plan)
-            assert got == [np.flatnonzero(row).tolist() for row in matrix]
+        assert op.head.n_out == n_ui
+        got = plan_neighbours(op.head)
+        assert got == [np.flatnonzero(row).tolist() for row in head]
 
     def test_adjoint_identity(self):
         # <M x, y> = <x, Mᵀ y>, with Mᵀ the plan backprop uses
@@ -258,20 +261,15 @@ def test_head_plans_are_bitwise_full_plans(counts, p, dim, seed, specials):
     n_ui = op.bounds[2]
     x = rng.normal(size=(op.size, dim))
     _sprinkle(rng, x, specials)
-    z = np.zeros((op.size, dim))  # attribute rows +0.0, as z_K's are
-    z[:n_ui] = rng.normal(size=(n_ui, dim))
-    _sprinkle(rng, z[:n_ui], specials)
     with np.errstate(invalid="ignore", over="ignore"):
         _same_bits_or_both_nan(gather_rows(op.head, x),
                                gather_rows(op.forward, x)[:n_ui])
-        _same_bits_or_both_nan(gather_rows(op.head_transpose, z),
-                               gather_rows(op.transpose, z))
 
 
 def test_largest_drawn_world_has_hub_and_jagged_rows():
     # the largest world test_head_plans_are_bitwise_full_plans draws
     op = random_bundle(np.random.default_rng(0), 60, 60, 6, 6, p=0.8).operator
-    for plan in (op.head, op.head_transpose):
+    for plan in (op.head, op.forward):
         assert plan.heavy_rows.size and plan.nbr.size
 
 
@@ -632,7 +630,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key", ["dim", "counts", "alpha", "layers",
-                                     "seed", "vocab_sha256"])
+                                     "seed", "vocab_sha256", "table_sha256"])
     def test_header_key_missing(self, tmp_path, key):
         path = rewrite_header(tmp_path, lambda h: h.pop(key))
         with pytest.raises(DataError, match=key):
@@ -659,9 +657,16 @@ class TestCheckpoint:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_fuzzed_checkpoint_raises_only_package_errors(self, data):
+        # and a file that loads holds the saved table block, byte for byte
         with tempfile.TemporaryDirectory() as tmp:
-            blob = bytearray(toy_checkpoint_bytes(pathlib.Path(tmp)))
-            blob = blob[:data.draw(st.integers(0, len(blob)), label="cut")]
+            saved = toy_checkpoint_bytes(pathlib.Path(tmp))
+            table = saved[8 + struct.unpack("<I", saved[4:8])[0]:]
+            blob = bytearray(saved)
+            if data.draw(st.booleans(), label="table flip"):
+                pos = data.draw(st.integers(len(saved) - len(table), len(saved) - 1))
+                blob[pos] ^= data.draw(st.integers(1, 255))
+            if data.draw(st.booleans(), label="cut"):
+                blob = blob[:data.draw(st.integers(0, len(blob)))]
             for _ in range(data.draw(st.integers(0, 4), label="flips")):
                 if blob:
                     pos = data.draw(st.integers(0, len(blob) - 1))
@@ -670,9 +675,11 @@ class TestCheckpoint:
             path = pathlib.Path(tmp) / "fuzz.agr"
             path.write_bytes(bytes(blob))
             try:
-                load_checkpoint(path).config().validate()
+                loaded = load_checkpoint(path)
+                loaded.config().validate()
             except AgrecError:
-                pass
+                return
+            assert loaded.tables.astype("<f4").tobytes() == table
 
     def test_refuses_tables_not_finite_in_float32(self, tmp_path):
         bundle = toy_bundle()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agrec.evaluation
 import agrec.model
 import agrec.training
 from agrec.errors import ConfigError, DataError, NumericError
@@ -270,7 +271,7 @@ class TestTrainLoop:
         fixed = (np.array([0, 1]), np.array([2, 3]), np.array([4, 5]))
         before = batch_loss(init_tables(bundle, cfg), bundle, cfg, *fixed)[0]
         result = train(split, bundle, cfg, epochs=3, batch_size=8,
-                       patience=None, val_k=5)
+                       patience=0, val_k=5)
         np.testing.assert_array_equal(result.tables, init_tables(bundle, cfg))
         # the model's loss on any fixed triple set is exactly unchanged;
         # per-epoch stats still fluctuate with the negative-sampling draw
@@ -286,14 +287,14 @@ class TestTrainLoop:
                           seed=0)
         bundle, split = small_split(rng, bundle)
         result = train(split, bundle, cfg, epochs=2, batch_size=16,
-                       patience=None, val_k=5)
+                       patience=0, val_k=5)
         assert all(s.triples == len(split.train) * 3 for s in result.stats)
 
     def test_tables_bitwise_equal_to_add_at_propagation(self, monkeypatch):
         bundle, split = hub_world()
         op = bundle.operator
         cfg = ModelConfig(dim=4, layers=2, learning_rate=0.5, seed=2)
-        kwargs = dict(epochs=3, batch_size=128, val_k=5, patience=None)
+        kwargs = dict(epochs=3, batch_size=128, val_k=5, patience=0)
         real = train(split, bundle, cfg, **kwargs)
         for plan in (op.forward, op.transpose):
             assert plan.heavy_rows.size and plan.nbr.size
@@ -301,10 +302,10 @@ class TestTrainLoop:
         dense = dense_union_matrix(bundle)
         rows, cols = np.nonzero(dense)  # entries in (row, col) order
         coef = dense[rows, cols]
-        calls = []
+        calls, adjoint = [], []
 
         def add_at_gather(plan, src):
-            # full M or Mᵀ; the head plans are served M's scored rows and Mᵀ
+            # full M or Mᵀ; the head is served M's scored rows
             calls.append(plan)
             along_m = plan is op.forward or plan is op.head
             out_rows, in_rows = (rows, cols) if along_m else (cols, rows)
@@ -312,11 +313,18 @@ class TestTrainLoop:
             np.add.at(out, out_rows, src[in_rows] * coef[:, None])
             return out[:op.bounds[2]] if plan is op.head else out
 
+        def adjoint_gather(plan, src):
+            adjoint.append(plan)
+            return add_at_gather(plan, src)
+
         monkeypatch.setattr(agrec.model, "gather_rows", add_at_gather)
-        monkeypatch.setattr(agrec.training, "gather_rows", add_at_gather)
+        monkeypatch.setattr(agrec.training, "gather_rows", adjoint_gather)
         ref = train(split, bundle, cfg, **kwargs)
-        for plan in (op.forward, op.head, op.transpose, op.head_transpose):
-            assert any(p is plan for p in calls)
+        assert {id(p) for p in calls} == {id(op.forward), id(op.head), id(op.transpose)}
+        # backward is Mᵀ applied K times per batch
+        batches = kwargs["epochs"] * -(-split.train.shape[0] // kwargs["batch_size"])
+        assert all(p is op.transpose for p in adjoint)
+        assert len(adjoint) == cfg.layers * batches
         for name, got, want in zip(("users", "items", "item_attrs", "aesthetics"),
                                    op.split(real.tables), op.split(ref.tables)):
             assert got.tobytes() == want.tobytes(), name
@@ -333,7 +341,7 @@ class TestTrainLoop:
             return forward(*args)
 
         monkeypatch.setattr(agrec.training, "forward", counted)
-        train(split, bundle, cfg, epochs=3, batch_size=8, patience=None, val_k=5)
+        train(split, bundle, cfg, epochs=3, batch_size=8, patience=0, val_k=5)
         # 5 batch forwards and one validation forward in epoch 1; epochs 2
         # and 3 start from the previous validation's stack
         assert len(calls) == 5 + 1 + 2 * (4 + 1)
@@ -342,8 +350,8 @@ class TestTrainLoop:
         rng = np.random.default_rng(11)
         bundle, cfg, _ = tiny_problem(rng, lr=0.5)
         bundle, split = small_split(rng, bundle)
-        a = train(split, bundle, cfg, epochs=4, batch_size=8, patience=None, val_k=5)
-        b = train(split, bundle, cfg, epochs=4, batch_size=8, patience=None, val_k=5)
+        a = train(split, bundle, cfg, epochs=4, batch_size=8, patience=0, val_k=5)
+        b = train(split, bundle, cfg, epochs=4, batch_size=8, patience=0, val_k=5)
         np.testing.assert_array_equal(a.tables, b.tables)
         assert [s.loss for s in a.stats] == [s.loss for s in b.stats]
 
@@ -355,7 +363,7 @@ class TestTrainLoop:
         with np.errstate(all="ignore"):  # overflow on the way down is the point
             with pytest.raises(NumericError, match=r"^training diverged at epoch \d+: "):
                 train(split, bundle, cfg, epochs=10, batch_size=8,
-                      patience=None, val_k=5)
+                      patience=0, val_k=5)
 
     @pytest.mark.parametrize("kwargs", [dict(batch_size=0), dict(epochs=0),
                                         dict(val_k=0), dict(patience=-1)])
@@ -366,6 +374,19 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train(split, bundle, cfg, **{"epochs": 1, "batch_size": 8, **kwargs})
 
+    @pytest.mark.parametrize("patience, epochs_run", [(0, 6), (1, 2), (2, 3)])
+    def test_patience_zero_runs_every_epoch(self, monkeypatch, patience, epochs_run):
+        rng = np.random.default_rng(13)
+        bundle, cfg, _ = tiny_problem(rng)
+        bundle, split = small_split(rng, bundle)
+        recalls = iter([0.5, 0.4, 0.3, 0.2, 0.1, 0.0])  # best at epoch 1
+        monkeypatch.setattr(agrec.evaluation, "mean_recall_at_k",
+                            lambda *args: next(recalls))
+        result = train(split, bundle, cfg, epochs=6, batch_size=8,
+                       patience=patience, val_k=5)
+        assert len(result.stats) == epochs_run
+        assert result.best_epoch == 1
+
     def test_training_log_schema(self, tmp_path):
         import json
 
@@ -373,7 +394,7 @@ class TestTrainLoop:
         bundle, cfg, _ = tiny_problem(rng, lr=0.1)
         bundle, split = small_split(rng, bundle)
         log = tmp_path / "train.log.jsonl"
-        train(split, bundle, cfg, epochs=2, batch_size=8, patience=None,
+        train(split, bundle, cfg, epochs=2, batch_size=8, patience=0,
               val_k=5, log_path=log)
         lines = [json.loads(x) for x in log.read_text().splitlines()]
         assert len(lines) == 2
@@ -416,7 +437,7 @@ class TestTrainLoop:
         tear_nth_write(monkeypatch, nth=3, budget=600)
         path = tmp_path / "model.agr"
         with pytest.raises(OSError, match="No space"):
-            train(split, bundle, cfg, epochs=8, batch_size=16, patience=None,
+            train(split, bundle, cfg, epochs=8, batch_size=16, patience=0,
                   val_k=5, checkpoint_path=path)
         assert len(saved) == 3  # epochs 1-3 each improved validation recall
         assert list(snapshot(tmp_path)) == ["model.agr"]
@@ -430,5 +451,5 @@ class TestTrainLoop:
         cfg = ModelConfig(dim=8, layers=0, learning_rate=0.0, seed=3)
         bundle, split = small_split(rng, bundle, n_rows=400)
         result = train(split, bundle, cfg, epochs=1, batch_size=400,
-                       patience=None, val_k=5)
+                       patience=0, val_k=5)
         assert result.stats[0].loss == pytest.approx(math.log(2), abs=0.05)
