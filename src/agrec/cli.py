@@ -23,8 +23,7 @@ from .ingest import (atomic_write, filter_min_popularity, fit_price_buckets,
                      open_text, read_interactions, read_items, split_dataset,
                      text_attributes_line, tokenize_text_attributes,
                      write_manifest)
-from .model import (ModelConfig, file_sha256, final_embeddings, forward,
-                    load_checkpoint)
+from .model import ModelConfig, final_embeddings, forward, load_checkpoint
 from .pipeline import MANIFEST_NAME, TEXT_ATTRS_NAME, load_dataset
 from .training import train
 
@@ -151,19 +150,10 @@ def cmd_prepare(args) -> int:
             meta, buckets, stop_words=stop_words,
             include_description=cfg["include_description"])) for meta in items)
 
-    write_manifest(manifest_path, seed=cfg["seed"], ratios=cfg["split"],
-                   split=split, config=_echoable(cfg),
-                   extra={"price_boundaries": buckets.boundaries})
-
-    summary = {
-        "out": args.out,
-        "users": len({u for u, _ in filtered}),
-        "items": len({i for _, i in filtered}),
-        "interactions": len(filtered),
-        "train": len(split.train), "validation": len(split.validation),
-        "test": len(split.test),
-    }
-    print(json.dumps(summary, sort_keys=True))
+    counts = write_manifest(manifest_path, seed=cfg["seed"], ratios=cfg["split"],
+                            split=split, config=_echoable(cfg),
+                            extra={"price_boundaries": buckets.boundaries})
+    print(json.dumps({"out": args.out, **counts}, sort_keys=True))
     return EXIT_OK
 
 
@@ -250,7 +240,6 @@ def cmd_evaluate(args) -> int:
     mode = "cold_start" if args.cold_start else "standard"
     report = evaluate(checkpoint, prepared.bundle, prepared.split, cfg["k"],
                       mode=mode, cold=prepared.cold if args.cold_start else None,
-                      checkpoint_hash=file_sha256(args.model),
                       dataset_hash=prepared.dataset_hash)
     doc = report.to_dict()
     doc["config"] = _echoable(cfg)
@@ -282,14 +271,14 @@ def cmd_recommend(args) -> int:
     checkpoint.check_matches(bundle)
     user_idx = bundle.vocab_u.index_of(args.user)
 
-    config = checkpoint.config()
-    stack = forward(checkpoint.tables, bundle, config)
-    e_u, e_i = final_embeddings(stack, config.alpha())
+    stack = forward(checkpoint.tables, bundle, checkpoint.config())
+    e_u, e_i = final_embeddings(stack)
 
     lo, hi = bundle.g_ui.left.searchsorted((user_idx, user_idx + 1))
     seen = bundle.g_ui.right[lo:hi]  # the user's items are row 0's keys
     user_vec = e_u[[user_idx]]
     (top,) = top_k(user_vec, e_i, cfg["k"], exclude=seen)
+    top = top[top >= 0]
     if top.size == 0:
         raise DataError(f"user {args.user!r} has interacted with every item")
     scores = (user_vec @ e_i.T)[0, top]  # the row top_k ranked: non-increasing

@@ -70,16 +70,16 @@ _BLOCK_SCORES = 1 << 16
 
 
 def top_k(user_vecs: np.ndarray, item_vecs: np.ndarray, k: int,
-          exclude: np.ndarray | None = None) -> list[np.ndarray]:
-    """Best-first indices of the top k items for each user row, ties by
-    ascending index also at the k-th place: row r is rank_items' ordering[:k]
-    over the items i whose key r * n_items + i is not in the ascending
-    `exclude` keys, and shorter when fewer are left."""
+          exclude: np.ndarray | None = None) -> np.ndarray:
+    """(users, min(k, n_items)) best-first item indices, ties by ascending
+    index also at the k-th place: row r is rank_items' ordering[:k] over the
+    items i whose key r * n_items + i is not in the ascending `exclude`
+    keys, padded with -1 when fewer are left."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     n_items = item_vecs.shape[0]
-    rows, kth = max(1, _BLOCK_SCORES // n_items), min(k, n_items) - 1
-    out: list[np.ndarray] = []
+    rows, width = max(1, _BLOCK_SCORES // n_items), min(k, n_items)
+    out = np.full((user_vecs.shape[0], width), -1, dtype=np.int64)
     for start in range(0, user_vecs.shape[0], rows):
         neg = user_vecs[start:start + rows] @ item_vecs.T
         np.negative(neg, out=neg)
@@ -89,27 +89,21 @@ def top_k(user_vecs: np.ndarray, item_vecs: np.ndarray, k: int,
             first = start * n_items
             lo, hi = np.searchsorted(exclude, (first, first + neg.size))
             np.put(neg, exclude[lo:hi] - first, np.inf)
-        for row in neg:
-            idx = np.flatnonzero(row <= np.partition(row, kth)[kth])
-            idx = idx[np.argsort(row[idx], kind="stable")][:k]
-            out.append(idx[row[idx] < np.inf])  # +inf marks an excluded item
+        for top, row in zip(out[start:], neg):
+            idx = np.flatnonzero(row <= np.partition(row, width - 1)[width - 1])
+            idx = idx[np.argsort(row[idx], kind="stable")][:width]
+            idx = idx[row[idx] < np.inf]  # +inf marks an excluded item
+            top[:idx.size] = idx
     return out
 
 
-def hit_matrix(tops: list[np.ndarray], users: np.ndarray, keys: np.ndarray,
-               n_items: int, k: int) -> np.ndarray:
-    """(len(tops), k) booleans: cell [r, j] says whether tops[r][j] is a
-    positive of users[r], i.e. whether users[r] * n_items + tops[r][j] is
-    among the sorted `keys`; cells past the end of a short row are False.
-    One searchsorted answers every cell."""
-    hits = np.zeros((len(tops), k), dtype=bool)
-    lengths = np.array([top.size for top in tops], dtype=np.int64)
-    if not lengths.sum():
-        return hits
-    row = np.repeat(np.arange(len(tops)), lengths)
-    col = np.arange(row.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    hits[row, col] = _in_sorted(keys, users[row] * n_items + np.concatenate(tops))
-    return hits
+def hit_matrix(tops: np.ndarray, users: np.ndarray, keys: np.ndarray,
+               n_items: int) -> np.ndarray:
+    """Booleans shaped like the top_k array `tops`: cell [r, j] says whether
+    tops[r, j] is a positive of users[r], i.e. whether users[r] * n_items +
+    tops[r, j] is among the sorted `keys`; -1 padding is never a hit. One
+    searchsorted answers every cell."""
+    return (tops >= 0) & _in_sorted(keys, users[:, None] * n_items + tops)
 
 
 def _check_positives(n_positives) -> np.ndarray:
@@ -124,14 +118,16 @@ def recall_at_k(hits: np.ndarray, n_positives) -> np.ndarray:
     return hits.sum(axis=1) / _check_positives(n_positives)
 
 
-def precision_at_k(hits: np.ndarray) -> np.ndarray:
-    """Per row of a (users, k) hit matrix: hits over k."""
-    return hits.sum(axis=1) / hits.shape[1]
+def precision_at_k(hits: np.ndarray, k: int) -> np.ndarray:
+    """Per row of a hit matrix: hits over k, which the matrix's width
+    falls short of when there are fewer than k items."""
+    return hits.sum(axis=1) / k
 
 
 def ndcg_at_k(hits: np.ndarray, n_positives) -> np.ndarray:
-    """Binary-relevance NDCG per row of a (users, k) hit matrix, with
-    1/log2(rank+1) discount; IDCG truncates at min(k, positives).
+    """Binary-relevance NDCG per row of a hit matrix, with 1/log2(rank+1)
+    discount; IDCG truncates at min(width, positives), which is min(k,
+    positives) since a user's positives are among the ranked items.
 
     Rows are summed in groups of equal hit count, one (rows, hits) block at
     a time, so that np.sum adds each row's discounts as it adds a 1-d array
@@ -168,10 +164,8 @@ def _rank_positives(e_u: np.ndarray, items: np.ndarray, pairs: np.ndarray,
     mine = _in_sorted(users, seen.left)  # edges sorted, so the keys are too
     exclude = np.searchsorted(users, seen.left[mine]) * n_items + seen.right[mine]
     tops = top_k(e_u[users], items, k, exclude=exclude)
-    ranked = np.array([top.size > 0 for top in tops], dtype=bool)
-    hits = hit_matrix([top for top in tops if top.size], users[ranked], keys,
-                      n_items, k)
-    return hits, n_positives[ranked]
+    ranked = tops[:, 0] >= 0
+    return hit_matrix(tops[ranked], users[ranked], keys, n_items), n_positives[ranked]
 
 
 def mean_recall_at_k(e_u: np.ndarray, e_i: np.ndarray, pairs: np.ndarray,
@@ -211,7 +205,7 @@ def _aggregate(per_user: np.ndarray) -> tuple[float, float, float]:
 def evaluate(checkpoint: Checkpoint, bundle: GraphBundle, split: SplitDataset,
              k: int, mode: str = "standard",
              cold: ColdCandidates | None = None,
-             checkpoint_hash: str = "", dataset_hash: str = "") -> MetricsReport:
+             dataset_hash: str = "") -> MetricsReport:
     """Score, rank and average metrics over eligible users.
 
     Refuses to run when the checkpoint's vocabulary hashes or per-class
@@ -221,9 +215,8 @@ def evaluate(checkpoint: Checkpoint, bundle: GraphBundle, split: SplitDataset,
         raise ConfigError(f"unknown evaluation mode {mode!r}")
     checkpoint.check_matches(bundle)
 
-    config = checkpoint.config()
-    stack = forward(checkpoint.tables, bundle, config)
-    e_u, e_i = final_embeddings(stack, config.alpha())
+    stack = forward(checkpoint.tables, bundle, checkpoint.config())
+    e_u, e_i = final_embeddings(stack)
 
     if mode == "standard":
         items, seen, pairs = e_i, bundle.g_ui, split.test
@@ -233,7 +226,7 @@ def evaluate(checkpoint: Checkpoint, bundle: GraphBundle, split: SplitDataset,
         if cold is None:
             raise ConfigError("cold_start mode requires cold candidates")
         embedded, scorable = cold_item_embedding(
-            cold.edges, len(cold.ids), bundle.g_iia, stack, config.alpha())
+            cold.edges, len(cold.ids), bundle.g_iia, stack)
         if not scorable.any():
             raise DataError("no scorable cold items")
         # nobody has trained on a cold item
@@ -249,12 +242,12 @@ def evaluate(checkpoint: Checkpoint, bundle: GraphBundle, split: SplitDataset,
     if ranked:
         recall, ndcg, precision = _aggregate(np.column_stack(
             (recall_at_k(hits, n_positives), ndcg_at_k(hits, n_positives),
-             precision_at_k(hits))))
+             precision_at_k(hits, k))))
     else:
         recall = ndcg = precision = 0.0
     return MetricsReport(mode=mode, k=k, users=ranked, recall=recall,
                          ndcg=ndcg, precision=precision,
-                         checkpoint_hash=checkpoint_hash,
+                         checkpoint_hash=checkpoint.sha256,
                          dataset_hash=dataset_hash,
                          excluded_users=eligible - ranked,
                          unscorable_cold_items=unscorable)

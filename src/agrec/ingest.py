@@ -383,9 +383,9 @@ def _pairs_json(pairs) -> str:
 
 def write_manifest(path, *, seed: int, ratios: Sequence[float],
                    split: SplitDataset, config: dict | None = None,
-                   extra: dict | None = None) -> None:
+                   extra: dict | None = None) -> dict:
     """Write the split manifest (string-ID pairs) with count echo; `extra`
-    adds top-level keys beside them.
+    adds top-level keys beside them. Returns the counts.
 
     The bytes are exactly those of ``json.dump(doc, fh, indent=2,
     sort_keys=True)`` and a newline: 2-space indent, keys sorted, strings
@@ -424,6 +424,7 @@ def write_manifest(path, *, seed: int, ratios: Sequence[float],
                  f'\n    "train": {_pairs_json(split.train)},'
                  f'\n    "validation": {_pairs_json(split.validation)}\n  }}')
         fh.write(tail + "\n")
+    return doc["counts"]
 
 
 def read_manifest(path) -> dict:

@@ -19,7 +19,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -78,13 +77,15 @@ class ModelConfig:
 
 @dataclass
 class LayerStack:
-    """Stacked embeddings x_0..x_K; `bounds` are the operator's class bounds.
+    """Stacked embeddings x_0..x_K; `bounds` are the operator's class bounds
+    and `alpha` the K+1 weights that combine the layers.
 
     x_K holds the users and items only (bounds[2] rows): its attribute
     views from split(K) are empty."""
 
     layers: list[np.ndarray]
     bounds: tuple[int, ...]
+    alpha: np.ndarray
 
     @property
     def depth(self) -> int:
@@ -119,7 +120,7 @@ def forward(tables: np.ndarray, bundle: GraphBundle,
     scored user and item rows."""
     op = bundle.operator
     _check_rows(tables, op)
-    stack = LayerStack(layers=[tables], bounds=op.bounds)
+    stack = LayerStack(layers=[tables], bounds=op.bounds, alpha=config.alpha())
     for k in range(config.layers):
         plan = op.head if k == config.layers - 1 else op.forward
         x = gather_rows(plan, stack.layers[-1])
@@ -131,21 +132,15 @@ def forward(tables: np.ndarray, bundle: GraphBundle,
     return stack
 
 
-def final_embeddings(stack: LayerStack,
-                     alpha: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Alpha-weighted layer combination for users and items."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape[0] != stack.depth + 1:
-        raise ConfigError(
-            f"alpha has {alpha.shape[0]} weights for {stack.depth + 1} layers")
+def final_embeddings(stack: LayerStack) -> tuple[np.ndarray, np.ndarray]:
+    """The stack's alpha-weighted layer combination for users and items."""
     n_u, n_ui = stack.bounds[1:3]
-    e = sum(a * x[:n_ui] for a, x in zip(alpha, stack.layers))
+    e = sum(a * x[:n_ui] for a, x in zip(stack.alpha, stack.layers))
     return e[:n_u], e[n_u:]
 
 
 def cold_item_embedding(edges: np.ndarray, n_items: int, g_iia: BipartiteGraph,
-                        stack: LayerStack, alpha: Sequence[float],
-                        ) -> tuple[np.ndarray, np.ndarray]:
+                        stack: LayerStack) -> tuple[np.ndarray, np.ndarray]:
     """Embed never-trained items purely through their attribute keywords.
 
     Each cold item is a fresh vertex with a zero layer-0 embedding, linked by
@@ -157,18 +152,14 @@ def cold_item_embedding(edges: np.ndarray, n_items: int, g_iia: BipartiteGraph,
     the keyword rows. Returns the (n_items, dim) embeddings and which items
     are scorable: an item with no edge is not, and its row is zero.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape[0] != stack.depth + 1:
-        raise ConfigError(
-            f"alpha has {alpha.shape[0]} weights for {stack.depth + 1} layers")
     item, keyword = edges[:, 0], edges[:, 1]
     n_known = np.bincount(item, minlength=n_items)
     coef = 1.0 / np.sqrt(n_known[item] * g_iia.right_deg[keyword].astype(np.float64))
     plan = plan_gather(item, keyword, coef, n_items)
     out = np.zeros((n_items, stack.layers[0].shape[1]), dtype=np.float64)
     for k in range(1, stack.depth + 1):
-        if alpha[k] != 0.0:
-            out += alpha[k] * gather_rows(plan, stack.split(k - 1)[2])
+        if stack.alpha[k] != 0.0:
+            out += stack.alpha[k] * gather_rows(plan, stack.split(k - 1)[2])
     return out, n_known > 0
 
 
@@ -179,8 +170,11 @@ _TABLE_NAMES = ("users", "items", "item_attrs", "aesthetics")
 
 @dataclass
 class Checkpoint:
+    """A loaded checkpoint; `sha256` is the digest of the file's bytes."""
+
     header: dict
     tables: np.ndarray
+    sha256: str = ""
 
     def config(self) -> ModelConfig:
         h = self.header
@@ -276,7 +270,8 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a save_checkpoint file, which must be exactly magic, length
     prefix, header and the table block the header sizes and digests: a
     short file, any byte after the table or a table whose sha256 is not
-    the header's is a DataError."""
+    the header's is a DataError. The file is read once: the result's
+    `sha256` is the digest of the bytes read, which are the whole file."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -308,8 +303,10 @@ def load_checkpoint(path) -> Checkpoint:
             raise DataError("truncated checkpoint: table block")
     if hashlib.sha256(raw).hexdigest() != header["table_sha256"]:
         raise DataError("corrupt checkpoint: table digest mismatch")
+    file_hash = hashlib.sha256(magic + prefix + blob)
+    file_hash.update(raw)
     tables = np.frombuffer(raw, dtype="<f4").reshape(-1, dim).astype(np.float64)
-    return Checkpoint(header=header, tables=tables)
+    return Checkpoint(header=header, tables=tables, sha256=file_hash.hexdigest())
 
 
 def file_sha256(path) -> str:

@@ -115,7 +115,7 @@ def batch_loss(tables: np.ndarray, bundle: GraphBundle, config: ModelConfig,
     pos = np.asarray(pos, dtype=np.int64)
     negs = np.asarray(negs, dtype=np.int64)
     stack = forward(tables, bundle, config)
-    e_u, e_i = final_embeddings(stack, config.alpha())
+    e_u, e_i = final_embeddings(stack)
     _, s_pos, s_neg = _pair_scores(e_u, e_i, users, pos, negs)
     bpr = float(bpr_loss(s_pos, s_neg).mean())
     e_u0, e_i0 = stack.split(0)[:2]
@@ -137,9 +137,9 @@ def backward(users, pos, negs, stack: LayerStack, bundle: GraphBundle,
     pos = np.asarray(pos, dtype=np.int64)
     negs = np.asarray(negs, dtype=np.int64)
     n_triples = users.shape[0]
-    alpha = config.alpha()
+    alpha = stack.alpha
 
-    e_u, e_i = final_embeddings(stack, alpha)
+    e_u, e_i = final_embeddings(stack)
     u_rows, s_pos, s_neg = _pair_scores(e_u, e_i, users, pos, negs)
     delta = s_pos - s_neg
     g = (-sigmoid(-delta) / n_triples)[:, None]
@@ -285,7 +285,7 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
                 clock.lap("step_s")
             if split.validation.size:  # the next epoch's first batch reuses this stack
                 stack = forward(tables, bundle, config)
-                e_u, e_i = final_embeddings(stack, config.alpha())
+                e_u, e_i = final_embeddings(stack)
                 val_recall = evaluation.mean_recall_at_k(
                     e_u, e_i, split.validation, bundle.g_ui, val_k)
                 clock.lap("validate_s")

@@ -211,14 +211,15 @@ def reference_sample_negatives(users, item_count, user_positives, rng):
 
 
 def hits_of(ordering, positives, k):
-    """The one-row hit matrix of `ordering` cut at k and the one-element
-    positive count, through the production searchsorted lookup."""
+    """The one-row hit matrix of `ordering` cut at min(k, len(ordering)),
+    as top_k cuts a ranking, and the one-element positive count, through
+    the production searchsorted lookup."""
     from agrec.evaluation import hit_matrix
 
     keys = np.sort(np.fromiter(positives, np.int64))
-    top = np.asarray(ordering, dtype=np.int64)[:k]
-    n_items = int(max(top.max(initial=0), keys.max(initial=0))) + 1
-    return (hit_matrix([top], np.zeros(1, np.int64), keys, n_items, k),
+    tops = np.asarray(ordering, dtype=np.int64)[None, :k]
+    n_items = int(max(tops.max(initial=0), keys.max(initial=0))) + 1
+    return (hit_matrix(tops, np.zeros(1, np.int64), keys, n_items),
             np.array([len(positives)]))
 
 
@@ -233,7 +234,7 @@ def reference_backward(users, pos, negs, stack, bundle, config):
     users, pos, negs = (np.asarray(a, dtype=np.int64) for a in (users, pos, negs))
     n_triples = users.shape[0]
     alpha = config.alpha()
-    e_u, e_i = final_embeddings(stack, alpha)
+    e_u, e_i = final_embeddings(stack)
     u_rows, s_pos, s_neg = _pair_scores(e_u, e_i, users, pos, negs)
     delta = s_pos - s_neg
     g = (-sigmoid(-delta) / n_triples)[:, None]

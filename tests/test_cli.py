@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import json
 import os
@@ -119,6 +120,22 @@ class TestPrepare:
         assert counts["train"] + counts["validation"] + counts["test"] == counts["interactions"]
         assert doc["config"]["seed"] == 42
         assert doc["config"]["min_users"] == 2
+
+    def test_stdout_is_the_manifest_counts(self, world_dir, tmp_path, capsys):
+        from agrec.ingest import filter_min_popularity, read_interactions
+
+        out = str(tmp_path / "data")
+        assert main(["prepare", "--interactions", world_dir["interactions"],
+                     "--items", world_dir["items"], "--min-users", "2",
+                     "--out", out]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        with open(os.path.join(out, "manifest.json")) as fh:
+            assert summary == {"out": out, **json.load(fh)["counts"]}
+        filtered = filter_min_popularity(
+            read_interactions(world_dir["interactions"]), 2)
+        assert (summary["users"], summary["items"], summary["interactions"]) == (
+            len({u for u, _ in filtered}), len({i for _, i in filtered}),
+            len(filtered))
 
     def test_refuses_overwrite_without_force(self, world_dir, pipeline_dir, capsys):
         code = main(["prepare", "--interactions", world_dir["interactions"],
@@ -334,6 +351,23 @@ class TestEvaluate:
         assert doc["config"]["k"] == 10  # resolved config echoed for provenance
         assert doc["recall"] > 0.2
 
+    def test_reads_the_model_once_and_reports_its_sha256(self, pipeline_dir,
+                                                         monkeypatch, capsys):
+        opened = []
+        real_open = builtins.open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        assert main(served(["evaluate", "--k", "10"], pipeline_dir)) == 0
+        monkeypatch.undo()
+        assert opened.count(pipeline_dir["model"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        with open(pipeline_dir["model"], "rb") as fh:
+            assert doc["checkpoint_hash"] == hashlib.sha256(fh.read()).hexdigest()
+
     def test_report_file_matches_stdout(self, pipeline_dir, tmp_path, capsys):
         out = str(tmp_path / "report.json")
         assert main(["evaluate", "--model", pipeline_dir["model"],
@@ -503,6 +537,18 @@ class TestRecommend:
         seen = {prepared.bundle.vocab_i.entries[i]
                 for u, i in prepared.split.train if u == user}
         assert seen and not seen & {r["item_id"] for r in doc["items"]}
+
+    def test_k_past_the_unseen_items_lists_each_once(self, pipeline_dir, capsys):
+        assert main(served(["recommend", "--user", "u0003", "--k", "10000"],
+                           pipeline_dir)) == 0
+        doc = json.loads(capsys.readouterr().out)
+        prepared = load_dataset(pipeline_dir["data"], pipeline_dir["attrs"])
+        vocab_i = prepared.bundle.vocab_i
+        user = prepared.bundle.vocab_u.index_of("u0003")
+        seen = {int(i) for u, i in prepared.split.train if u == user}
+        unseen = [item for j, item in enumerate(vocab_i.entries) if j not in seen]
+        # a -1 pad read as an index would name the last item once more
+        assert seen and sorted(r["item_id"] for r in doc["items"]) == sorted(unseen)
 
     def test_unknown_user_exit_4(self, pipeline_dir, capsys):
         code = main(["recommend", "--model", pipeline_dir["model"],

@@ -73,12 +73,14 @@ class TestTopK:
         e_u, e_i, exclude, k = case
         tops = top_k(e_u, e_i, k, exclude=keys_of(dict(enumerate(exclude)),
                                                   e_i.shape[0]))
-        assert len(tops) == e_u.shape[0]
+        width = min(k, e_i.shape[0])
+        assert tops.shape == (e_u.shape[0], width) and tops.dtype == np.int64
         for r, top in enumerate(tops):
             cand = [i for i in range(e_i.shape[0]) if i not in exclude[r]]
             want = (rank_items(r, cand, e_u, e_i).ordering[:k] if cand
                     else np.empty(0, dtype=np.int64))
-            np.testing.assert_array_equal(top, want)
+            np.testing.assert_array_equal(  # -1 after the last candidate
+                top, np.pad(want, (0, width - want.size), constant_values=-1))
 
     def test_ties_at_kth_place_take_lowest_index(self):
         e_u, e_i = embeddings_for_scores([0.2, 0.5, 0.9, 0.5, 0.5])
@@ -122,7 +124,7 @@ def recall_of(order, positives, k):
 
 
 def precision_of(order, positives, k):
-    return float(precision_at_k(hits_of(order, positives, k)[0])[0])
+    return float(precision_at_k(hits_of(order, positives, k)[0], k)[0])
 
 
 def ndcg_of(order, positives, k):
@@ -202,7 +204,7 @@ class TestMetrics:
         n_positives = hits.sum(axis=1) + rng.integers(0, 3, size=hits.shape[0])
         n_positives[n_positives == 0] = 1
         recall, ndcg = recall_at_k(hits, n_positives), ndcg_at_k(hits, n_positives)
-        precision = precision_at_k(hits)
+        precision = precision_at_k(hits, k)
         assert recall.shape == ndcg.shape == precision.shape == (hits.shape[0],)
         for row, n, r, g, p in zip(hits, n_positives.tolist(), recall, ndcg, precision):
             ranks = np.flatnonzero(row) + 1
@@ -241,13 +243,14 @@ class TestHitMatrix:
         keys = np.sort(np.array([u * n_items + i for u, s in positives.items()
                                  for i in s], dtype=np.int64))
         users = rng.permutation(n_users)[:int(rng.integers(0, n_users + 1))]
-        tops = [rng.permutation(n_items)[:int(rng.integers(0, min(k, n_items) + 1))]
-                for _ in users]
-        hits = hit_matrix(tops, users, keys, n_items, k)
-        assert hits.shape == (len(tops), k) and hits.dtype == bool
-        for row, user, top in zip(hits, users.tolist(), tops):
-            want = [j < top.size and int(top[j]) in positives[user] for j in range(k)]
-            assert row.tolist() == want
+        tops = np.full((users.size, min(k, n_items)), -1, dtype=np.int64)
+        for top in tops:  # a top_k row: distinct items, then -1 padding
+            n = int(rng.integers(0, top.size + 1))
+            top[:n] = rng.permutation(n_items)[:n]
+        hits = hit_matrix(tops, users, keys, n_items)
+        assert hits.shape == tops.shape and hits.dtype == bool
+        for row, user, top in zip(hits, users.tolist(), tops.tolist()):
+            assert row.tolist() == [i >= 0 and i in positives[user] for i in top]
 
 
 def trained_world(tmp_path, cold_fraction=0.0):
@@ -353,6 +356,24 @@ class TestEvaluate:
         for k in (1, 3, 9):
             assert mean_recall_at_k(e_u, e_i, pairs, seen, k) == \
                 mean_recall_at_k(e_u, e_i, distinct, seen, k)
+
+    def test_k_past_the_catalogue_ranks_like_k_equal_n_items(self):
+        # user 0 has seen every item and is left out; the others' hit
+        # matrix is n_items wide however large k is
+        from agrec.evaluation import _rank_positives
+
+        rng = np.random.default_rng(5)
+        e_u, e_i = rng.normal(size=(4, 2)), rng.normal(size=(5, 2))
+        pairs = np.array([[0, 1], [1, 0], [1, 3], [2, 4], [3, 2]])
+        seen = seen_graph(4, 5, {0: set(range(5)), 2: {1}})
+        assert top_k(e_u, e_i, 10_000).shape == (4, 5)
+        hits, n_positives = _rank_positives(e_u, e_i, pairs, seen, 10_000)
+        want, want_n = _rank_positives(e_u, e_i, pairs, seen, 5)
+        assert hits.shape == (3, 5)
+        np.testing.assert_array_equal(hits, want)
+        np.testing.assert_array_equal(n_positives, want_n)
+        assert (mean_recall_at_k(e_u, e_i, pairs, seen, 10_000)
+                == mean_recall_at_k(e_u, e_i, pairs, seen, 5) == 1.0)
 
     def test_user_who_has_seen_every_item_is_counted(self, tmp_path):
         checkpoint, bundle, split, _ = trained_world(tmp_path)

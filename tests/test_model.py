@@ -369,30 +369,23 @@ class TestForward:
 class TestFinalEmbeddings:
     def test_uniform_two_layer_mean(self):
         bundle = toy_bundle()
-        cfg = ModelConfig(dim=2, layers=1, seed=5)
+        cfg = ModelConfig(dim=2, layers=1, layer_weights=(0.5, 0.5), seed=5)
         tables = init_tables(bundle, cfg)
         stack = forward(tables, bundle, cfg)
-        e_u, e_i = final_embeddings(stack, [0.5, 0.5])
+        e_u, e_i = final_embeddings(stack)
         (u0, i0, _, _), (u1, i1, _, _) = stack.split(0), stack.split(1)
         np.testing.assert_allclose(e_u, (u0 + u1) / 2)
         np.testing.assert_allclose(e_i, (i0 + i1) / 2)
 
     def test_degenerate_weights_return_initial(self):
         bundle = toy_bundle()
-        cfg = ModelConfig(dim=2, layers=2, seed=5)
+        cfg = ModelConfig(dim=2, layers=2, layer_weights=(1.0, 0.0, 0.0), seed=5)
         tables = init_tables(bundle, cfg)
         stack = forward(tables, bundle, cfg)
-        e_u, e_i = final_embeddings(stack, [1.0, 0.0, 0.0])
+        e_u, e_i = final_embeddings(stack)
         users, items, _, _ = split_classes(tables, bundle)
         np.testing.assert_array_equal(e_u, users)
         np.testing.assert_array_equal(e_i, items)
-
-    def test_alpha_mismatch(self):
-        bundle = toy_bundle()
-        cfg = ModelConfig(dim=2, layers=1, seed=5)
-        stack = forward(init_tables(bundle, cfg), bundle, cfg)
-        with pytest.raises(ConfigError):
-            final_embeddings(stack, [1.0])
 
     def test_matches_dense_hand_computation(self):
         rng = np.random.default_rng(8)
@@ -400,7 +393,7 @@ class TestFinalEmbeddings:
         cfg = ModelConfig(dim=2, layers=2, seed=0)
         tables = random_tables(rng, bundle, 2)
         stack = forward(tables, bundle, cfg)
-        e_u, e_i = final_embeddings(stack, cfg.alpha())
+        e_u, e_i = final_embeddings(stack)
         dense = dense_forward(tables, bundle, 2)
         want_u = sum(dense[k][0] for k in range(3)) / 3
         want_i = sum(dense[k][1] for k in range(3)) / 3
@@ -446,12 +439,12 @@ class TestScore:
         assert self.ranked(3.7 * e_u[0], e_i) == base
 
 
-def embed_cold(keyword_lists, bundle, stack, alpha):
+def embed_cold(keyword_lists, bundle, stack):
     """cold_item_embedding over the edges the pipeline builds from
     `keyword_lists`, one list per cold item."""
     edges = _cold_edges({str(n): kws for n, kws in enumerate(keyword_lists)},
                         bundle.vocab_ia)
-    return cold_item_embedding(edges, len(keyword_lists), bundle.g_iia, stack, alpha)
+    return cold_item_embedding(edges, len(keyword_lists), bundle.g_iia, stack)
 
 
 class TestColdItem:
@@ -464,7 +457,7 @@ class TestColdItem:
         tables = init_tables(bundle, cfg)
         stack = forward(tables, bundle, cfg)
         alpha = cfg.alpha()
-        (got,), scorable = embed_cold([["a"]], bundle, stack, alpha)
+        (got,), scorable = embed_cold([["a"]], bundle, stack)
         want = alpha[1] * stack.split(0)[2][0] + alpha[2] * stack.split(1)[2][0]
         np.testing.assert_allclose(got, want, atol=1e-12)
         assert scorable.tolist() == [True]
@@ -473,8 +466,7 @@ class TestColdItem:
         bundle = toy_bundle()
         cfg = ModelConfig(dim=2, layers=1, seed=0)
         stack = forward(init_tables(bundle, cfg), bundle, cfg)
-        got, scorable = embed_cold([["never-seen"], ["blue"], []], bundle, stack,
-                                   cfg.alpha())
+        got, scorable = embed_cold([["never-seen"], ["blue"], []], bundle, stack)
         assert scorable.tolist() == [False, True, False]
         assert got.shape == (3, 2) and not got[[0, 2]].any() and got[1].any()
 
@@ -485,7 +477,7 @@ class TestColdItem:
         tables = init_tables(bundle, cfg)
         stack = forward(tables, bundle, cfg)
         alpha = cfg.alpha()
-        (twin,), _ = embed_cold([["denim", "blue"]], bundle, stack, alpha)
+        (twin,), _ = embed_cold([["denim", "blue"]], bundle, stack)
         i1 = bundle.vocab_i.index_of("i1")
         attribute_component = sum(alpha[k] * stack.split(k)[1][i1]
                                   for k in range(1, 3))
@@ -497,8 +489,7 @@ class TestColdItem:
         bundle = toy_bundle()
         cfg = ModelConfig(dim=2, layers=1, seed=0)
         stack = forward(init_tables(bundle, cfg), bundle, cfg)
-        (once, twice), _ = embed_cold([["blue"], ["blue", "blue"]], bundle, stack,
-                                      cfg.alpha())
+        (once, twice), _ = embed_cold([["blue"], ["blue", "blue"]], bundle, stack)
         np.testing.assert_array_equal(once, twice)
 
     def test_edges_keep_first_occurrences_of_known_keywords(self):
@@ -521,9 +512,10 @@ class TestColdItem:
         lists = [[pool[j] for j in rng.integers(0, len(pool), size=rng.integers(0, 6))]
                  for _ in range(int(rng.integers(1, 12)))]
         alpha = rng.random(layers + 1) * (rng.random(layers + 1) < 0.7)
-        cfg = ModelConfig(dim=int(rng.integers(1, 6)), layers=layers, seed=seed)
+        cfg = ModelConfig(dim=int(rng.integers(1, 6)), layers=layers,
+                          layer_weights=tuple(alpha), seed=seed)
         stack = forward(random_tables(rng, bundle, cfg.dim), bundle, cfg)
-        got, scorable = embed_cold(lists, bundle, stack, alpha)
+        got, scorable = embed_cold(lists, bundle, stack)
         want = [reference_cold_item_embedding(kws, bundle.vocab_ia, bundle.g_iia,
                                               stack, alpha) for kws in lists]
         assert scorable.tolist() == [w is not None for w in want]
