@@ -67,7 +67,7 @@ SETTINGS = {
         "base_url": (str, None),
         "auth_env": (str, "AGREC_VLM_TOKEN"),
         "timeout": (float, 30.0),
-        "kinds": (str, "item,aesthetic"),
+        "kinds": (str, ",".join(kind.value for kind in PromptKind)),
         "threads": (int, 1),
     },
     "train": {
@@ -159,10 +159,6 @@ def cmd_prepare(args) -> int:
 
 # --- extract -----------------------------------------------------------------
 
-_KIND_NAMES = {"item": PromptKind.ITEM_ATTRIBUTES,
-               "aesthetic": PromptKind.AESTHETIC_ATTRIBUTES}
-
-
 def cmd_extract(args) -> int:
     cfg = _resolve(args)
     if cfg["backend"] == "fixture":
@@ -179,10 +175,10 @@ def cmd_extract(args) -> int:
 
     kinds = []
     for name in cfg["kinds"].split(","):
-        name = name.strip()
-        if name not in _KIND_NAMES:
-            raise ConfigError(f"unknown prompt kind {name!r}")
-        kinds.append(_KIND_NAMES[name])
+        try:
+            kinds.append(PromptKind(name.strip()))
+        except ValueError:
+            raise ConfigError(f"unknown prompt kind {name.strip()!r}") from None
 
     items = read_items(args.items)
     pairs = [(m.item_id, m.image_ref) for m in items]

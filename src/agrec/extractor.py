@@ -10,6 +10,7 @@ its output does not hold yet.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import BackendError, ConfigError, DataError, NoKeywordsError
-from .ingest import open_text, parse_json
+from .ingest import jsonl_records, open_text, parse_json
 
 PROMPT_ITEM_ATTRIBUTES = (
     "Describe the item in the image using keywords. Describe the color, "
@@ -46,6 +47,8 @@ class PromptKind(Enum):
     ITEM_ATTRIBUTES = "item"
     AESTHETIC_ATTRIBUTES = "aesthetic"
 
+
+_KIND_VALUES = tuple(kind.value for kind in PromptKind)
 
 _PROMPTS = {
     PromptKind.ITEM_ATTRIBUTES: PROMPT_ITEM_ATTRIBUTES,
@@ -234,38 +237,50 @@ class BatchSummary:
                 "torn_line": self.torn_line}
 
 
+def attribute_problem(obj: dict, kinded: bool = True) -> str | None:
+    """What makes an attribute record unusable, or None: it needs a string
+    item_id, a list of string keywords and, when `kinded` (an extraction
+    record, not a text attribute), a kind among PromptKind's values."""
+    fields = ("item_id", "kind", "keywords") if kinded else ("item_id", "keywords")
+    if not obj.keys() >= set(fields):
+        return "missing " + ", ".join(f for f in fields if f not in obj)
+    if not isinstance(obj["item_id"], str):
+        return "item_id must be a string"
+    keywords = obj["keywords"]
+    if not (isinstance(keywords, list)
+            and all(isinstance(kw, str) for kw in keywords)):
+        return "keywords must be a list of strings"
+    if kinded and obj["kind"] not in _KIND_VALUES:  # a tuple: a kind may be a list
+        return f"unknown kind {obj['kind']!r}"
+    return None
+
+
 def _existing_pairs(out_path) -> tuple[set[tuple[str, str]], str | None]:
     """Pairs already recorded in out_path, and the torn last line, if any.
 
     A record is complete only with its newline. A last line without one is
     what a crash mid-write leaves: it is truncated off the file, so the next
     record starts on a line of its own, and its pair is queried again. A
-    line that does not parse anywhere else is a DataError.
+    complete line that fails the record check of --attrs is a DataError,
+    and the file is left as it was.
     """
-    done: set[tuple[str, str]] = set()
     if not os.path.exists(out_path):
-        return done, None
-    kept = 0
-    torn = None
+        return set(), None
     with open(out_path, "rb") as fh:
-        for raw in fh:
-            if not raw.endswith(b"\n"):
-                torn = raw.decode("utf-8", errors="replace")
-                break
-            kept += len(raw)
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = parse_json(line)
-                done.add((obj["item_id"], obj["kind"]))
-            except (ValueError, KeyError, TypeError):
-                raise DataError(
-                    f"corrupt extraction output line: {line[:80]!r}") from None
-    if torn is not None:
-        with open(out_path, "r+b") as fh:
-            fh.truncate(kept)
-    return done, torn
+        data = fh.read()
+    end = data.rfind(b"\n") + 1
+    try:
+        text = data[:end].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{out_path}: not UTF-8 text ({exc.reason})") from None
+    # universal newlines, as open_text reads the same file as --attrs
+    records = jsonl_records(io.StringIO(text, newline=None), out_path, attribute_problem)
+    done = {(obj["item_id"], obj["kind"]) for _, obj in records}
+    if end == len(data):
+        return done, None
+    with open(out_path, "r+b") as fh:
+        fh.truncate(end)
+    return done, data[end:].decode("utf-8", errors="replace")
 
 
 # Pairs per pool task. Each task is one hand-off between threads, so a

@@ -11,6 +11,7 @@ File formats:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -165,10 +166,8 @@ _ITEM_FIELDS = tuple(f.name for f in fields(ItemMetadata))
 
 
 def _item_problem(obj) -> str | None:
-    """What makes an items record unusable, or None: it must be an object
-    with a string item_id, and its text fields strings or null."""
-    if not isinstance(obj, dict):
-        return "expected a JSON object"
+    """What makes an items record unusable, or None: it needs a string
+    item_id, and its text fields strings or null."""
     if "item_id" not in obj:
         return "missing item_id"
     if not isinstance(obj["item_id"], str):
@@ -182,8 +181,9 @@ def _item_problem(obj) -> str | None:
 
 def jsonl_records(lines: Iterable[str], source, problem):
     """(lineno, record) per non-blank JSON line. A line that does not parse,
-    whose record `problem(record)` names a fault of, or that holds a string
-    UTF-8 cannot encode raises DataError naming `source` and the line."""
+    that is not a JSON object, whose record `problem(record)` names a fault
+    of, or that holds a string UTF-8 cannot encode raises DataError naming
+    `source` and the line."""
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -192,7 +192,8 @@ def jsonl_records(lines: Iterable[str], source, problem):
             obj = parse_json(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{source} line {lineno}: invalid JSON ({exc.msg})") from None
-        fault = problem(obj) or _utf8_problem(line, obj)
+        fault = ("expected a JSON object" if not isinstance(obj, dict)
+                 else problem(obj) or _utf8_problem(line, obj))
         if fault:
             raise DataError(f"{source} line {lineno}: {fault}")
         yield lineno, obj
@@ -427,13 +428,16 @@ def write_manifest(path, *, seed: int, ratios: Sequence[float],
     return doc["counts"]
 
 
-def read_manifest(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-            doc = parse_json(text)
-        except ValueError as exc:  # invalid JSON or not UTF-8
-            raise DataError(f"{path}: invalid manifest ({exc})") from None
+def read_manifest(path) -> tuple[dict, str]:
+    """The manifest document at `path` and the sha256 of the bytes it was
+    parsed from, which is the dataset hash."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+        doc = parse_json(text)
+    except ValueError as exc:  # invalid JSON or not UTF-8
+        raise DataError(f"{path}: invalid manifest ({exc})") from None
     problem = _utf8_problem(text, doc)
     if problem:
         raise DataError(f"{path}: invalid manifest ({problem})")
@@ -442,7 +446,7 @@ def read_manifest(path) -> dict:
     for key in ("seed", "counts", "splits"):
         if key not in doc:
             raise DataError(f"manifest missing key {key!r}")
-    return doc
+    return doc, hashlib.sha256(data).hexdigest()
 
 
 def _is_id_pair(p) -> bool:

@@ -308,10 +308,3 @@ def load_checkpoint(path) -> Checkpoint:
     tables = np.frombuffer(raw, dtype="<f4").reshape(-1, dim).astype(np.float64)
     return Checkpoint(header=header, tables=tables, sha256=file_hash.hexdigest())
 
-
-def file_sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()

@@ -21,11 +21,11 @@ import numpy as np
 
 from .errors import DataError, GraphError
 from .evaluation import ColdCandidates
+from .extractor import PromptKind, attribute_problem
 from .graphs import (BipartiteGraph, GraphBundle, Vocabulary,
                      build_item_attribute_graph, build_user_graph)
 from .ingest import (SplitDataset, atomic_write, jsonl_records, manifest_split,
                      open_text, read_manifest)
-from .model import file_sha256
 
 MANIFEST_NAME = "manifest.json"
 TEXT_ATTRS_NAME = "text_attributes.jsonl"
@@ -46,22 +46,6 @@ class PreparedDataset:
     cold: ColdCandidates
 
 
-def _record_problem(obj, fields: tuple[str, ...]) -> str | None:
-    """What makes an attribute record unusable, or None: it must be an
-    object with `fields`, a string item_id and a list of string keywords."""
-    if not isinstance(obj, dict):
-        return "expected a JSON object"
-    if not obj.keys() >= set(fields):
-        return "missing " + ", ".join(f for f in fields if f not in obj)
-    if not isinstance(obj["item_id"], str):
-        return "item_id must be a string"
-    keywords = obj["keywords"]
-    if not (isinstance(keywords, list)
-            and all(isinstance(kw, str) for kw in keywords)):
-        return "keywords must be a list of strings"
-    return None
-
-
 def load_attribute_files(text_attrs_path=None, attrs_path=None):
     """Merge item keywords from the text tokenizer output and extractor
     records; returns (item_keywords, aesthetic_keywords), items in order of
@@ -70,22 +54,14 @@ def load_attribute_files(text_attrs_path=None, attrs_path=None):
     aesthetic_keywords: dict[str, list[str]] = {}
     if text_attrs_path and os.path.exists(text_attrs_path):
         with open_text(text_attrs_path) as fh:
-            records = jsonl_records(fh, text_attrs_path, lambda obj: _record_problem(
-                obj, ("item_id", "keywords")))
-            for _, obj in records:
+            for _, obj in jsonl_records(fh, text_attrs_path,
+                                        lambda obj: attribute_problem(obj, kinded=False)):
                 item_keywords.setdefault(obj["item_id"], []).extend(obj["keywords"])
     if attrs_path:
         with open_text(attrs_path) as fh:
-            records = jsonl_records(fh, attrs_path, lambda obj: _record_problem(
-                obj, ("item_id", "kind", "keywords")))
-            for lineno, obj in records:
-                kind = obj["kind"]
-                if kind == "item":
-                    target = item_keywords
-                elif kind == "aesthetic":
-                    target = aesthetic_keywords
-                else:
-                    raise DataError(f"{attrs_path} line {lineno}: unknown kind {kind!r}")
+            for _, obj in jsonl_records(fh, attrs_path, attribute_problem):
+                target = (item_keywords if obj["kind"] == PromptKind.ITEM_ATTRIBUTES.value
+                          else aesthetic_keywords)
                 target.setdefault(obj["item_id"], []).extend(obj["keywords"])
     return item_keywords, aesthetic_keywords
 
@@ -109,9 +85,8 @@ def load_dataset(data_dir, attrs_path=None) -> PreparedDataset:
 
 
 def _build_dataset(data_dir, attrs_path) -> PreparedDataset:
-    manifest_path = os.path.join(data_dir, MANIFEST_NAME)
-    dataset_hash = file_sha256(manifest_path)
-    id_split = manifest_split(read_manifest(manifest_path))
+    doc, dataset_hash = read_manifest(os.path.join(data_dir, MANIFEST_NAME))
+    id_split = manifest_split(doc)
 
     item_keywords, aesthetic_keywords = load_attribute_files(
         os.path.join(data_dir, TEXT_ATTRS_NAME), attrs_path)

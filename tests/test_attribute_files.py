@@ -1,6 +1,7 @@
-"""Attribute files as pipeline.load_attribute_files reads them: through the
-one JSONL reader of ingest, and with repeated keywords kept, since the
-graph builders and the cold edges collapse repeats on their own."""
+"""Attribute files as pipeline.load_attribute_files and a resuming
+extraction read them: through the one JSONL reader of ingest, and with
+repeated keywords kept, since the graph builders and the cold edges
+collapse repeats on their own."""
 
 import json
 import os
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from agrec import pipeline
 from agrec.errors import DataError
+from agrec.extractor import FixtureBackend, PromptKind, run_extraction_batch
 from agrec.ingest import read_items, split_dataset, write_manifest
 from agrec.synth import hold_out_items, planted_world
 from helpers import assert_same_dataset
@@ -87,7 +89,7 @@ def test_repeated_keywords_build_the_deduplicated_dataset(text, item, aesthetic,
 _ITEM_LINE = '{"item_id": "i1", "kind": "item", "keywords": ["x"]}'
 
 
-@pytest.mark.parametrize("name", ["items", "text", "attrs"])
+@pytest.mark.parametrize("name", ["items", "text", "attrs", "extraction"])
 @pytest.mark.parametrize("line,message", [
     ("{item_id}", "invalid JSON (Expecting property name enclosed in double quotes)"),
     ("[1, 2]", "expected a JSON object"),
@@ -97,9 +99,14 @@ _ITEM_LINE = '{"item_id": "i1", "kind": "item", "keywords": ["x"]}'
 def test_each_jsonl_input_names_file_and_line(tmp_path, name, line, message):
     path = tmp_path / f"{name}.jsonl"
     path.write_text(f"{_ITEM_LINE}\n\n{line}\n", encoding="utf-8")
+    before = path.read_bytes()
     read = {"items": read_items,
             "text": lambda p: pipeline.load_attribute_files(text_attrs_path=p),
-            "attrs": lambda p: pipeline.load_attribute_files(attrs_path=p)}[name]
+            "attrs": lambda p: pipeline.load_attribute_files(attrs_path=p),
+            # a resuming run reads its output before it queries the backend
+            "extraction": lambda p: run_extraction_batch(
+                [("i1", None)], PromptKind, FixtureBackend({}), 1, p)}[name]
     with pytest.raises(DataError) as excinfo:
         read(str(path))
     assert str(excinfo.value) == f"{path} line 3: {message}"
+    assert path.read_bytes() == before

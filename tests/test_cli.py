@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from agrec.cli import main
+from agrec.extractor import FixtureBackend
 from agrec.pipeline import load_dataset
 from agrec.synth import planted_world, write_world_files
 from helpers import snapshot, tear_nth_write
@@ -69,7 +70,7 @@ def cold_dir(world_dir, tmp_path_factory):
                  world_dir["items"], "--min-users", "2", "--seed", "1",
                  "--out", data]) == 0
     manifest_path = os.path.join(data, "manifest.json")
-    doc = read_manifest(manifest_path)
+    doc, _ = read_manifest(manifest_path)
     split = manifest_split(doc)
     split.test.extend((u, i) for u, i in world.interactions if i in cold)
     write_manifest(manifest_path, seed=doc["seed"], ratios=doc["ratios"],
@@ -216,6 +217,29 @@ class TestExtract:
         code = main(["extract", "--items", world_dir["items"],
                      "--backend", "fixture", "--out", str(tmp_path / "a.jsonl")])
         assert code == 2
+
+    @pytest.mark.parametrize("record,message", [
+        ({"kind": "item"}, "missing keywords"),
+        ({"kind": "colour", "keywords": ["red"]}, "unknown kind 'colour'"),
+        ({"item_id": 7, "kind": "item", "keywords": ["red"]},
+         "item_id must be a string"),
+        ({"kind": "item", "keywords": ["red", 1]}, "keywords must be a list of strings"),
+    ], ids=["no-keywords", "unknown-kind", "integer-item-id", "non-string-keyword"])
+    def test_refuses_what_train_refuses(self, world_dir, pipeline_dir, tmp_path,
+                                        monkeypatch, capsys, record, message):
+        out = tmp_path / "attrs.jsonl"
+        out.write_text(json.dumps({"item_id": world_dir["world"].items[0], **record}) + "\n")
+        before = out.read_bytes()
+        calls = []
+        monkeypatch.setattr(FixtureBackend, "complete", lambda self, *a: calls.append(a))
+        code = main(["extract", "--items", world_dir["items"], "--backend", "fixture",
+                     "--fixture", world_dir["fixture"], "--out", str(out)])
+        assert (code, calls, out.read_bytes()) == (1, [], before)
+        assert capsys.readouterr().err == f"error: {out} line 1: {message}\n"
+        code = main(["train", "--data", pipeline_dir["data"], "--attrs", str(out),
+                     "--epochs", "1", "--out", str(tmp_path / "model.agr")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {out} line 1: {message}\n"
 
 
 class TestTrain:
@@ -565,7 +589,7 @@ class TestRecommend:
         data = str(tmp_path / "data")
         shutil.copytree(pipeline_dir["data"], data)
         manifest_path = os.path.join(data, "manifest.json")
-        doc = read_manifest(manifest_path)
+        doc, _ = read_manifest(manifest_path)
         split = manifest_split(doc)
         pair = next(p for p in split.train if p[0] == "u0003")
         split.train.append(pair)
@@ -790,7 +814,7 @@ class TestDeepJson:
         proc = run_cli("extract", "--items", world_dir["items"], "--backend", "fixture",
                        "--fixture", world_dir["fixture"], "--out", str(out))
         assert_clean_exit_1(proc)
-        assert "corrupt extraction output line" in proc.stderr
+        assert f"{out} line 1: invalid JSON (nested too deeply)" in proc.stderr
         assert out.read_text() == self.DEEP + "\n"
 
     def test_attrs(self, pipeline_dir, warm_user, tmp_path):

@@ -5,6 +5,8 @@ an agrec source, and any damage to the cache file, must lead to a rebuild,
 never to a traceback or a different dataset.
 """
 
+import builtins
+import hashlib
 import io
 import os
 import shutil
@@ -93,7 +95,7 @@ class TestHit:
 
     def test_empty_validation_split(self, copy, builds):
         path = os.path.join(copy[0], pipeline.MANIFEST_NAME)
-        doc = read_manifest(path)
+        doc, _ = read_manifest(path)
         split = manifest_split(doc)
         split.train, split.validation = split.train + split.validation, []
         write_manifest(path, seed=doc["seed"], ratios=doc["ratios"], split=split)
@@ -174,6 +176,26 @@ class TestKey:
             assert code == 1
             err = capsys.readouterr().err
             assert err.startswith("error:") and "missing" in err
+
+    def test_miss_hashes_the_manifest_bytes_it_parsed(self, copy, monkeypatch):
+        """A miss reads the manifest for the key, the build and the key
+        again; dataset_hash is the sha256 of the bytes the build parsed."""
+        manifest = os.path.join(copy[0], pipeline.MANIFEST_NAME)
+        with open(manifest, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        opened = []
+        real_open = builtins.open
+
+        def counted(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counted)
+        prepared = pipeline.load_dataset(*copy)
+        monkeypatch.undo()
+        assert opened.count(manifest) == 3
+        assert prepared.dataset_hash == digest
+        assert read_manifest(manifest)[1] == digest
 
 
 def _rewrite(data, edit):

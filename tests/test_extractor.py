@@ -215,15 +215,33 @@ class TestBatch:
             (item, kind) for item, _ in items for kind in ("item", "aesthetic")}
         assert len(records) == 6
 
+    def test_torn_line_cut_inside_a_character_is_still_cut(self, tmp_path):
+        out = tmp_path / "attrs.jsonl"
+        items = [(f"i{j}", None) for j in range(2)]
+        run_extraction_batch(items[:1], self.KINDS, make_fixture(), 1, out)
+        whole = out.read_bytes()
+        # the next record, not ASCII-escaped, torn between the two bytes of ü
+        record = '{"item_id": "i1", "kind": "item", "keywords": ["grün"]}'
+        torn = record.encode()[:record.encode().index("ü".encode()) + 1]
+        out.write_bytes(whole + torn)
+        summary = run_extraction_batch(items, self.KINDS, make_fixture(), 1, out)
+        assert (summary.ok, summary.cached) == (2, 2)
+        assert summary.torn_line == record[:record.index("ü")] + "\ufffd"
+        assert out.read_bytes().startswith(whole)
+        assert written_pairs(out) == [(item, kind.value) for item, _ in items
+                                      for kind in self.KINDS]
+
     def test_corrupt_line_before_the_last_is_refused(self, tmp_path):
         out = tmp_path / "attrs.jsonl"
         items = [(f"i{j}", None) for j in range(2)]
         run_extraction_batch(items, self.KINDS, make_fixture(), 1, out)
         lines = out.read_bytes().splitlines(keepends=True)
-        out.write_bytes(lines[0] + b'{"item_id": "i0"\n' + b"".join(lines[1:]))
+        # and a torn tail, which a refused file keeps too
+        out.write_bytes(lines[0] + b'{"item_id": "i0"\n' + b"".join(lines[1:]) + lines[0][:20])
         before = out.read_bytes()
-        with pytest.raises(DataError, match="corrupt extraction output"):
+        with pytest.raises(DataError) as excinfo:
             run_extraction_batch(items, self.KINDS, make_fixture(), 1, out)
+        assert str(excinfo.value) == f"{out} line 2: invalid JSON (Expecting ',' delimiter)"
         assert out.read_bytes() == before
 
     def test_missing_fixture_entry_aborts(self, tmp_path):

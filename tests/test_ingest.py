@@ -319,7 +319,7 @@ class TestManifest:
         path = tmp_path / "manifest.json"
         write_manifest(path, seed=9, ratios=(0.8, 0.1, 0.1), split=split,
                        config={"seed": 9})
-        doc = read_manifest(path)
+        doc, _ = read_manifest(path)
         assert doc["counts"]["train"] == len(split.train)
         again = manifest_split(doc)
         assert again.train == split.train
@@ -404,6 +404,42 @@ def test_atomic_write_is_the_only_whole_file_writer():
                 found.append((name, node.lineno, id(node) in allowed))
     assert [f for f in found if not f[2]] == []
     assert len(found) == 2  # atomic_write's own open() and os.replace
+
+
+# (module, function or Class.method) of the readers that may parse JSON;
+# parse_json is json.loads itself, with deep nesting made a JSONDecodeError
+_JSON_READERS = {("ingest.py", "parse_json"), ("ingest.py", "jsonl_records"),
+                 ("ingest.py", "read_manifest"), ("extractor.py", "FixtureBackend.from_file"),
+                 ("extractor.py", "HttpBackend.complete"), ("model.py", "load_checkpoint")}
+
+
+def _defs(tree):
+    """(name, node) of each module-level function and each method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{f.name}", f) for f in node.body
+                        if isinstance(f, ast.FunctionDef))
+
+
+def test_json_is_parsed_only_by_the_readers():
+    """parse_json and json.loads are called only inside _JSON_READERS, and
+    each of them calls one: a private JSON-lines loop must go through
+    jsonl_records instead."""
+    src = os.path.dirname(ingest.__file__)
+    found = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        owner = {id(node): (name, qualname) for qualname, f in _defs(tree)
+                 if (name, qualname) in _JSON_READERS for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if _is_call(node, "parse_json") or _is_call(node, "loads", owner="json"):
+                found.add(owner.get(id(node), (name, node.lineno)))
+    assert found == _JSON_READERS
 
 
 JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
