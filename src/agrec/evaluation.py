@@ -101,9 +101,16 @@ def hit_matrix(tops: np.ndarray, users: np.ndarray, keys: np.ndarray,
                n_items: int) -> np.ndarray:
     """Booleans shaped like the top_k array `tops`: cell [r, j] says whether
     tops[r, j] is a positive of users[r], i.e. whether users[r] * n_items +
-    tops[r, j] is among the sorted `keys`; -1 padding is never a hit. One
-    searchsorted answers every cell."""
-    return (tops >= 0) & _in_sorted(keys, users[:, None] * n_items + tops)
+    tops[r, j] is among the sorted `keys`; -1 padding is never a hit. The
+    keys are looked up one block of about _BLOCK_SCORES cells at a time, so
+    the lookup's temporaries do not grow with the number of users."""
+    hits = np.empty(tops.shape, dtype=bool)
+    rows = max(1, _BLOCK_SCORES // max(1, tops.shape[1]))
+    for start in range(0, tops.shape[0], rows):
+        block = tops[start:start + rows]
+        query = users[start:start + rows, None] * n_items + block
+        hits[start:start + rows] = (block >= 0) & _in_sorted(keys, query)
+    return hits
 
 
 def _check_positives(n_positives) -> np.ndarray:
@@ -165,7 +172,8 @@ def _rank_positives(e_u: np.ndarray, items: np.ndarray, pairs: np.ndarray,
     exclude = np.searchsorted(users, seen.left[mine]) * n_items + seen.right[mine]
     tops = top_k(e_u[users], items, k, exclude=exclude)
     ranked = tops[:, 0] >= 0
-    return hit_matrix(tops[ranked], users[ranked], keys, n_items), n_positives[ranked]
+    # select ranked rows of the bool hits, not of the int64 ranking (8x the bytes)
+    return hit_matrix(tops, users, keys, n_items)[ranked], n_positives[ranked]
 
 
 def mean_recall_at_k(e_u: np.ndarray, e_i: np.ndarray, pairs: np.ndarray,

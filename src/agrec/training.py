@@ -13,6 +13,7 @@ keeps them auditable against finite differences.
 from __future__ import annotations
 
 import json
+import resource
 import time
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ from .errors import ConfigError, DataError, NumericError
 from .graphs import GraphBundle, _in_sorted
 from .ingest import SplitDataset, atomic_write
 from .kernels import gather_rows, scatter_rows
-from .model import LayerStack, ModelConfig, final_embeddings, forward, init_tables
+from .model import ModelConfig, final_embeddings, forward, init_tables
 
 
 def softplus(x):
@@ -81,6 +82,7 @@ class EpochStats:
     seconds: float
     val_recall: float | None = None
     phase_seconds: dict[str, float] = field(default_factory=dict)
+    maxrss_mb: float = 0.0  # the process's peak resident set so far
 
 
 class _PhaseClock:
@@ -101,7 +103,22 @@ def _pair_scores(e_u, e_i, users, pos, negs):
     u_rows = e_u[users]
     s_pos = np.einsum("td,td->t", u_rows, e_i[pos])
     s_neg = np.einsum("td,td->t", u_rows, e_i[negs])
-    return u_rows, s_pos, s_neg
+    return s_pos, s_neg
+
+
+def _square_sum(rows, idx):
+    """Sum of the squared rows[idx], squared in place: one (len(idx), dim)
+    array, summed whole so that its bits do not depend on any blocking."""
+    sq = rows[idx]
+    sq *= sq
+    return sq.sum()
+
+
+def _l2_sum(tables: np.ndarray, bounds, users, pos, negs):
+    """The batch's sum of squared layer-0 user, positive and negative rows."""
+    n_u, n_ui = bounds[1:3]
+    return (_square_sum(tables[:n_u], users) + _square_sum(tables[n_u:n_ui], pos)
+            + _square_sum(tables[n_u:n_ui], negs))
 
 
 def batch_loss(tables: np.ndarray, bundle: GraphBundle, config: ModelConfig,
@@ -114,71 +131,88 @@ def batch_loss(tables: np.ndarray, bundle: GraphBundle, config: ModelConfig,
     users = np.asarray(users, dtype=np.int64)
     pos = np.asarray(pos, dtype=np.int64)
     negs = np.asarray(negs, dtype=np.int64)
-    stack = forward(tables, bundle, config)
-    e_u, e_i = final_embeddings(stack)
-    _, s_pos, s_neg = _pair_scores(e_u, e_i, users, pos, negs)
+    e_u, e_i = final_embeddings(forward(tables, bundle, config))
+    s_pos, s_neg = _pair_scores(e_u, e_i, users, pos, negs)
     bpr = float(bpr_loss(s_pos, s_neg).mean())
-    e_u0, e_i0 = stack.split(0)[:2]
     reg = config.l2_weight * float(
-        (e_u0[users] ** 2).sum() + (e_i0[pos] ** 2).sum()
-        + (e_i0[negs] ** 2).sum()) / users.shape[0]
+        _l2_sum(tables, bundle.operator.bounds, users, pos, negs)) / users.shape[0]
     return bpr + reg, bpr, reg
 
 
-def backward(users, pos, negs, stack: LayerStack, bundle: GraphBundle,
+# Triples per block of backward's per-triple terms: the scores and the
+# scatters hold (block, dim) arrays whatever the batch size. A block of 4096
+# dim-64 rows is 2 MB.
+_TRIPLE_BLOCK = 4096
+
+
+def _triple_blocks(n: int):
+    return (slice(lo, lo + _TRIPLE_BLOCK) for lo in range(0, n, _TRIPLE_BLOCK))
+
+
+def _scatter_blocked(out, idx, terms) -> None:
+    """scatter_rows(out, idx[b], terms(b)) over the triple blocks b in
+    order, so every cell adds its terms in ascending triple order, as one
+    scatter of the whole batch does."""
+    for b in _triple_blocks(idx.shape[0]):
+        scatter_rows(out, idx[b], terms(b))
+
+
+def backward(users, pos, negs, final: tuple[np.ndarray, np.ndarray],
+             tables: np.ndarray, bundle: GraphBundle,
              config: ModelConfig) -> tuple[np.ndarray, float, float]:
     """Exact gradient of the batch objective w.r.t. the stacked layer-0 table.
 
-    Returns (gradients, bpr_mean, reg_mean). The adjoint recursion mirrors the
-    forward: z_K = alpha_K G and z_k = alpha_k G + Mᵀ z_{k+1}, where G is the
-    loss gradient on the final embeddings and Mᵀ the transposed operator.
+    `final` is final_embeddings(forward(tables, bundle, config)), the user
+    and item embeddings the scores read. Returns (gradients, bpr_mean,
+    reg_mean). The adjoint recursion mirrors the forward: z_K = alpha_K G
+    and z_k = alpha_k G + Mᵀ z_{k+1}, where G is the loss gradient on the
+    final embeddings and Mᵀ the transposed operator.
     """
     users = np.asarray(users, dtype=np.int64)
     pos = np.asarray(pos, dtype=np.int64)
     negs = np.asarray(negs, dtype=np.int64)
     n_triples = users.shape[0]
-    alpha = stack.alpha
-
-    e_u, e_i = final_embeddings(stack)
-    u_rows, s_pos, s_neg = _pair_scores(e_u, e_i, users, pos, negs)
-    delta = s_pos - s_neg
-    g = (-sigmoid(-delta) / n_triples)[:, None]
-
-    # gradient on the final embeddings, stacked like the tables; attribute
-    # rows stay zero because only users and items are scored
+    alpha = config.alpha()
+    e_u, e_i = final
     op = bundle.operator
-    grad_final = np.zeros((op.size, e_u.shape[1]))
-    grad_u, grad_i, _, _ = op.split(grad_final)
-    # temporaries in place (IEEE + and * commute, negation is exact): the
-    # blocked scatters' transient memory is paid for by the ones saved here
-    d = e_i[pos]
-    d -= e_i[negs]
-    d *= g
-    scatter_rows(grad_u, users, d)
-    u_rows *= g
-    scatter_rows(grad_i, pos, u_rows)
-    np.negative(u_rows, out=u_rows)
-    scatter_rows(grad_i, negs, u_rows)
-    del d, u_rows  # training's peak memory falls in the adjoint gathers
+    n_u, n_ui = op.bounds[1:3]
 
-    z = alpha[config.layers] * grad_final
-    for k in range(config.layers - 1, -1, -1):
-        z = gather_rows(op.transpose, z)
-        z += alpha[k] * grad_final
+    delta = np.empty(n_triples)
+    for b in _triple_blocks(n_triples):
+        np.subtract(*_pair_scores(e_u, e_i, users[b], pos[b], negs[b]), out=delta[b])
+    g = (-sigmoid(-delta) / n_triples)[:, None]
+    bpr_mean = float(softplus(-delta).mean())
+    del delta
+
+    # gradient on the final embeddings: only users and items are scored, so
+    # the attribute rows of G are zero and G holds the n_ui scored rows
+    grad_final = np.zeros((n_ui, e_u.shape[1]))
+    grad_u, grad_i = grad_final[:n_u], grad_final[n_u:]
+    _scatter_blocked(grad_u, users, lambda b: g[b] * (e_i[pos[b]] - e_i[negs[b]]))
+    _scatter_blocked(grad_i, pos, lambda b: g[b] * e_u[users[b]])
+    _scatter_blocked(grad_i, negs, lambda b: -(g[b] * e_u[users[b]]))
+    del g  # the adjoint gathers hold no per-triple array
 
     reg_mean = 0.0
+    if config.l2_weight:  # before the adjoint: its (T, dim) square is freed by then
+        reg_mean = config.l2_weight * float(
+            _l2_sum(tables, op.bounds, users, pos, negs)) / n_triples
+
+    # adding alpha_k * +0.0 leaves a gathered row as it is (a gather never
+    # yields -0.0), so only the scored rows take the alpha_k G term
+    z = np.zeros((op.size, grad_final.shape[1]))
+    np.multiply(grad_final, alpha[config.layers], out=z[:n_ui])
+    for k in range(config.layers - 1, -1, -1):
+        z = gather_rows(op.transpose, z)
+        z[:n_ui] += alpha[k] * grad_final
+
     if config.l2_weight:
         c = 2.0 * config.l2_weight / n_triples
-        z_u, z_i = op.split(z)[:2]
-        e_u0, e_i0 = stack.split(0)[:2]
-        scatter_rows(z_u, users, c * e_u0[users])
-        scatter_rows(z_i, pos, c * e_i0[pos])
-        scatter_rows(z_i, negs, c * e_i0[negs])
-        reg_mean = config.l2_weight * float(
-            (e_u0[users] ** 2).sum() + (e_i0[pos] ** 2).sum()
-            + (e_i0[negs] ** 2).sum()) / n_triples
-
-    bpr_mean = float(softplus(-delta).mean())
+        z_u, z_i = z[:n_u], z[n_u:n_ui]
+        e_u0, e_i0 = tables[:n_u], tables[n_u:n_ui]
+        _scatter_blocked(z_u, users, lambda b: c * e_u0[users[b]])
+        _scatter_blocked(z_i, pos, lambda b: c * e_i0[pos[b]])
+        _scatter_blocked(z_i, negs, lambda b: c * e_i0[negs[b]])
     return z, bpr_mean, reg_mean
 
 
@@ -209,7 +243,12 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
     file with this run's lines, so a run that saves nothing leaves both
     files as they were. Each epoch's `phase_seconds` splits its time by
     PHASES; the validation forward counts under validate_s, and the next
-    epoch's first batch reuses it.
+    epoch's first batch reuses its final embeddings. `maxrss_mb` is the
+    process's peak resident set at the end of the epoch.
+
+    A step keeps only what its next operation reads: the forward's final
+    embeddings, not its layers, go on to `backward`, and the gradient is
+    dropped once the step has applied it.
     """
     from . import evaluation  # local import; evaluation depends on model only
     from .model import save_checkpoint
@@ -254,7 +293,7 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
                 fh.writelines(_log_line(s, val_k) for s in stats)
         log_in_file = True
 
-    stack = None  # forward of the current tables, once computed
+    final = None  # final embeddings of the current tables, once computed
     for epoch in range(1, epochs + 1):
         t0 = time.perf_counter()
         clock = _PhaseClock()
@@ -269,25 +308,25 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
                 pos = np.repeat(split.train[sel, 1], n_n)
                 negs = _sample_negatives_block(users, item_count, positives, rng)
                 clock.lap("sample_s")
-                if stack is None:
-                    stack = forward(tables, bundle, config)
+                if final is None:  # the layers above 0 die here
+                    final = final_embeddings(forward(tables, bundle, config))
                 clock.lap("forward_s")
-                grads, bpr_mean, reg_mean = backward(users, pos, negs, stack,
-                                                     bundle, config)
+                grads, bpr_mean, reg_mean = backward(users, pos, negs, final,
+                                                     tables, bundle, config)
+                final = None
                 clock.lap("backward_s")
                 if not np.isfinite(bpr_mean):
                     raise NumericError("loss became non-finite")
                 sgd_step(tables, grads, config.learning_rate)
-                stack = None
+                del grads  # before the next batch's backward
                 loss_sum += bpr_mean
                 reg_sum += reg_mean
                 batches += 1
                 clock.lap("step_s")
-            if split.validation.size:  # the next epoch's first batch reuses this stack
-                stack = forward(tables, bundle, config)
-                e_u, e_i = final_embeddings(stack)
+            if split.validation.size:  # the next epoch's first batch reuses `final`
+                final = final_embeddings(forward(tables, bundle, config))
                 val_recall = evaluation.mean_recall_at_k(
-                    e_u, e_i, split.validation, bundle.g_ui, val_k)
+                    *final, split.validation, bundle.g_ui, val_k)
                 clock.lap("validate_s")
         except NumericError as exc:
             raise NumericError(f"training diverged at epoch {epoch}: {exc}") from exc
@@ -295,7 +334,7 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
         st = EpochStats(epoch=epoch, loss=loss_sum / batches,
                         reg=reg_sum / batches, triples=n_pairs * n_n,
                         seconds=time.perf_counter() - t0, val_recall=val_recall,
-                        phase_seconds=clock.seconds)
+                        phase_seconds=clock.seconds, maxrss_mb=_maxrss_mb())
         stats.append(st)
         if log_path is not None and log_in_file:
             with open(log_path, "a", encoding="utf-8") as fh:
@@ -322,8 +361,13 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
                        best_val_recall=None if best_epoch is None else best_val)
 
 
+def _maxrss_mb() -> float:
+    # ru_maxrss is in KiB on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def _log_line(st: EpochStats, val_k: int) -> str:
     rec = {"epoch": st.epoch, "loss": st.loss, "reg": st.reg,
            f"val_recall@{val_k}": st.val_recall, "seconds": st.seconds,
-           **st.phase_seconds}
+           "maxrss_mb": st.maxrss_mb, **st.phase_seconds}
     return json.dumps(rec, sort_keys=True) + "\n"

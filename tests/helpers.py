@@ -223,20 +223,22 @@ def hits_of(ordering, positives, k):
             np.array([len(positives)]))
 
 
-def reference_backward(users, pos, negs, stack, bundle, config):
-    """The adjoint as it was written before its scatters were blocked: three
-    np.add.at scatters onto the zeroed final gradient, out-of-place
-    temporaries and Mᵀ z added on the right. Returns (z, bpr_mean, reg_mean)."""
+def reference_backward(users, pos, negs, final, tables, bundle, config):
+    """The adjoint as it was written before its per-triple terms were
+    blocked: three np.add.at scatters of the whole batch onto a zeroed
+    full-height final gradient, out-of-place temporaries and Mᵀ z added on
+    the right. `final` is the (e_u, e_i) pair of final_embeddings. Returns
+    (z, bpr_mean, reg_mean)."""
     from agrec.kernels import gather_rows
-    from agrec.model import final_embeddings
-    from agrec.training import _pair_scores, sigmoid, softplus
+    from agrec.training import sigmoid, softplus
 
     users, pos, negs = (np.asarray(a, dtype=np.int64) for a in (users, pos, negs))
     n_triples = users.shape[0]
     alpha = config.alpha()
-    e_u, e_i = final_embeddings(stack)
-    u_rows, s_pos, s_neg = _pair_scores(e_u, e_i, users, pos, negs)
-    delta = s_pos - s_neg
+    e_u, e_i = final
+    u_rows = e_u[users]
+    delta = (np.einsum("td,td->t", u_rows, e_i[pos])
+             - np.einsum("td,td->t", u_rows, e_i[negs]))
     g = (-sigmoid(-delta) / n_triples)[:, None]
     op = bundle.operator
     grad_final = np.zeros((op.size, e_u.shape[1]))
@@ -251,7 +253,7 @@ def reference_backward(users, pos, negs, stack, bundle, config):
     if config.l2_weight:
         c = 2.0 * config.l2_weight / n_triples
         z_u, z_i = op.split(z)[:2]
-        e_u0, e_i0 = stack.split(0)[:2]
+        e_u0, e_i0 = op.split(tables)[:2]
         np.add.at(z_u, users, c * e_u0[users])
         np.add.at(z_i, pos, c * e_i0[pos])
         np.add.at(z_i, negs, c * e_i0[negs])

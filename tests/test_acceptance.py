@@ -51,8 +51,8 @@ def test_gradient_oracle():
         pos = rng.integers(0, n_i, size=n_triples)
         negs = rng.integers(0, n_i, size=n_triples)
 
-        stack = forward(tables, bundle, cfg)
-        grads, _, _ = backward(users, pos, negs, stack, bundle, cfg)
+        final = final_embeddings(forward(tables, bundle, cfg))
+        grads, _, _ = backward(users, pos, negs, final, tables, bundle, cfg)
         numeric = finite_difference_gradients(
             tables, lambda t: batch_loss(t, bundle, cfg, users, pos, negs)[0],
             h=1e-5)

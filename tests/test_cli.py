@@ -247,8 +247,9 @@ class TestTrain:
         assert os.path.exists(pipeline_dir["model"])
         log = pipeline_dir["model"] + ".log.jsonl"
         lines = [json.loads(x) for x in open(log).read().splitlines()]
-        assert {"epoch", "loss", "reg", "val_recall@10", "seconds", "sample_s",
-                "forward_s", "backward_s", "step_s", "validate_s"} == set(lines[0])
+        assert {"epoch", "loss", "reg", "val_recall@10", "seconds", "maxrss_mb",
+                "sample_s", "forward_s", "backward_s", "step_s",
+                "validate_s"} == set(lines[0])
 
     def test_refuses_overwrite(self, pipeline_dir, capsys):
         code = main(["train", "--data", pipeline_dir["data"],
@@ -351,7 +352,8 @@ class TestTrain:
         def untimed(model):
             with open(model + ".log.jsonl") as fh:
                 return [{k: v for k, v in json.loads(line).items()
-                         if k != "seconds" and not k.endswith("_s")} for line in fh]
+                         if k not in ("seconds", "maxrss_mb") and not k.endswith("_s")}
+                        for line in fh]
 
         assert untimed(args[-1]) == untimed(ref) and len(untimed(ref)) == 1
         assert (load_checkpoint(args[-1]).tables == load_checkpoint(ref).tables).all()

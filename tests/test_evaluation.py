@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import agrec.evaluation
 from agrec.errors import ConfigError, DataError, IntegrityError, NumericError
-from agrec.graphs import BipartiteGraph
+from agrec.graphs import BipartiteGraph, _in_sorted
 from agrec.evaluation import (evaluate, hit_matrix, mean_recall_at_k,
                               ndcg_at_k, precision_at_k, rank_items,
                               recall_at_k, top_k)
@@ -230,27 +232,45 @@ class TestMetrics:
             np.testing.assert_array_equal(base.ordering, moved.ordering)
 
 
+def hit_case(rng):
+    """(tops, users, keys, n_items, positives): top_k-shaped rows of
+    distinct items then -1 padding, for some of the users of a random
+    {user: set of items}, and its sorted keys user * n_items + item."""
+    n_users, n_items = int(rng.integers(1, 8)), int(rng.integers(1, 20))
+    k = int(rng.integers(1, n_items + 3))
+    positives = {u: set(rng.choice(n_items, size=int(rng.integers(0, n_items + 1)),
+                                   replace=False).tolist())
+                 for u in range(n_users)}
+    keys = np.sort(np.array([u * n_items + i for u, s in positives.items()
+                             for i in s], dtype=np.int64))
+    users = rng.permutation(n_users)[:int(rng.integers(0, n_users + 1))]
+    tops = np.full((users.size, min(k, n_items)), -1, dtype=np.int64)
+    for top in tops:  # a top_k row: distinct items, then -1 padding
+        n = int(rng.integers(0, top.size + 1))
+        top[:n] = rng.permutation(n_items)[:n]
+    return tops, users, keys, n_items, positives
+
+
 class TestHitMatrix:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_equals_set_membership(self, seed):
-        rng = np.random.default_rng(seed)
-        n_users, n_items = int(rng.integers(1, 8)), int(rng.integers(1, 20))
-        k = int(rng.integers(1, n_items + 3))
-        positives = {u: set(rng.choice(n_items, size=int(rng.integers(0, n_items + 1)),
-                                       replace=False).tolist())
-                     for u in range(n_users)}
-        keys = np.sort(np.array([u * n_items + i for u, s in positives.items()
-                                 for i in s], dtype=np.int64))
-        users = rng.permutation(n_users)[:int(rng.integers(0, n_users + 1))]
-        tops = np.full((users.size, min(k, n_items)), -1, dtype=np.int64)
-        for top in tops:  # a top_k row: distinct items, then -1 padding
-            n = int(rng.integers(0, top.size + 1))
-            top[:n] = rng.permutation(n_items)[:n]
+        tops, users, keys, n_items, positives = hit_case(np.random.default_rng(seed))
         hits = hit_matrix(tops, users, keys, n_items)
         assert hits.shape == tops.shape and hits.dtype == bool
         for row, user, top in zip(hits, users.tolist(), tops.tolist()):
             assert row.tolist() == [i >= 0 and i in positives[user] for i in top]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+    def test_blocks_equal_one_lookup(self, seed, block_scores):
+        # blocks of a few cells, so most cases span several; one row per
+        # block when a row is wider than the block
+        tops, users, keys, n_items, _ = hit_case(np.random.default_rng(seed))
+        with mock.patch.object(agrec.evaluation, "_BLOCK_SCORES", block_scores):
+            hits = hit_matrix(tops, users, keys, n_items)
+        want = (tops >= 0) & _in_sorted(keys, users[:, None] * n_items + tops)
+        assert hits.shape == want.shape and hits.tolist() == want.tolist()
 
 
 def trained_world(tmp_path, cold_fraction=0.0):

@@ -196,9 +196,10 @@ class TestOperator:
         for layers, after_forward in ((2, {"forward", "head"}), (1, {"head"})):
             bundle = random_bundle(np.random.default_rng(8), 4, 5, 3, 2, p=0.5)
             cfg = ModelConfig(dim=2, layers=layers, seed=0)
-            stack = forward(init_tables(bundle, cfg), bundle, cfg)
+            tables = init_tables(bundle, cfg)
+            final = final_embeddings(forward(tables, bundle, cfg))
             assert built(bundle.operator) == after_forward
-            backward([0], [0], [1], stack, bundle, cfg)
+            backward([0], [0], [1], final, tables, bundle, cfg)
             assert built(bundle.operator) == after_forward | {"transpose"}
 
     def test_head_plans_are_the_scored_rows(self):

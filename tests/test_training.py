@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import agrec.training
 from agrec.errors import ConfigError, DataError, NumericError
 from agrec.graphs import BipartiteGraph
 from agrec.ingest import SplitDataset
-from agrec.model import ModelConfig, forward, init_tables
+from agrec.model import ModelConfig, final_embeddings, forward, init_tables
 from agrec.training import (_sample_negatives_block, backward, batch_loss,
                             bpr_loss, sgd_step, sigmoid, train)
 from agrec.synth import assemble_world, planted_world
@@ -147,8 +149,8 @@ class TestBackward:
         users = np.array([2])
         pos = np.array([1])
         negs = np.array([4])
-        stack = forward(tables, bundle, cfg)
-        grads, _, _ = backward(users, pos, negs, stack, bundle, cfg)
+        final = final_embeddings(forward(tables, bundle, cfg))
+        grads, _, _ = backward(users, pos, negs, final, tables, bundle, cfg)
         e_u, e_i, _, _ = split_classes(tables, bundle)
         grad_u, grad_i, _, _ = split_classes(grads, bundle)
         delta = e_u[2] @ e_i[1] - e_u[2] @ e_i[4]
@@ -163,8 +165,8 @@ class TestBackward:
         users = np.array([0])
         pos = np.array([3])
         negs = np.array([3])
-        stack = forward(tables, bundle, cfg)
-        grads, _, _ = backward(users, pos, negs, stack, bundle, cfg)
+        final = final_embeddings(forward(tables, bundle, cfg))
+        grads, _, _ = backward(users, pos, negs, final, tables, bundle, cfg)
         assert grads.shape == tables.shape
         assert (grads == 0).all()
 
@@ -177,8 +179,8 @@ class TestBackward:
             users = rng.integers(0, 6, size=n)
             pos = rng.integers(0, 8, size=n)
             negs = rng.integers(0, 8, size=n)
-            stack = forward(tables, bundle, cfg)
-            grads, _, _ = backward(users, pos, negs, stack, bundle, cfg)
+            final = final_embeddings(forward(tables, bundle, cfg))
+            grads, _, _ = backward(users, pos, negs, final, tables, bundle, cfg)
             fd = finite_difference_gradients(
                 tables, lambda t: batch_loss(t, bundle, cfg, users, pos, negs)[0])
             np.testing.assert_allclose(grads, fd, rtol=1e-5, atol=1e-8)
@@ -189,15 +191,19 @@ class TestBackward:
         users = np.array([0, 1])
         pos = np.array([2, 3])
         negs = np.array([4, 5])
-        stack = forward(tables, bundle, cfg)
-        _, bpr, reg = backward(users, pos, negs, stack, bundle, cfg)
+        final = final_embeddings(forward(tables, bundle, cfg))
+        _, bpr, reg = backward(users, pos, negs, final, tables, bundle, cfg)
         total, bpr2, reg2 = batch_loss(tables, bundle, cfg, users, pos, negs)
         assert bpr == pytest.approx(bpr2, rel=1e-12)
         assert reg == pytest.approx(reg2, rel=1e-12)
         assert total == pytest.approx(bpr + reg, rel=1e-12)
 
-    @pytest.mark.parametrize("l2", [0.0, 1e-2])
-    def test_bitwise_equal_to_add_at_oracle(self, l2):
+    @pytest.mark.parametrize("l2, block", [
+        pytest.param(0.0, None, id="0.0"), pytest.param(1e-2, None, id="0.01"),
+        pytest.param(0.0, 7, id="0.0-block7"), pytest.param(1e-2, 7, id="0.01-block7")])
+    def test_bitwise_equal_to_add_at_oracle(self, monkeypatch, l2, block):
+        if block:  # many blocks of triples: each cell still sums in triple order
+            monkeypatch.setattr(agrec.training, "_TRIPLE_BLOCK", block)
         bundle, split = hub_world()
         op = bundle.operator
         for plan in (op.forward, op.transpose):
@@ -209,9 +215,9 @@ class TestBackward:
         users = np.repeat(pairs[:, 0], 2)  # users and items repeat
         pos = np.repeat(pairs[:, 1], 2)
         negs = rng.integers(0, len(bundle.vocab_i), size=users.size)
-        stack = forward(tables, bundle, cfg)
-        got = backward(users, pos, negs, stack, bundle, cfg)
-        want = reference_backward(users, pos, negs, stack, bundle, cfg)
+        final = final_embeddings(forward(tables, bundle, cfg))
+        got = backward(users, pos, negs, final, tables, bundle, cfg)
+        want = reference_backward(users, pos, negs, final, tables, bundle, cfg)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1:] == want[1:]
 
@@ -223,8 +229,8 @@ class TestSgdProperties:
             bundle, cfg, tables = tiny_problem(rng, l2=0.0, lr=lr, seed=1)
             users, pos, negs = np.array([1]), np.array([0]), np.array([5])
             before = batch_loss(tables, bundle, cfg, users, pos, negs)[0]
-            stack = forward(tables, bundle, cfg)
-            grads, _, _ = backward(users, pos, negs, stack, bundle, cfg)
+            final = final_embeddings(forward(tables, bundle, cfg))
+            grads, _, _ = backward(users, pos, negs, final, tables, bundle, cfg)
             sgd_step(tables, grads, lr)
             after = batch_loss(tables, bundle, cfg, users, pos, negs)[0]
             assert after < before
@@ -238,8 +244,8 @@ class TestSgdProperties:
         user0 = split_classes(tables, bundle)[0][0]  # a view: sgd_step is in place
         norms = [float(np.linalg.norm(user0))]
         for _ in range(10):
-            stack = forward(tables, bundle, cfg)
-            grads, _, _ = backward(users, pos, negs, stack, bundle, cfg)
+            final = final_embeddings(forward(tables, bundle, cfg))
+            grads, _, _ = backward(users, pos, negs, final, tables, bundle, cfg)
             sgd_step(tables, grads, cfg.learning_rate)
             norms.append(float(np.linalg.norm(user0)))
         assert all(b < a for a, b in zip(norms, norms[1:]))
@@ -330,6 +336,59 @@ class TestTrainLoop:
             assert got.tobytes() == want.tobytes(), name
         assert [s.loss for s in real.stats] == [s.loss for s in ref.stats]
 
+    def test_tables_bitwise_equal_across_triple_blocks(self, monkeypatch):
+        bundle, split = hub_world()
+        cfg = ModelConfig(dim=19, layers=2, learning_rate=0.5, l2_weight=1e-2,
+                          n_negatives=2, seed=2)
+        kwargs = dict(epochs=2, batch_size=64, val_k=5, patience=0)
+        default = train(split, bundle, cfg, **kwargs)
+        monkeypatch.setattr(agrec.training, "_TRIPLE_BLOCK", 7)
+        blocked = train(split, bundle, cfg, **kwargs)
+        assert blocked.tables.tobytes() == default.tables.tobytes()
+        assert ([(s.loss, s.reg, s.val_recall) for s in blocked.stats]
+                == [(s.loss, s.reg, s.val_recall) for s in default.stats])
+
+    def test_adjoint_sees_no_forward_layer_and_memory_is_bounded(self, monkeypatch):
+        world = planted_world(n_users=60, n_items=300, n_item_keywords=20,
+                              n_aesthetic_keywords=6, tastes_per_user=2,
+                              interact_prob=0.3, seed=5)
+        bundle, split, _ = assemble_world(world, seed=1)
+        op = bundle.operator
+        cfg = ModelConfig(dim=32, layers=3, learning_rate=0.5, n_negatives=8, seed=2)
+        n_triples = split.train.shape[0] * cfg.n_negatives  # one batch per epoch
+        monkeypatch.setattr(agrec.training, "_TRIPLE_BLOCK", 64)
+        assert n_triples > 50 * 64  # the batch spans many blocks
+        real, layers, alive = agrec.model.gather_rows, [], []
+
+        def forward_gather(plan, src):
+            out = real(plan, src)
+            layers.append(weakref.ref(out))
+            return out
+
+        def adjoint_gather(plan, src):
+            alive.append(sum(ref() is not None for ref in layers))
+            return real(plan, src)
+
+        monkeypatch.setattr(agrec.model, "gather_rows", forward_gather)
+        monkeypatch.setattr(agrec.training, "gather_rows", adjoint_gather)
+        tracemalloc.start()
+        try:  # train builds the plans, so they are traced too
+            train(split, bundle, cfg, epochs=2, batch_size=split.train.shape[0],
+                  val_k=5, patience=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(alive) == 2 * cfg.layers and not any(alive)
+        table = op.size * cfg.dim * 8
+        plans = sum(a.nbytes for p in (op.forward, op.head, op.transpose)
+                    for a in vars(p).values() if isinstance(a, np.ndarray))
+        # seven table-sized arrays: the table and its best copy, the final
+        # embeddings and their gradient, z, and a gather's output and
+        # accumulator; plus the L2 term's one (triples, dim) square. The
+        # layers kept through the adjoint would add K, the whole batch's
+        # score and scatter terms several (triples, dim) arrays.
+        assert peak <= plans + 7 * table + n_triples * cfg.dim * 8
+
     def test_validation_forward_serves_next_epoch(self, monkeypatch):
         rng = np.random.default_rng(13)
         bundle, cfg, _ = tiny_problem(rng)
@@ -343,7 +402,7 @@ class TestTrainLoop:
         monkeypatch.setattr(agrec.training, "forward", counted)
         train(split, bundle, cfg, epochs=3, batch_size=8, patience=0, val_k=5)
         # 5 batch forwards and one validation forward in epoch 1; epochs 2
-        # and 3 start from the previous validation's stack
+        # and 3 start from the previous validation's final embeddings
         assert len(calls) == 5 + 1 + 2 * (4 + 1)
 
     def test_seeded_determinism(self):
@@ -400,10 +459,12 @@ class TestTrainLoop:
         assert len(lines) == 2
         phases = {"sample_s", "forward_s", "backward_s", "step_s", "validate_s"}
         assert set(lines[0]) == {"epoch", "loss", "reg", "val_recall@5",
-                                 "seconds"} | phases
+                                 "seconds", "maxrss_mb"} | phases
         for line in lines:
             assert all(line[p] > 0.0 for p in phases)
             assert sum(line[p] for p in phases) <= line["seconds"]
+        # the peak resident set so far, in MB, never falls
+        assert 0.0 < lines[0]["maxrss_mb"] <= lines[1]["maxrss_mb"]
 
     def test_checkpoint_file_matches_returned_tables(self, tmp_path):
         from agrec.model import load_checkpoint
