@@ -7,10 +7,11 @@ reproducible and bitwise equal to np.add.at.
 
 Hub rows and scatters share one idiom: a row-major (E, w) block of terms,
 w <= _BLOCK columns, whose cells carry flattened keys row * width + j. Hub
-rows sum such a block with a weighted np.bincount onto zeros (width w);
-scatters add it with np.add.at onto the flattened output (width: the
-output's columns). Both add each cell's terms in input order, so every
-cell sums in edge order, bitwise as row-wise np.add.at does.
+rows sum such a block with a weighted np.bincount onto zeros (width w), one
+chunk of whole hubs at a time; scatters add it with np.add.at onto the
+flattened output (width: the output's columns). Both add each cell's terms
+in input order, so every cell sums in edge order, bitwise as row-wise
+np.add.at does.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ _JAGGED_MAX_DEGREE = 48
 # block at a time, whatever the embedding width.
 _BLOCK = 8
 
+# Cells of keys and terms per chunk of hub rows: a gather's hub scratch is
+# at most 16 bytes times this (1 MB), whatever the hubs' total degree. A
+# hub with more edges than fit is a chunk of its own.
+_HUB_CELLS = 1 << 16
+
 
 def active_backend() -> str:
     """Name of the kernel implementation, stamped into benchmark records."""
@@ -44,8 +50,9 @@ class GatherPlan:
     Light rows (degree <= _JAGGED_MAX_DEGREE, empty rows included) are
     ordered by descending degree; slot j holds the j-th edge of each light
     row whose degree exceeds j, so it covers a prefix of `light_rows`.
-    Heavy rows keep their edges in COO form, `heavy_slot` numbering the row
-    within `heavy_rows`. Within every row the edges keep their input order.
+    Heavy row h keeps its edges at heavy_nbr/heavy_coef[heavy_ptr[h]:
+    heavy_ptr[h + 1]]. Within every row the edges keep their input order.
+    Neighbour indices are int32 when the largest one fits, else int64.
     """
 
     n_out: int
@@ -55,7 +62,7 @@ class GatherPlan:
     nbr: np.ndarray
     coef: np.ndarray
     heavy_rows: np.ndarray
-    heavy_slot: np.ndarray
+    heavy_ptr: np.ndarray
     heavy_nbr: np.ndarray
     heavy_coef: np.ndarray
 
@@ -83,29 +90,42 @@ def plan_gather(rows, indices, coef, n_out: int) -> GatherPlan:
     pos = order[np.concatenate(slots)] if slots else np.zeros(0, np.int64)
     hub = order[np.repeat(heavy, deg)]
     heavy_rows = np.flatnonzero(heavy)
+    n_src = int(indices.max()) + 1 if indices.size else 0
+    nbr_type = np.int32 if n_src <= 2**31 else np.int64
     return GatherPlan(
-        n_out=int(n_out), n_src=int(indices.max()) + 1 if indices.size else 0,
-        light_rows=light_rows,
+        n_out=int(n_out), n_src=n_src, light_rows=light_rows,
         slot_ptr=np.concatenate(([0], np.cumsum(width))).astype(np.int64),
-        nbr=indices[pos], coef=coef[pos], heavy_rows=heavy_rows,
-        heavy_slot=np.repeat(np.arange(heavy_rows.size), deg[heavy_rows]),
-        heavy_nbr=indices[hub], heavy_coef=coef[hub])
+        nbr=indices[pos].astype(nbr_type, copy=False), coef=coef[pos],
+        heavy_rows=heavy_rows,
+        heavy_ptr=np.concatenate(([0], np.cumsum(deg[heavy_rows]))).astype(np.int64),
+        heavy_nbr=indices[hub].astype(nbr_type, copy=False), heavy_coef=coef[hub])
 
 
-def _column_blocks(rows, dim, row_len=None):
+def _column_blocks(n, dim, keys_of):
     """Yield (lo, hi, keys, block) for each block of at most _BLOCK columns
-    of a dim-column target. `block` is a row-major (E, hi - lo) buffer for
-    the block's terms, and keys[e * w + j] = rows[e] * row_len + j addresses
-    its cells in a flattened target whose rows are row_len long (default:
-    the block's width). Blocks of one width share keys and buffer."""
+    of a dim-column target. `block` is a row-major (n, hi - lo) buffer for
+    the block's terms, and keys = keys_of(hi - lo) holds the flattened
+    target's key of each of its cells. Blocks of one width share keys and
+    buffer."""
     buffers = {}
     for lo in range(0, dim, _BLOCK):
         hi = min(lo + _BLOCK, dim)
         w = hi - lo
         if w not in buffers:
-            buffers[w] = ((rows[:, None] * (row_len or w) + np.arange(w)).reshape(-1),
-                          np.empty((rows.size, w)))
+            buffers[w] = keys_of(w), np.empty((n, w))
         yield (lo, hi) + buffers[w]
+
+
+def _hub_chunks(ptr):
+    """(first, end) of each run of whole hubs, in order, whose edges fill at
+    most _HUB_CELLS cells of one block; a larger hub is a run of its own."""
+    per_chunk = _HUB_CELLS // _BLOCK
+    h, n_hub = 0, ptr.size - 1
+    while h < n_hub:
+        end = int(np.searchsorted(ptr, ptr[h] + per_chunk, side="right")) - 1
+        end = max(end, h + 1)
+        yield h, end
+        h = end
 
 
 def gather_rows(plan: GatherPlan, src):
@@ -114,8 +134,8 @@ def gather_rows(plan: GatherPlan, src):
 
     Light rows add one slot at a time, acc[:n_j] += w_j * src[nbr_j], with
     `out` as the scratch row buffer until the rows land in it. Heavy rows
-    run one weighted bincount per block of 8 columns, keyed by
-    heavy_slot * w + j, which adds in edge order too.
+    run, per chunk of whole hubs (_hub_chunks), one weighted bincount per
+    block of 8 columns, keyed by hub * w + j, which adds in edge order too.
     """
     src = np.asarray(src, dtype=np.float64)
     if src.shape[0] < plan.n_src:
@@ -134,14 +154,23 @@ def gather_rows(plan: GatherPlan, src):
         term *= plan.coef[lo:hi, None]
         acc[:hi - lo] += term
     out[plan.light_rows] = acc
-    del acc  # before the hub blocks' keys and terms: gathers set train's peak
+    del acc  # before the hub chunks' keys and terms: gathers set train's peak
 
-    n_hub = plan.heavy_rows.size
-    for lo, hi, keys, term in _column_blocks(plan.heavy_slot, dim if n_hub else 0):
-        src[:, lo:hi].take(plan.heavy_nbr, axis=0, out=term, mode="clip")
-        term *= plan.heavy_coef[:, None]
-        sums = np.bincount(keys, weights=term.reshape(-1), minlength=n_hub * (hi - lo))
-        out[plan.heavy_rows, lo:hi] = sums.reshape(n_hub, hi - lo)
+    ptr = plan.heavy_ptr
+    for h0, h1 in _hub_chunks(ptr):
+        a, b, n_hub = ptr[h0], ptr[h1], h1 - h0
+        deg = np.diff(ptr[h0:h1 + 1])
+        nbr, coef = plan.heavy_nbr[a:b], plan.heavy_coef[a:b, None]
+
+        def hub_keys(w):  # hub h's cell j is key h * w + j, on each of its edges
+            cells = np.arange(n_hub * w).reshape(n_hub, w)
+            return np.repeat(cells, deg, axis=0).reshape(-1)
+
+        for lo, hi, keys, term in _column_blocks(b - a, dim, hub_keys):
+            src[:, lo:hi].take(nbr, axis=0, out=term, mode="clip")
+            term *= coef
+            sums = np.bincount(keys, weights=term.reshape(-1), minlength=n_hub * (hi - lo))
+            out[plan.heavy_rows[h0:h1], lo:hi] = sums.reshape(n_hub, hi - lo)
     return out
 
 
@@ -156,8 +185,12 @@ def scatter_rows(out, idx, rows):
     """
     if not out.flags.c_contiguous:
         raise ValueError("scatter_rows adds onto a C-contiguous output only")
-    flat = out.reshape(-1)
-    for lo, hi, keys, block in _column_blocks(idx, out.shape[1], out.shape[1]):
+    flat, dim = out.reshape(-1), out.shape[1]
+
+    def row_keys(w):  # row idx[t]'s cell j is key idx[t] * dim + j
+        return (idx[:, None] * dim + np.arange(w)).reshape(-1)
+
+    for lo, hi, keys, block in _column_blocks(idx.size, dim, row_keys):
         np.copyto(block, rows[:, lo:hi])
         np.add.at(flat[lo:], keys, block.reshape(-1))
     return out

@@ -135,7 +135,9 @@ def forward(tables: np.ndarray, bundle: GraphBundle,
 def final_embeddings(stack: LayerStack) -> tuple[np.ndarray, np.ndarray]:
     """The stack's alpha-weighted layer combination for users and items."""
     n_u, n_ui = stack.bounds[1:3]
-    e = sum(a * x[:n_ui] for a, x in zip(stack.alpha, stack.layers))
+    e = np.zeros((n_ui, stack.layers[0].shape[1]))
+    for a, x in zip(stack.alpha, stack.layers):  # each cell adds from +0.0
+        e += a * x[:n_ui]
     return e[:n_u], e[n_u:]
 
 

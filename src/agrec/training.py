@@ -125,8 +125,9 @@ def batch_loss(tables: np.ndarray, bundle: GraphBundle, config: ModelConfig,
                users, pos, negs) -> tuple[float, float, float]:
     """(total, bpr_mean, reg_mean) for a triple batch; recomputes the forward.
 
-    This is the scalar objective that `backward` differentiates, kept as a
-    plain function so finite-difference checks can probe it directly.
+    This is the scalar objective that output_gradient and backward
+    differentiate, kept as a plain function so finite-difference checks can
+    probe it directly.
     """
     users = np.asarray(users, dtype=np.int64)
     pos = np.asarray(pos, dtype=np.int64)
@@ -139,9 +140,9 @@ def batch_loss(tables: np.ndarray, bundle: GraphBundle, config: ModelConfig,
     return bpr + reg, bpr, reg
 
 
-# Triples per block of backward's per-triple terms: the scores and the
-# scatters hold (block, dim) arrays whatever the batch size. A block of 4096
-# dim-64 rows is 2 MB.
+# Triples per block of the per-triple terms of output_gradient and
+# backward: the scores and the scatters hold (block, dim) arrays whatever
+# the batch size. A block of 4096 dim-64 rows is 2 MB.
 _TRIPLE_BLOCK = 4096
 
 
@@ -157,25 +158,17 @@ def _scatter_blocked(out, idx, terms) -> None:
         scatter_rows(out, idx[b], terms(b))
 
 
-def backward(users, pos, negs, final: tuple[np.ndarray, np.ndarray],
-             tables: np.ndarray, bundle: GraphBundle,
-             config: ModelConfig) -> tuple[np.ndarray, float, float]:
-    """Exact gradient of the batch objective w.r.t. the stacked layer-0 table.
-
-    `final` is final_embeddings(forward(tables, bundle, config)), the user
-    and item embeddings the scores read. Returns (gradients, bpr_mean,
-    reg_mean). The adjoint recursion mirrors the forward: z_K = alpha_K G
-    and z_k = alpha_k G + Mᵀ z_{k+1}, where G is the loss gradient on the
-    final embeddings and Mᵀ the transposed operator.
-    """
+def output_gradient(users, pos, negs, final: tuple[np.ndarray, np.ndarray]
+                    ) -> tuple[np.ndarray, float]:
+    """(G, bpr_mean): the gradient of the batch's mean BPR loss on the
+    final embeddings `final` = final_embeddings(forward(...)), one row per
+    user and item (the attribute rows of G are zero), and that mean."""
     users = np.asarray(users, dtype=np.int64)
     pos = np.asarray(pos, dtype=np.int64)
     negs = np.asarray(negs, dtype=np.int64)
     n_triples = users.shape[0]
-    alpha = config.alpha()
     e_u, e_i = final
-    op = bundle.operator
-    n_u, n_ui = op.bounds[1:3]
+    n_u = e_u.shape[0]
 
     delta = np.empty(n_triples)
     for b in _triple_blocks(n_triples):
@@ -184,14 +177,30 @@ def backward(users, pos, negs, final: tuple[np.ndarray, np.ndarray],
     bpr_mean = float(softplus(-delta).mean())
     del delta
 
-    # gradient on the final embeddings: only users and items are scored, so
-    # the attribute rows of G are zero and G holds the n_ui scored rows
-    grad_final = np.zeros((n_ui, e_u.shape[1]))
+    grad_final = np.zeros((n_u + e_i.shape[0], e_u.shape[1]))
     grad_u, grad_i = grad_final[:n_u], grad_final[n_u:]
     _scatter_blocked(grad_u, users, lambda b: g[b] * (e_i[pos[b]] - e_i[negs[b]]))
     _scatter_blocked(grad_i, pos, lambda b: g[b] * e_u[users[b]])
     _scatter_blocked(grad_i, negs, lambda b: -(g[b] * e_u[users[b]]))
-    del g  # the adjoint gathers hold no per-triple array
+    return grad_final, bpr_mean
+
+
+def backward(users, pos, negs, grad_final: np.ndarray, tables: np.ndarray,
+             bundle: GraphBundle, config: ModelConfig) -> tuple[np.ndarray, float]:
+    """Exact gradient of the batch objective w.r.t. the stacked layer-0 table.
+
+    `grad_final` is G from output_gradient, so the final embeddings need
+    not live through the adjoint. Returns (gradients, reg_mean). The
+    adjoint recursion mirrors the forward: z_K = alpha_K G and
+    z_k = alpha_k G + Mᵀ z_{k+1}, with Mᵀ the transposed operator.
+    """
+    users = np.asarray(users, dtype=np.int64)
+    pos = np.asarray(pos, dtype=np.int64)
+    negs = np.asarray(negs, dtype=np.int64)
+    n_triples = users.shape[0]
+    alpha = config.alpha()
+    op = bundle.operator
+    n_u, n_ui = op.bounds[1:3]
 
     reg_mean = 0.0
     if config.l2_weight:  # before the adjoint: its (T, dim) square is freed by then
@@ -213,7 +222,7 @@ def backward(users, pos, negs, final: tuple[np.ndarray, np.ndarray],
         _scatter_blocked(z_u, users, lambda b: c * e_u0[users[b]])
         _scatter_blocked(z_i, pos, lambda b: c * e_i0[pos[b]])
         _scatter_blocked(z_i, negs, lambda b: c * e_i0[negs[b]])
-    return z, bpr_mean, reg_mean
+    return z, reg_mean
 
 
 def sgd_step(tables: np.ndarray, grads: np.ndarray, lr: float) -> None:
@@ -238,17 +247,19 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
     With a validation split, Recall@val_k is tracked per epoch, training
     stops after `patience` epochs without improvement (never with 0), and
     the best tables are kept and, given `checkpoint_path`, saved whole there
-    on each improvement and at the end. Each epoch appends one JSON line to
-    `log_path`; with a `checkpoint_path` the first save replaces the old
-    file with this run's lines, so a run that saves nothing leaves both
-    files as they were. Each epoch's `phase_seconds` splits its time by
-    PHASES; the validation forward counts under validate_s, and the next
-    epoch's first batch reuses its final embeddings. `maxrss_mb` is the
-    process's peak resident set at the end of the epoch.
+    on each improvement, or once at the end when nothing was validated.
+    Each epoch appends one JSON line to `log_path`; with a
+    `checkpoint_path` the first save replaces the old file with this run's
+    lines, so a run that saves nothing leaves both files as they were. Each
+    epoch's `phase_seconds` splits its time by PHASES; the validation
+    forward counts under validate_s, and the next epoch's first batch
+    reuses its final embeddings. `maxrss_mb` is the process's peak resident
+    set at the end of the epoch.
 
     A step keeps only what its next operation reads: the forward's final
-    embeddings, not its layers, go on to `backward`, and the gradient is
-    dropped once the step has applied it.
+    embeddings, not its layers, go on to `output_gradient`, its gradient
+    G, not the embeddings, goes on to `backward`, and the table's gradient
+    is dropped once the step has applied it.
     """
     from . import evaluation  # local import; evaluation depends on model only
     from .model import save_checkpoint
@@ -311,9 +322,11 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
                 if final is None:  # the layers above 0 die here
                     final = final_embeddings(forward(tables, bundle, config))
                 clock.lap("forward_s")
-                grads, bpr_mean, reg_mean = backward(users, pos, negs, final,
-                                                     tables, bundle, config)
-                final = None
+                grad_final, bpr_mean = output_gradient(users, pos, negs, final)
+                final = None  # before the adjoint
+                grads, reg_mean = backward(users, pos, negs, grad_final,
+                                           tables, bundle, config)
+                del grad_final  # before the next batch's forward
                 clock.lap("backward_s")
                 if not np.isfinite(bpr_mean):
                     raise NumericError("loss became non-finite")
@@ -354,8 +367,9 @@ def train(split: SplitDataset, bundle: GraphBundle, config: ModelConfig, *,
                     break
 
     final = best_tables if best_tables is not None else tables
-    if checkpoint_path:
-        # authoritative write: the file always matches the returned tables
+    if checkpoint_path and best_epoch is None:
+        # an improving epoch saved best_tables already; without one, the
+        # file must still match the returned tables
         _save(final)
     return TrainResult(tables=final, stats=stats, best_epoch=best_epoch,
                        best_val_recall=None if best_epoch is None else best_val)

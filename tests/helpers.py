@@ -17,7 +17,17 @@ from agrec.errors import DataError
 from agrec.graphs import BipartiteGraph, GraphBundle, Vocabulary
 from agrec.ingest import split_dataset, write_manifest
 from agrec.pipeline import MANIFEST_NAME, TEXT_ATTRS_NAME
-from agrec.synth import hold_out_items, planted_world
+from agrec.synth import assemble_world, hold_out_items, planted_world
+
+
+def hub_world():
+    """(bundle, split) of a planted world whose keyword and aesthetic hubs
+    put rows on both sides of the gather plans' degree split."""
+    world = planted_world(n_users=40, n_items=200, n_item_keywords=3,
+                          n_aesthetic_keywords=4, tastes_per_user=2,
+                          interact_prob=0.5, seed=3)
+    bundle, split, _ = assemble_world(world, seed=1)
+    return bundle, split
 
 
 def random_bipartite(rng, n_left, n_right, p=0.3):
@@ -221,6 +231,30 @@ def hits_of(ordering, positives, k):
     n_items = int(max(tops.max(initial=0), keys.max(initial=0))) + 1
     return (hit_matrix(tops, np.zeros(1, np.int64), keys, n_items),
             np.array([len(positives)]))
+
+
+def backward_from_final(users, pos, negs, final, tables, bundle, config):
+    """training.output_gradient, then training.backward on its G: (z,
+    bpr_mean, reg_mean), the gradient and loss parts of one batch from the
+    final embeddings, as reference_backward returns them."""
+    from agrec.training import backward, output_gradient
+
+    grad_final, bpr_mean = output_gradient(users, pos, negs, final)
+    z, reg_mean = backward(users, pos, negs, grad_final, tables, bundle, config)
+    return z, bpr_mean, reg_mean
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the peak bytes tracemalloc saw allocated
+    during the call); what was allocated before it does not count."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def reference_backward(users, pos, negs, final, tables, bundle, config):

@@ -18,8 +18,8 @@ from agrec.model import (ModelConfig, final_embeddings, forward,
                          load_checkpoint, save_checkpoint)
 from agrec.ingest import read_interactions, split_dataset
 from agrec.synth import assemble_world, hold_out_items, planted_world
-from agrec.training import backward, batch_loss, bpr_loss, train
-from helpers import (brute_force_metrics, dense_forward,
+from agrec.training import batch_loss, bpr_loss, train
+from helpers import (backward_from_final, brute_force_metrics, dense_forward,
                      finite_difference_gradients, hits_of, random_bundle,
                      random_tables)
 
@@ -52,7 +52,7 @@ def test_gradient_oracle():
         negs = rng.integers(0, n_i, size=n_triples)
 
         final = final_embeddings(forward(tables, bundle, cfg))
-        grads, _, _ = backward(users, pos, negs, final, tables, bundle, cfg)
+        grads, _, _ = backward_from_final(users, pos, negs, final, tables, bundle, cfg)
         numeric = finite_difference_gradients(
             tables, lambda t: batch_loss(t, bundle, cfg, users, pos, negs)[0],
             h=1e-5)

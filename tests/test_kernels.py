@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agrec import kernels
-from agrec.kernels import _JAGGED_MAX_DEGREE, gather_rows, plan_gather, scatter_rows
+from agrec.kernels import (_BLOCK, _HUB_CELLS, _JAGGED_MAX_DEGREE, gather_rows,
+                           plan_gather, scatter_rows)
+from helpers import dense_union_matrix, hub_world, traced_peak
 
 
 def _random_coo(rng, n_rows, n_src, n_edges):
@@ -73,6 +75,48 @@ def test_gather_plan_is_bitwise_add_at(degrees, n_src, dim, seed, specials):
         want = _add_at(rows, indices, coef, src, len(degrees))
         got = gather_rows(plan_gather(rows, indices, coef, len(degrees)), src)
     assert got.tobytes() == want.tobytes()
+
+
+# one hub per chunk, and chunks of two or three of hub_world's hubs (degrees
+# 50-69); dim 19 is blocks of 8 + 8 + 3 columns
+@pytest.mark.parametrize("cells", [1, 150 * _BLOCK], ids=["cells1", "cells1200"])
+def test_hub_chunks_are_bitwise_add_at(monkeypatch, cells):
+    monkeypatch.setattr(kernels, "_HUB_CELLS", cells)
+    bundle, _ = hub_world()
+    op = bundle.operator
+    dense = dense_union_matrix(bundle)
+    rows, cols = np.nonzero(dense)  # entries in (row, col) order
+    coef = dense[rows, cols]
+    src = np.random.default_rng(4).normal(size=(op.size, 19))
+    for plan, out_rows, in_rows in ((op.forward, rows, cols), (op.transpose, cols, rows)):
+        chunks = list(kernels._hub_chunks(plan.heavy_ptr))
+        assert len(chunks) > 1 and chunks[-1][1] == plan.heavy_rows.size
+        assert (max(h1 - h0 for h0, h1 in chunks) > 1) == (cells > 1)
+        want = _add_at(out_rows, in_rows, coef, src, op.size)
+        assert gather_rows(plan, src).tobytes() == want.tobytes()
+
+
+def test_hub_scratch_is_one_chunk():
+    # 96,000 hub edges are 12x the cells of one chunk of 8 columns
+    n_hub, degree, n_light, dim = 12, 8_000, 20_000, 8
+    assert n_hub * degree * _BLOCK > 10 * _HUB_CELLS
+    rows = np.concatenate((np.repeat(np.arange(n_hub), degree),
+                           np.arange(n_hub, n_hub + n_light)))
+    rng = np.random.default_rng(5)
+    plan = plan_gather(rows, rng.integers(0, 64, size=rows.size),
+                       rng.uniform(size=rows.size), n_hub + n_light)
+    src = rng.normal(size=(64, dim))
+    out, peak = traced_peak(gather_rows, plan, src)
+    acc = n_light * dim * 8
+    assert peak <= out.nbytes + acc + 16 * _HUB_CELLS
+
+
+@pytest.mark.parametrize("index, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
+def test_plan_indices_never_wrap(index, dtype):
+    # the plan alone: no source of 2**31 rows is allocated
+    plan = plan_gather([0], [index], [1.0], 1)
+    assert plan.nbr.dtype == dtype and plan.nbr[0] == index
+    assert plan.n_src == index + 1
 
 
 def test_plan_splits_rows_at_the_threshold():

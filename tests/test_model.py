@@ -18,8 +18,7 @@ from agrec.model import (ModelConfig, cold_item_embedding, final_embeddings,
                          forward, init_tables, load_checkpoint,
                          save_checkpoint)
 from agrec.pipeline import _cold_edges
-from agrec.training import backward
-from helpers import (dense_forward, dense_propagation_matrix,
+from helpers import (backward_from_final, dense_forward, dense_propagation_matrix,
                      dense_union_matrix, random_bundle, random_tables,
                      reference_cold_item_embedding, snapshot, split_classes,
                      tear_nth_write)
@@ -160,8 +159,9 @@ def plan_neighbours(plan):
         lo, hi = plan.slot_ptr[j], plan.slot_ptr[j + 1]
         for row, nbr in zip(plan.light_rows[:hi - lo], plan.nbr[lo:hi]):
             out[row].append(int(nbr))
-    for slot, nbr in zip(plan.heavy_slot, plan.heavy_nbr):
-        out[plan.heavy_rows[slot]].append(int(nbr))
+    for h, row in enumerate(plan.heavy_rows):
+        lo, hi = plan.heavy_ptr[h], plan.heavy_ptr[h + 1]
+        out[row] += [int(nbr) for nbr in plan.heavy_nbr[lo:hi]]
     return out
 
 
@@ -199,7 +199,7 @@ class TestOperator:
             tables = init_tables(bundle, cfg)
             final = final_embeddings(forward(tables, bundle, cfg))
             assert built(bundle.operator) == after_forward
-            backward([0], [0], [1], final, tables, bundle, cfg)
+            backward_from_final([0], [0], [1], final, tables, bundle, cfg)
             assert built(bundle.operator) == after_forward | {"transpose"}
 
     def test_head_plans_are_the_scored_rows(self):

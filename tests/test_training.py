@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,29 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agrec.evaluation
+import agrec.kernels
 import agrec.model
 import agrec.training
 from agrec.errors import ConfigError, DataError, NumericError
 from agrec.graphs import BipartiteGraph
 from agrec.ingest import SplitDataset
 from agrec.model import ModelConfig, final_embeddings, forward, init_tables
-from agrec.training import (_sample_negatives_block, backward, batch_loss,
-                            bpr_loss, sgd_step, sigmoid, train)
+from agrec.training import (_sample_negatives_block, batch_loss, bpr_loss,
+                            sgd_step, sigmoid, train)
 from agrec.synth import assemble_world, planted_world
-from helpers import (dense_union_matrix, finite_difference_gradients, keys_of,
+from helpers import (backward_from_final, dense_union_matrix,
+                     finite_difference_gradients, hub_world, keys_of,
                      random_bundle, random_tables, reference_backward,
                      reference_sample_negatives, snapshot, split_classes,
-                     tear_nth_write)
-
-
-def hub_world():
-    """(bundle, split) of a planted world whose keyword and aesthetic hubs
-    put rows on both sides of the gather plans' degree split."""
-    world = planted_world(n_users=40, n_items=200, n_item_keywords=3,
-                          n_aesthetic_keywords=4, tastes_per_user=2,
-                          interact_prob=0.5, seed=3)
-    bundle, split, _ = assemble_world(world, seed=1)
-    return bundle, split
+                     tear_nth_write, traced_peak)
 
 
 class TestBprLoss:
@@ -150,7 +141,7 @@ class TestBackward:
         pos = np.array([1])
         negs = np.array([4])
         final = final_embeddings(forward(tables, bundle, cfg))
-        grads, _, _ = backward(users, pos, negs, final, tables, bundle, cfg)
+        grads, _, _ = backward_from_final(users, pos, negs, final, tables, bundle, cfg)
         e_u, e_i, _, _ = split_classes(tables, bundle)
         grad_u, grad_i, _, _ = split_classes(grads, bundle)
         delta = e_u[2] @ e_i[1] - e_u[2] @ e_i[4]
@@ -166,7 +157,7 @@ class TestBackward:
         pos = np.array([3])
         negs = np.array([3])
         final = final_embeddings(forward(tables, bundle, cfg))
-        grads, _, _ = backward(users, pos, negs, final, tables, bundle, cfg)
+        grads, _, _ = backward_from_final(users, pos, negs, final, tables, bundle, cfg)
         assert grads.shape == tables.shape
         assert (grads == 0).all()
 
@@ -180,7 +171,7 @@ class TestBackward:
             pos = rng.integers(0, 8, size=n)
             negs = rng.integers(0, 8, size=n)
             final = final_embeddings(forward(tables, bundle, cfg))
-            grads, _, _ = backward(users, pos, negs, final, tables, bundle, cfg)
+            grads, _, _ = backward_from_final(users, pos, negs, final, tables, bundle, cfg)
             fd = finite_difference_gradients(
                 tables, lambda t: batch_loss(t, bundle, cfg, users, pos, negs)[0])
             np.testing.assert_allclose(grads, fd, rtol=1e-5, atol=1e-8)
@@ -192,7 +183,7 @@ class TestBackward:
         pos = np.array([2, 3])
         negs = np.array([4, 5])
         final = final_embeddings(forward(tables, bundle, cfg))
-        _, bpr, reg = backward(users, pos, negs, final, tables, bundle, cfg)
+        _, bpr, reg = backward_from_final(users, pos, negs, final, tables, bundle, cfg)
         total, bpr2, reg2 = batch_loss(tables, bundle, cfg, users, pos, negs)
         assert bpr == pytest.approx(bpr2, rel=1e-12)
         assert reg == pytest.approx(reg2, rel=1e-12)
@@ -216,7 +207,7 @@ class TestBackward:
         pos = np.repeat(pairs[:, 1], 2)
         negs = rng.integers(0, len(bundle.vocab_i), size=users.size)
         final = final_embeddings(forward(tables, bundle, cfg))
-        got = backward(users, pos, negs, final, tables, bundle, cfg)
+        got = backward_from_final(users, pos, negs, final, tables, bundle, cfg)
         want = reference_backward(users, pos, negs, final, tables, bundle, cfg)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1:] == want[1:]
@@ -230,7 +221,7 @@ class TestSgdProperties:
             users, pos, negs = np.array([1]), np.array([0]), np.array([5])
             before = batch_loss(tables, bundle, cfg, users, pos, negs)[0]
             final = final_embeddings(forward(tables, bundle, cfg))
-            grads, _, _ = backward(users, pos, negs, final, tables, bundle, cfg)
+            grads, _, _ = backward_from_final(users, pos, negs, final, tables, bundle, cfg)
             sgd_step(tables, grads, lr)
             after = batch_loss(tables, bundle, cfg, users, pos, negs)[0]
             assert after < before
@@ -245,7 +236,7 @@ class TestSgdProperties:
         norms = [float(np.linalg.norm(user0))]
         for _ in range(10):
             final = final_embeddings(forward(tables, bundle, cfg))
-            grads, _, _ = backward(users, pos, negs, final, tables, bundle, cfg)
+            grads, _, _ = backward_from_final(users, pos, negs, final, tables, bundle, cfg)
             sgd_step(tables, grads, cfg.learning_rate)
             norms.append(float(np.linalg.norm(user0)))
         assert all(b < a for a, b in zip(norms, norms[1:]))
@@ -348,6 +339,18 @@ class TestTrainLoop:
         assert ([(s.loss, s.reg, s.val_recall) for s in blocked.stats]
                 == [(s.loss, s.reg, s.val_recall) for s in default.stats])
 
+    def test_tables_bitwise_equal_across_hub_chunks(self, monkeypatch):
+        bundle, split = hub_world()
+        cfg = ModelConfig(dim=19, layers=2, learning_rate=0.5, l2_weight=1e-2,
+                          n_negatives=2, seed=2)
+        kwargs = dict(epochs=2, batch_size=64, val_k=5, patience=0)
+        default = train(split, bundle, cfg, **kwargs)
+        monkeypatch.setattr(agrec.kernels, "_HUB_CELLS", 1)  # one hub per chunk
+        chunked = train(split, bundle, cfg, **kwargs)
+        assert chunked.tables.tobytes() == default.tables.tobytes()
+        assert ([(s.loss, s.reg, s.val_recall) for s in chunked.stats]
+                == [(s.loss, s.reg, s.val_recall) for s in default.stats])
+
     def test_adjoint_sees_no_forward_layer_and_memory_is_bounded(self, monkeypatch):
         world = planted_world(n_users=60, n_items=300, n_item_keywords=20,
                               n_aesthetic_keywords=6, tastes_per_user=2,
@@ -358,36 +361,40 @@ class TestTrainLoop:
         n_triples = split.train.shape[0] * cfg.n_negatives  # one batch per epoch
         monkeypatch.setattr(agrec.training, "_TRIPLE_BLOCK", 64)
         assert n_triples > 50 * 64  # the batch spans many blocks
-        real, layers, alive = agrec.model.gather_rows, [], []
+        real, layers, finals, alive = agrec.model.gather_rows, [], [], []
 
         def forward_gather(plan, src):
             out = real(plan, src)
             layers.append(weakref.ref(out))
             return out
 
+        def kept_final(stack):
+            e_u, e_i = final_embeddings(stack)
+            finals.append(weakref.ref(e_u.base))  # the one (n_ui, dim) array
+            return e_u, e_i
+
         def adjoint_gather(plan, src):
-            alive.append(sum(ref() is not None for ref in layers))
+            alive.append(sum(ref() is not None for ref in layers + finals))
             return real(plan, src)
 
         monkeypatch.setattr(agrec.model, "gather_rows", forward_gather)
+        monkeypatch.setattr(agrec.training, "final_embeddings", kept_final)
         monkeypatch.setattr(agrec.training, "gather_rows", adjoint_gather)
-        tracemalloc.start()
-        try:  # train builds the plans, so they are traced too
-            train(split, bundle, cfg, epochs=2, batch_size=split.train.shape[0],
-                  val_k=5, patience=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # train builds the plans, so they are traced too
+        _, peak = traced_peak(train, split, bundle, cfg, epochs=2,
+                              batch_size=split.train.shape[0], val_k=5, patience=0)
         assert len(alive) == 2 * cfg.layers and not any(alive)
+        assert len(finals) == 3  # two batches and the validation between
         table = op.size * cfg.dim * 8
         plans = sum(a.nbytes for p in (op.forward, op.head, op.transpose)
                     for a in vars(p).values() if isinstance(a, np.ndarray))
-        # seven table-sized arrays: the table and its best copy, the final
-        # embeddings and their gradient, z, and a gather's output and
-        # accumulator; plus the L2 term's one (triples, dim) square. The
-        # layers kept through the adjoint would add K, the whole batch's
-        # score and scatter terms several (triples, dim) arrays.
-        assert peak <= plans + 7 * table + n_triples * cfg.dim * 8
+        # The peak is the L2 term's one (triples, dim) square, beside the
+        # table and its best copy, G (the n_ui scored rows) and the batch's
+        # index arrays (under a table here): 4.06 tables measured. Final
+        # embeddings alive through backward would add a fifth, the layers K
+        # more, and the whole batch's score and scatter terms several
+        # (triples, dim) arrays.
+        assert peak <= plans + 4.5 * table + n_triples * cfg.dim * 8
 
     def test_validation_forward_serves_next_epoch(self, monkeypatch):
         rng = np.random.default_rng(13)
@@ -478,6 +485,39 @@ class TestTrainLoop:
         ckpt = load_checkpoint(path)
         np.testing.assert_array_equal(
             ckpt.tables, result.tables.astype(np.float32).astype(np.float64))
+
+    def test_checkpoint_written_once_per_improving_epoch(self, tmp_path, monkeypatch):
+        from agrec.model import load_checkpoint
+
+        rng = np.random.default_rng(15)
+        bundle, cfg, _ = tiny_problem(rng, lr=0.5)
+        bundle, split = small_split(rng, bundle)
+        saved = []
+        real_save = agrec.model.save_checkpoint
+
+        def counted_save(path, tables, *args, **kwargs):
+            saved.append(tables.copy())
+            real_save(path, tables, *args, **kwargs)
+
+        monkeypatch.setattr(agrec.model, "save_checkpoint", counted_save)
+        recalls = iter([0.1, 0.3, 0.2, 0.4])  # epochs 1, 2 and 4 improve
+        monkeypatch.setattr(agrec.evaluation, "mean_recall_at_k",
+                            lambda *args: next(recalls))
+        path = tmp_path / "model.agr"
+        result = train(split, bundle, cfg, epochs=4, batch_size=8, patience=0,
+                       val_k=5, checkpoint_path=path)
+        assert result.best_epoch == 4 and len(saved) == 3
+        assert saved[-1].tobytes() == result.tables.tobytes()
+        np.testing.assert_array_equal(
+            load_checkpoint(path).tables,
+            result.tables.astype(np.float32).astype(np.float64))
+        # without a validation split nothing improves: one write, at the end
+        saved.clear()
+        no_val = dataclasses.replace(split, validation=split.validation[:0])
+        result = train(no_val, bundle, cfg, epochs=2, batch_size=8, patience=0,
+                       val_k=5, checkpoint_path=path)
+        assert result.best_epoch is None and len(saved) == 1
+        assert saved[0].tobytes() == result.tables.tobytes()
 
     def test_failed_save_keeps_the_best_checkpoint_so_far(self, tmp_path,
                                                           monkeypatch):
