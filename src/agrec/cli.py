@@ -16,16 +16,22 @@ import sys
 from . import __version__
 from .errors import (AgrecError, ConfigError, DataError, IntegrityError,
                      UnknownIdError)
-from .evaluation import evaluate, top_k
 from .extractor import (FixtureBackend, HttpBackend, PromptKind,
                         run_extraction_batch)
-from .ingest import (atomic_write, filter_min_popularity, fit_price_buckets,
-                     open_text, read_interactions, read_items, split_dataset,
+from .ingest import (MANIFEST_NAME, TEXT_ATTRS_NAME, atomic_write,
+                     filter_min_popularity, fit_price_buckets, open_text,
+                     read_interactions, read_items, split_dataset,
                      text_attributes_line, tokenize_text_attributes,
                      write_manifest)
-from .model import ModelConfig, final_embeddings, forward, load_checkpoint
-from .pipeline import MANIFEST_NAME, TEXT_ATTRS_NAME, load_dataset
-from .training import train
+
+# Run as a program (`python -m agrec.cli`, `python -m agrec`, the `agrec`
+# script), each command imports the model layers it runs inside its own
+# function: `prepare` loads none of them, and `extract` does not load numpy.
+# Imported as a module, agrec.cli loads every layer and binds `forward`, as
+# it always has, for callers and for tools that wrap agrec's functions.
+if __name__ != "__main__":
+    from . import evaluation, pipeline, training  # noqa: F401
+    from .model import forward  # noqa: F401
 
 EXIT_OK, EXIT_OTHER, EXIT_CONFIG, EXIT_INTEGRITY, EXIT_LOOKUP = 0, 1, 2, 3, 4
 
@@ -45,21 +51,28 @@ def read_config_file(path) -> dict[str, str]:
 
 
 def _ratios(text: str) -> tuple[float, ...]:
-    try:
-        parts = tuple(float(p) for p in text.split(","))
-    except ValueError:
-        raise ConfigError(f"cannot parse ratios from {text!r}") from None
-    return parts
+    return tuple(float(p) for p in text.split(","))
+
+
+def _at_least(lo: int):
+    """An int cast that refuses values below `lo`."""
+    def cast(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise ConfigError(f"must be >= {lo}, got {value}")
+        return value
+    return cast
 
 
 # Each command's settings, key -> (cast, default). Every key is also the
-# command's flag: "--" + key with "_" as "-", parsed by cast.
+# command's flag: "--" + key with "_" as "-". _resolve casts its value,
+# from the flag or from a config file, before the command reads any input.
 SETTINGS = {
     "prepare": {
-        "min_users": (int, 10),
+        "min_users": (_at_least(0), 10),
         "split": (_ratios, (0.8, 0.1, 0.1)),
         "seed": (int, 0),
-        "price_buckets": (int, 10),
+        "price_buckets": (_at_least(1), 10),
     },
     "extract": {
         "backend": (str, "fixture"),
@@ -68,7 +81,7 @@ SETTINGS = {
         "auth_env": (str, "AGREC_VLM_TOKEN"),
         "timeout": (float, 30.0),
         "kinds": (str, ",".join(kind.value for kind in PromptKind)),
-        "threads": (int, 1),
+        "threads": (_at_least(1), 1),
     },
     "train": {
         "dim": (int, 64),
@@ -76,34 +89,39 @@ SETTINGS = {
         "lr": (float, 1e-3),
         "l2": (float, 1e-4),
         "neg": (int, 1),
-        "epochs": (int, 50),
+        "epochs": (_at_least(1), 50),
         "seed": (int, 0),
-        "batch": (int, 256),
-        "val_k": (int, 50),
-        "patience": (int, 5),
+        "batch": (_at_least(1), 256),
+        "val_k": (_at_least(1), 50),
+        "patience": (_at_least(0), 5),
         "init_scale": (float, 0.1),
         "alpha": (_ratios, None),
     },
-    "evaluate": {"k": (int, 50)},
-    "recommend": {"k": (int, 10)},
+    "evaluate": {"k": (_at_least(1), 50)},
+    "recommend": {"k": (_at_least(1), 10)},
 }
 
 
 def _resolve(args) -> dict:
-    """Merge defaults < config file < explicit flags, per-key."""
+    """Merge defaults < config file < explicit flags, per key; a value that
+    does not parse or is out of range raises ConfigError naming its key."""
     file_cfg = read_config_file(args.config) if getattr(args, "config", None) else {}
     resolved = {}
     for key, (cast, default) in SETTINGS[args.command].items():
         flag_value = getattr(args, key, None)
         if flag_value is not None:
-            resolved[key] = flag_value
+            where, text = "--" + key.replace("_", "-"), flag_value
         elif key in file_cfg:
-            try:
-                resolved[key] = cast(file_cfg[key])
-            except ValueError:
-                raise ConfigError(f"config key {key}: cannot parse {file_cfg[key]!r}") from None
+            where, text = f"config key {key}", file_cfg[key]
         else:
             resolved[key] = default
+            continue
+        try:
+            resolved[key] = cast(text)
+        except ValueError:
+            raise ConfigError(f"{where}: cannot parse {text!r}") from None
+        except ConfigError as exc:
+            raise ConfigError(f"{key} {exc}") from None
     return resolved
 
 
@@ -161,6 +179,13 @@ def cmd_prepare(args) -> int:
 
 def cmd_extract(args) -> int:
     cfg = _resolve(args)
+    kinds = []
+    for name in cfg["kinds"].split(","):
+        try:
+            kinds.append(PromptKind(name.strip()))
+        except ValueError:
+            raise ConfigError(f"unknown prompt kind {name.strip()!r}") from None
+
     if cfg["backend"] == "fixture":
         if not cfg["fixture"]:
             raise ConfigError("--backend fixture requires --fixture")
@@ -173,13 +198,6 @@ def cmd_extract(args) -> int:
     else:
         raise ConfigError(f"unknown backend {cfg['backend']!r}")
 
-    kinds = []
-    for name in cfg["kinds"].split(","):
-        try:
-            kinds.append(PromptKind(name.strip()))
-        except ValueError:
-            raise ConfigError(f"unknown prompt kind {name.strip()!r}") from None
-
     items = read_items(args.items)
     pairs = [(m.item_id, m.image_ref) for m in items]
     summary = run_extraction_batch(pairs, kinds, backend, cfg["threads"], args.out)
@@ -191,7 +209,17 @@ def cmd_extract(args) -> int:
 
 # --- train -------------------------------------------------------------------
 
+def _versions() -> dict:
+    """The versions of agrec and numpy that wrote an artifact."""
+    import numpy
+    return {"agrec": __version__, "numpy": numpy.__version__}
+
+
 def cmd_train(args) -> int:
+    from .model import ModelConfig
+    from .pipeline import load_dataset
+    from .training import train
+
     cfg = _resolve(args)
     cfg.update(data=args.data, attrs=args.attrs, out=args.out)
 
@@ -211,7 +239,7 @@ def cmd_train(args) -> int:
         epochs=cfg["epochs"], batch_size=cfg["batch"], val_k=cfg["val_k"],
         patience=cfg["patience"],
         log_path=log_path, checkpoint_path=args.out,
-        checkpoint_extra={"config": _echoable(cfg)})
+        checkpoint_extra={"config": _echoable(cfg), "versions": _versions()})
 
     summary = {
         "checkpoint": args.out, "log": log_path,
@@ -227,6 +255,10 @@ def cmd_train(args) -> int:
 # --- evaluate ----------------------------------------------------------------
 
 def cmd_evaluate(args) -> int:
+    from .evaluation import evaluate
+    from .model import load_checkpoint
+    from .pipeline import load_dataset
+
     cfg = _resolve(args)
     cfg.update(model=args.model, data=args.data, attrs=args.attrs,
                cold_start=args.cold_start)
@@ -239,6 +271,7 @@ def cmd_evaluate(args) -> int:
                       dataset_hash=prepared.dataset_hash)
     doc = report.to_dict()
     doc["config"] = _echoable(cfg)
+    doc["versions"] = _versions()
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
     if args.out:
@@ -257,6 +290,10 @@ def _item_keywords(bundle, item_idx: int) -> set[str]:
 
 
 def cmd_recommend(args) -> int:
+    from .evaluation import top_k
+    from .model import final_embeddings, forward, load_checkpoint
+    from .pipeline import load_dataset
+
     cfg = _resolve(args)
     cfg.update(model=args.model, data=args.data, attrs=args.attrs,
                user=args.user, explain=args.explain)
@@ -301,8 +338,8 @@ def cmd_recommend(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 def _add_settings(p: argparse.ArgumentParser, command: str) -> None:
-    for key, (cast, _) in SETTINGS[command].items():
-        p.add_argument("--" + key.replace("_", "-"), dest=key, type=cast)
+    for key in SETTINGS[command]:
+        p.add_argument("--" + key.replace("_", "-"), dest=key)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,9 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        # inside the try: a flag's type function may raise ConfigError
-        args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,11 +19,19 @@ from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ConfigError, DataError
+
+# numpy is imported only inside split_dataset and fit_price_buckets, which
+# use it: `extract` reads items through this module and never needs numpy,
+# whose import takes about 0.2 s.
+if TYPE_CHECKING:
+    import numpy as np
+
+# The two files `prepare` writes into a prepared data directory.
+MANIFEST_NAME = "manifest.json"
+TEXT_ATTRS_NAME = "text_attributes.jsonl"
 
 Interaction = tuple[str, str]
 
@@ -255,6 +263,7 @@ def split_dataset(interactions: Sequence, ratios: Sequence[float] = (0.8, 0.1, 0
     if n < 3:
         raise ConfigError("need at least 3 interactions to split")
 
+    import numpy as np
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     shuffled = [interactions[j] for j in order]
@@ -309,6 +318,7 @@ def fit_price_buckets(prices: Sequence[float], n_p: int) -> PriceBuckets:
     labels. Without prices there are no boundaries."""
     if n_p < 1:
         raise ConfigError(f"price_buckets must be >= 1, got {n_p}")
+    import numpy as np
     values, counts = np.unique(np.asarray(prices, dtype=np.float64), return_counts=True)
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])  # first occurrence ranks
     n = int(counts.sum())

@@ -24,11 +24,9 @@ from .evaluation import ColdCandidates
 from .extractor import PromptKind, attribute_problem
 from .graphs import (BipartiteGraph, GraphBundle, Vocabulary,
                      build_item_attribute_graph, build_user_graph)
-from .ingest import (SplitDataset, atomic_write, jsonl_records, manifest_split,
-                     open_text, read_manifest)
+from .ingest import (MANIFEST_NAME, TEXT_ATTRS_NAME, SplitDataset, atomic_write,
+                     jsonl_records, manifest_split, open_text, read_manifest)
 
-MANIFEST_NAME = "manifest.json"
-TEXT_ATTRS_NAME = "text_attributes.jsonl"
 CACHE_NAME = "dataset.cache.npz"
 _CACHE_FORMAT = b"agrec dataset cache 3\n"  # the first bytes of every key
 _VOCABS = ("vocab_u", "vocab_i", "vocab_ia", "vocab_iaa")

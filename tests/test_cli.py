@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from agrec import __version__
 from agrec.cli import main
 from agrec.extractor import FixtureBackend
 from agrec.pipeline import load_dataset
@@ -85,20 +86,41 @@ def cold_dir(world_dir, tmp_path_factory):
     return {"data": data, "attrs": attrs, "model": model}
 
 
-def modules_loaded(argv, names):
-    """[exit code, the `names` in sys.modules] after the CLI ran `argv` in a
-    fresh interpreter."""
-    script = (
-        "import json, sys\n"
-        "from agrec.cli import main\n"
-        f"code = main({argv!r})\n"
-        f"print(json.dumps([code, sorted(m for m in {tuple(names)!r}"
-        " if m in sys.modules)]))\n")
+def _modules_after(script, names):
+    """[`code` as `script` left it, the `names` in sys.modules] after
+    `script` ran in a fresh interpreter."""
+    script += (f"print(json.dumps([code, sorted(m for m in {tuple(names)!r}"
+               " if m in sys.modules)]))\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def modules_loaded(argv, names):
+    """[exit code, the `names` in sys.modules] after the CLI ran `argv` in a
+    fresh interpreter, agrec.cli imported as a module."""
+    return _modules_after("import json, sys\n"
+                          "from agrec.cli import main\n"
+                          f"code = main({argv!r})\n", names)
+
+
+# The two ways `agrec ARGV` runs as a program: `python -m agrec.cli` and
+# the `agrec` script (`python -m agrec` runs the same function).
+AS_MODULE_MAIN = "import runpy; runpy.run_module('agrec.cli', run_name='__main__')"
+ENTRY_POINT = "from agrec.__main__ import main; main()"
+
+
+def program_modules_loaded(argv, names, run=AS_MODULE_MAIN):
+    """[exit code, the `names` in sys.modules] after `agrec ARGV` ran as a
+    program, through `run`, in a fresh interpreter."""
+    return _modules_after("import json, sys\n"
+                          f"sys.argv = ['agrec', *{argv!r}]\n"
+                          "try:\n"
+                          f"    {run}\n"
+                          "except SystemExit as exc:\n"
+                          "    code = exc.code\n", names)
 
 
 def served(command, paths):
@@ -242,6 +264,47 @@ class TestExtract:
         assert capsys.readouterr().err == f"error: {out} line 1: {message}\n"
 
 
+# The layers the model commands add to the ingest layer, numpy among them.
+MODEL_LAYERS = ("agrec.graphs", "agrec.kernels", "agrec.model", "agrec.training",
+                "agrec.evaluation", "agrec.pipeline")
+
+
+class TestImportFootprint:
+    """Run as a program, each command imports only the layers it runs;
+    imported as a module, agrec.cli loads them all."""
+
+    @pytest.mark.parametrize("command,run", [
+        ("extract", AS_MODULE_MAIN), ("--version", AS_MODULE_MAIN),
+        ("extract", ENTRY_POINT)], ids=["extract", "version", "entry-point-extract"])
+    def test_loads_no_numpy(self, world_dir, tmp_path, command, run):
+        out = tmp_path / "a.jsonl"
+        argv = [command]
+        if command == "extract":
+            argv += ["--items", world_dir["items"], "--backend", "fixture",
+                     "--fixture", world_dir["fixture"], "--out", str(out)]
+        assert program_modules_loaded(argv, ("numpy",), run=run) == [0, []]
+        assert out.exists() == (command == "extract")
+
+    def test_prepare_loads_no_model_layer(self, world_dir, tmp_path):
+        argv = ["prepare", "--interactions", world_dir["interactions"],
+                "--items", world_dir["items"], "--min-users", "2",
+                "--out", str(tmp_path / "data")]
+        assert program_modules_loaded(argv, MODEL_LAYERS) == [0, []]
+
+    @pytest.mark.parametrize("command", [["evaluate", "--k", "10"],
+                                         ["recommend", "--user", "u0003"]])
+    def test_serving_loads_no_training(self, pipeline_dir, command):
+        assert program_modules_loaded(served(command, pipeline_dir),
+                                      ("agrec.training",)) == [0, []]
+
+    def test_module_import_loads_every_layer(self):
+        layers = ("agrec.errors", "agrec.ingest", "agrec.extractor") + MODEL_LAYERS
+        script = ("import json, sys\n"
+                  "import agrec.cli, agrec.model\n"
+                  "code = agrec.cli.forward is agrec.model.forward\n")
+        assert _modules_after(script, layers) == [True, sorted(layers)]
+
+
 class TestTrain:
     def test_checkpoint_and_log_exist(self, pipeline_dir):
         assert os.path.exists(pipeline_dir["model"])
@@ -269,6 +332,15 @@ class TestTrain:
         argv = ["train", "--data", pipeline_dir["data"], "--attrs", pipeline_dir["attrs"],
                 "--dim", "4", "--epochs", "2", "--out", str(tmp_path / "m.agr")]
         assert modules_loaded(argv, ("numpy.ma",) + NETWORK_AND_THREAD_POOL) == [0, []]
+
+    def test_checkpoint_header_carries_versions(self, pipeline_dir):
+        import numpy
+
+        with open(pipeline_dir["model"], "rb") as fh:
+            blob = fh.read()
+        (hlen,) = struct.unpack("<I", blob[4:8])
+        header = json.loads(blob[8:8 + hlen])
+        assert header["versions"] == {"agrec": __version__, "numpy": numpy.__version__}
 
     def test_lr_zero_completes(self, pipeline_dir, tmp_path):
         out = str(tmp_path / "noop.agr")
@@ -376,6 +448,13 @@ class TestEvaluate:
                             "checkpoint_hash", "dataset_hash", "config"}
         assert doc["config"]["k"] == 10  # resolved config echoed for provenance
         assert doc["recall"] > 0.2
+
+    def test_report_carries_versions(self, pipeline_dir, capsys):
+        import numpy
+
+        assert main(served(["evaluate", "--k", "10"], pipeline_dir)) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["versions"] == {"agrec": __version__, "numpy": numpy.__version__}
 
     def test_reads_the_model_once_and_reports_its_sha256(self, pipeline_dir,
                                                          monkeypatch, capsys):
@@ -930,6 +1009,27 @@ class TestRefusedSettings:
         proc = self.extract(world_dir, tmp_path, monkeypatch,
                             *self.config(tmp_path, f"timeout = {timeout}"))
         self.assert_clean_exit_2(proc, "timeout must be finite and > 0")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["extract", "--items", "{missing}.jsonl", "--fixture", "{missing}.json",
+          "--out", "{out}", "--threads", "0"], "threads must be >= 1, got 0"),
+        (["extract", "--items", "{missing}.jsonl", "--fixture", "{missing}.json",
+          "--out", "{out}", "--kinds", "bogus"], "unknown prompt kind 'bogus'"),
+        (["evaluate", "--model", "{missing}.agr", "--data", "{missing}",
+          "--out", "{out}", "--k", "0"], "k must be >= 1, got 0"),
+        (["recommend", "--model", "{missing}.agr", "--data", "{missing}",
+          "--user", "u0", "--k", "0"], "k must be >= 1, got 0"),
+        (["train", "--data", "{missing}", "--out", "{out}", "--val-k", "0"],
+         "val_k must be >= 1, got 0"),
+        (["prepare", "--interactions", "{missing}.tsv", "--items", "{missing}.jsonl",
+          "--out", "{out}", "--min-users", "-1"], "min_users must be >= 0, got -1"),
+    ], ids=["extract-threads", "extract-kinds", "evaluate-k", "recommend-k",
+            "train-val-k", "prepare-min-users"])
+    def test_bad_setting_named_before_missing_input(self, tmp_path, argv, message):
+        missing, out = tmp_path / "missing", tmp_path / "out"
+        proc = run_cli(*(a.format(missing=missing, out=out) for a in argv))
+        self.assert_clean_exit_2(proc, message)
+        assert not out.exists()
 
     def test_zero_still_means_off(self, pipeline_dir, tmp_path):
         proc = run_cli("train", "--data", pipeline_dir["data"],
