@@ -20,7 +20,7 @@ from .extractor import (FixtureBackend, HttpBackend, PromptKind,
                         run_extraction_batch)
 from .ingest import (MANIFEST_NAME, TEXT_ATTRS_NAME, atomic_write,
                      filter_min_popularity, fit_price_buckets, open_text,
-                     read_interactions, read_items, split_dataset,
+                     read_interactions, read_items, split_dataset, split_ratios,
                      text_attributes_line, tokenize_text_attributes,
                      write_manifest)
 
@@ -54,6 +54,10 @@ def _ratios(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
 
+def _split(text: str) -> tuple[float, ...]:
+    return split_ratios(_ratios(text))
+
+
 def _at_least(lo: int):
     """An int cast that refuses values below `lo`."""
     def cast(text: str) -> int:
@@ -70,7 +74,7 @@ def _at_least(lo: int):
 SETTINGS = {
     "prepare": {
         "min_users": (_at_least(0), 10),
-        "split": (_ratios, (0.8, 0.1, 0.1)),
+        "split": (_split, (0.8, 0.1, 0.1)),
         "seed": (int, 0),
         "price_buckets": (_at_least(1), 10),
     },
@@ -309,12 +313,11 @@ def cmd_recommend(args) -> int:
 
     lo, hi = bundle.g_ui.left.searchsorted((user_idx, user_idx + 1))
     seen = bundle.g_ui.right[lo:hi]  # the user's items are row 0's keys
-    user_vec = e_u[[user_idx]]
-    (top,) = top_k(user_vec, e_i, cfg["k"], exclude=seen)
-    top = top[top >= 0]
+    (top,), (scores,) = top_k(e_u[[user_idx]], e_i, cfg["k"], exclude=seen)
+    kept = top >= 0  # -1 pads the row after the user's last candidate
+    top, scores = top[kept], scores[kept]
     if top.size == 0:
         raise DataError(f"user {args.user!r} has interacted with every item")
-    scores = (user_vec @ e_i.T)[0, top]  # the row top_k ranked: non-increasing
 
     history_keywords: set[str] = set()
     if args.explain:

@@ -55,13 +55,24 @@ class MetricsReport:
         return asdict(self)
 
 
+def _scores(user_vecs: np.ndarray, item_t: np.ndarray) -> np.ndarray:
+    """The (users, items) scores, the dot products of the user rows with the
+    columns of `item_t`, the C-contiguous transpose of the item table.
+
+    einsum adds each cell's products in the order of the embedding dimension,
+    without BLAS, so a cell's bits depend neither on the other users and
+    items scored with it nor on a thread count, and equal item rows score
+    equally."""
+    return np.einsum("ud,di->ui", np.ascontiguousarray(user_vecs), item_t)
+
+
 def rank_items(user: int, candidates, e_u: np.ndarray, e_i: np.ndarray) -> RankingResult:
     """Sort candidates by descending score for `user`, ties by ascending index."""
     candidates = np.asarray(candidates, dtype=np.int64)
     if candidates.size == 0:
         raise DataError("empty candidate set")
-    scores = e_i[candidates] @ e_u[user]
-    order = np.lexsort((candidates, -scores))
+    row = _scores(e_u[[user]], np.ascontiguousarray(e_i.T))[0, candidates]
+    order = np.lexsort((candidates, -row))
     return RankingResult(user=int(user), ordering=candidates[order])
 
 
@@ -70,18 +81,21 @@ _BLOCK_SCORES = 1 << 16
 
 
 def top_k(user_vecs: np.ndarray, item_vecs: np.ndarray, k: int,
-          exclude: np.ndarray | None = None) -> np.ndarray:
+          exclude: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(users, min(k, n_items)) best-first item indices, ties by ascending
-    index also at the k-th place: row r is rank_items' ordering[:k] over the
-    items i whose key r * n_items + i is not in the ascending `exclude`
-    keys, padded with -1 when fewer are left."""
+    index also at the k-th place, and their scores: row r is rank_items'
+    ordering[:k] over the items i whose key r * n_items + i is not in the
+    ascending `exclude` keys, padded with -1 (and a NaN score) when fewer
+    are left. A row's indices and scores are those of ranking it alone."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     n_items = item_vecs.shape[0]
     rows, width = max(1, _BLOCK_SCORES // n_items), min(k, n_items)
-    out = np.full((user_vecs.shape[0], width), -1, dtype=np.int64)
+    tops = np.full((user_vecs.shape[0], width), -1, dtype=np.int64)
+    ranked = np.full(tops.shape, np.nan)
+    item_t = np.ascontiguousarray(item_vecs.T)
     for start in range(0, user_vecs.shape[0], rows):
-        neg = user_vecs[start:start + rows] @ item_vecs.T
+        neg = _scores(user_vecs[start:start + rows], item_t)
         np.negative(neg, out=neg)
         if not np.isfinite(neg).all():
             raise NumericError("non-finite ranking scores")
@@ -89,12 +103,13 @@ def top_k(user_vecs: np.ndarray, item_vecs: np.ndarray, k: int,
             first = start * n_items
             lo, hi = np.searchsorted(exclude, (first, first + neg.size))
             np.put(neg, exclude[lo:hi] - first, np.inf)
-        for top, row in zip(out[start:], neg):
+        for top, score, row in zip(tops[start:], ranked[start:], neg):
             idx = np.flatnonzero(row <= np.partition(row, width - 1)[width - 1])
             idx = idx[np.argsort(row[idx], kind="stable")][:width]
             idx = idx[row[idx] < np.inf]  # +inf marks an excluded item
             top[:idx.size] = idx
-    return out
+            np.negative(row[idx], out=score[:idx.size])
+    return tops, ranked
 
 
 def hit_matrix(tops: np.ndarray, users: np.ndarray, keys: np.ndarray,
@@ -170,7 +185,7 @@ def _rank_positives(e_u: np.ndarray, items: np.ndarray, pairs: np.ndarray,
     n_positives = np.diff(np.append(first, keys.size))
     mine = _in_sorted(users, seen.left)  # edges sorted, so the keys are too
     exclude = np.searchsorted(users, seen.left[mine]) * n_items + seen.right[mine]
-    tops = top_k(e_u[users], items, k, exclude=exclude)
+    tops, _ = top_k(e_u[users], items, k, exclude=exclude)
     ranked = tops[:, 0] >= 0
     # select ranked rows of the bool hits, not of the int64 ranking (8x the bytes)
     return hit_matrix(tops, users, keys, n_items)[ranked], n_positives[ranked]

@@ -245,6 +245,20 @@ def _split_sizes(n: int, ratios: Sequence[float]) -> tuple[int, int]:
     return n_train, n_val
 
 
+def split_ratios(ratios: Sequence[float]) -> tuple[float, ...]:
+    """The (train, validation, test) `ratios` as a tuple, refused with
+    ConfigError unless they are three finite, non-negative numbers that
+    sum to 1."""
+    ratios = tuple(ratios)
+    if not all(math.isfinite(r) for r in ratios):  # NaN passes the sum test
+        raise ConfigError(f"ratios must be finite, got {ratios}")
+    if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ConfigError(f"ratios must be three numbers that sum to 1, got {ratios}")
+    if any(r < 0 for r in ratios):
+        raise ConfigError(f"ratios must be non-negative, got {ratios}")
+    return ratios
+
+
 def split_dataset(interactions: Sequence, ratios: Sequence[float] = (0.8, 0.1, 0.1),
                   seed: int = 0) -> SplitDataset:
     """Seeded shuffle-split into train/validation/test.
@@ -253,12 +267,7 @@ def split_dataset(interactions: Sequence, ratios: Sequence[float] = (0.8, 0.1, 0
     (they have no propagation edges otherwise), and the displaced counts are
     rebalanced by moving safely removable rows back out of train.
     """
-    if not all(math.isfinite(r) for r in ratios):  # NaN passes the sum test
-        raise ConfigError(f"split ratios must be finite, got {tuple(ratios)}")
-    if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"split ratios must sum to 1, got {tuple(ratios)}")
-    if any(r < 0 for r in ratios):
-        raise ConfigError("split ratios must be non-negative")
+    ratios = split_ratios(ratios)
     n = len(interactions)
     if n < 3:
         raise ConfigError("need at least 3 interactions to split")

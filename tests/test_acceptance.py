@@ -200,7 +200,7 @@ def test_cold_start_capability(tmp_path):
     keys = np.array(sorted({u * len(cold.ids) + row
                             for u, row in cold.test_pairs.tolist()}), dtype=np.int64)
     users = np.array(sorted({u for u, _ in cold.test_pairs.tolist()}), dtype=np.int64)
-    hits = hit_matrix(top_k(e_u[users], id_rows, 10), users, keys, len(cold.ids))
+    hits = hit_matrix(top_k(e_u[users], id_rows, 10)[0], users, keys, len(cold.ids))
     n_positives = np.bincount(keys // len(cold.ids))[users]
     ablation = float(np.mean(recall_at_k(hits, n_positives)))
 

@@ -701,6 +701,21 @@ class TestRecommend:
         assert any(r["shared_keywords"] for r in doc["items"])
 
 
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--k", "3"], ["evaluate", "--k", "3", "--cold-start"],
+    ["recommend", "--user", "u0003", "--k", "8", "--explain"]])
+def test_output_does_not_depend_on_the_blas_thread_count(cold_dir, command):
+    """Ranking scores make no BLAS call, so the bytes printed are the same
+    at one and at two OpenBLAS threads."""
+    outputs = []
+    for threads in ("1", "2"):
+        proc = run_cli(*served(command, cold_dir),
+                       env={"OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 class TestConfigFile:
     def test_file_value_used_and_flag_overrides(self, world_dir, tmp_path, capsys):
         cfg = tmp_path / "agrec.cfg"
@@ -714,9 +729,10 @@ class TestConfigFile:
         assert doc["config"]["seed"] == 5        # flag wins
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
+    """`agrec ARGS` in a fresh interpreter, with the `env` variables set."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src), **(env or {})}
     return subprocess.run([sys.executable, "-m", "agrec.cli", *args],
                           env=env, capture_output=True, text=True)
 
@@ -961,6 +977,17 @@ class TestRefusedSettings:
         proc = self.prepare(world_dir, tmp_path,
                             *self.config(tmp_path, "split = nan,0.1,0.1"))
         self.assert_clean_exit_2(proc, "split ratios must be finite")
+
+    @pytest.mark.parametrize("ratios,message", [
+        ("nan,0.1,0.1", "split ratios must be finite"),
+        ("0.5,0.1", "split ratios must be three numbers that sum to 1"),
+        ("1.2,-0.1,-0.1", "split ratios must be non-negative")])
+    def test_split_refused_before_inputs_are_read(self, tmp_path, ratios, message):
+        missing = str(tmp_path / "missing")
+        proc = run_cli("prepare", "--interactions", missing + ".tsv",
+                       "--items", missing + ".jsonl", "--split", ratios,
+                       "--out", str(tmp_path / "data"))
+        self.assert_clean_exit_2(proc, message)
 
     @pytest.mark.parametrize("flag,key", [("--patience", "patience")])
     def test_negative_flag(self, pipeline_dir, tmp_path, flag, key):

@@ -53,14 +53,17 @@ class TestRankItems:
 
 @st.composite
 def ranking_cases(draw):
-    """Integer-valued embeddings in -3..3: every score is an exact small
-    integer under GEMM and GEMV alike, so ties are real ties."""
+    """Float embeddings whose item table repeats some of its rows, so equal
+    item rows must tie, with each user's excluded items and a k."""
     dim = draw(st.integers(1, 6))
     n_users = draw(st.integers(1, 8))
-    n_items = draw(st.integers(1, 12))
-    entries = st.integers(-3, 3).map(float)
+    entries = st.floats(-3, 3)
     e_u = draw(hnp.arrays(np.float64, (n_users, dim), elements=entries))
-    e_i = draw(hnp.arrays(np.float64, (n_items, dim), elements=entries))
+    distinct = draw(hnp.arrays(np.float64, (draw(st.integers(1, 8)), dim),
+                               elements=entries))
+    e_i = distinct[draw(st.lists(st.integers(0, len(distinct) - 1),
+                                 min_size=1, max_size=12))]
+    n_items = e_i.shape[0]
     exclude = [draw(st.one_of(st.sets(st.integers(0, n_items - 1)),
                               st.just(set(range(n_items)))))
                for _ in range(n_users)]
@@ -73,10 +76,11 @@ class TestTopK:
     @given(ranking_cases())
     def test_equals_full_ordering_prefix(self, case):
         e_u, e_i, exclude, k = case
-        tops = top_k(e_u, e_i, k, exclude=keys_of(dict(enumerate(exclude)),
-                                                  e_i.shape[0]))
+        tops, scores = top_k(e_u, e_i, k, exclude=keys_of(dict(enumerate(exclude)),
+                                                          e_i.shape[0]))
         width = min(k, e_i.shape[0])
-        assert tops.shape == (e_u.shape[0], width) and tops.dtype == np.int64
+        assert tops.shape == scores.shape == (e_u.shape[0], width)
+        assert tops.dtype == np.int64 and scores.dtype == np.float64
         for r, top in enumerate(tops):
             cand = [i for i in range(e_i.shape[0]) if i not in exclude[r]]
             want = (rank_items(r, cand, e_u, e_i).ordering[:k] if cand
@@ -84,12 +88,40 @@ class TestTopK:
             np.testing.assert_array_equal(  # -1 after the last candidate
                 top, np.pad(want, (0, width - want.size), constant_values=-1))
 
+    @settings(max_examples=300, deadline=None)
+    @given(ranking_cases(), st.integers(1, 100))
+    def test_rows_rank_alone_and_equal_items_tie(self, case, block):
+        """Whatever the block size, a row's items and scores are bitwise
+        those of ranking that user alone, and equal item rows score equally,
+        so the lower index of a tie comes first."""
+        e_u, e_i, exclude, k = case
+        n_items = e_i.shape[0]
+        with mock.patch.object(agrec.evaluation, "_BLOCK_SCORES", block):
+            tops, scores = top_k(e_u, e_i, k,
+                                 exclude=keys_of(dict(enumerate(exclude)), n_items))
+            for r in range(e_u.shape[0]):
+                alone, alone_scores = top_k(e_u[r:r + 1], e_i, k,
+                                            exclude=keys_of({0: exclude[r]}, n_items))
+                assert tops[r].tobytes() == alone[0].tobytes()
+                assert scores[r].tobytes() == alone_scores[0].tobytes()
+        assert np.isnan(scores[tops < 0]).all()
+        assert not np.isnan(scores[tops >= 0]).any()
+        for r, (top, score) in enumerate(zip(tops.tolist(), scores.tolist())):
+            n = sum(i >= 0 for i in top)
+            assert score[:n] == sorted(score[:n], reverse=True)
+            for j, item in enumerate(top[:n]):
+                for lower in range(item):  # an equal, lower item ranks first
+                    if (e_i[lower] == e_i[item]).all() and lower not in exclude[r]:
+                        assert top.index(lower) < j and score[top.index(lower)] == score[j]
+
     def test_ties_at_kth_place_take_lowest_index(self):
         e_u, e_i = embeddings_for_scores([0.2, 0.5, 0.9, 0.5, 0.5])
-        (top,) = top_k(e_u, e_i, 3)
+        (top,), (scores,) = top_k(e_u, e_i, 3)
         np.testing.assert_array_equal(top, [2, 1, 3])
-        (top,) = top_k(e_u, e_i, 3, exclude=np.array([1]))
+        np.testing.assert_array_equal(scores, [0.9, 0.5, 0.5])
+        (top,), (scores,) = top_k(e_u, e_i, 3, exclude=np.array([1]))
         np.testing.assert_array_equal(top, [2, 3, 4])
+        np.testing.assert_array_equal(scores, [0.9, 0.5, 0.5])
 
     def test_several_blocks_match_one_user_at_a_time(self):
         # 30000 items make two users per block, so five users take three;
@@ -97,16 +129,17 @@ class TestTopK:
         rng = np.random.default_rng(6)
         e_u = rng.normal(size=(5, 3))
         e_i = np.round(rng.normal(size=(30000, 3)), 1)
-        full = top_k(e_u, e_i, 20)
+        full, _ = top_k(e_u, e_i, 20)
         exclude = [set()] + [set(rng.choice(30000, size=50, replace=False).tolist())
                              | set(full[r][:5].tolist()) for r in range(1, 5)]
         keys = keys_of(dict(enumerate(exclude)), 30000)
         assert sorted(set((keys // 60000).tolist())) == [0, 1, 2]  # every block
-        tops = top_k(e_u, e_i, 20, exclude=keys)
+        tops, scores = top_k(e_u, e_i, 20, exclude=keys)
         for r in range(5):
-            (alone,) = top_k(e_u[r:r + 1], e_i, 20,
-                             exclude=keys_of({0: exclude[r]}, 30000))
+            (alone,), (alone_scores,) = top_k(e_u[r:r + 1], e_i, 20,
+                                              exclude=keys_of({0: exclude[r]}, 30000))
             np.testing.assert_array_equal(tops[r], alone)
+            assert scores[r].tobytes() == alone_scores.tobytes()
             assert not set(tops[r].tolist()) & exclude[r]
         np.testing.assert_array_equal(tops[0], full[0])
 
@@ -386,7 +419,7 @@ class TestEvaluate:
         e_u, e_i = rng.normal(size=(4, 2)), rng.normal(size=(5, 2))
         pairs = np.array([[0, 1], [1, 0], [1, 3], [2, 4], [3, 2]])
         seen = seen_graph(4, 5, {0: set(range(5)), 2: {1}})
-        assert top_k(e_u, e_i, 10_000).shape == (4, 5)
+        assert top_k(e_u, e_i, 10_000)[0].shape == (4, 5)
         hits, n_positives = _rank_positives(e_u, e_i, pairs, seen, 10_000)
         want, want_n = _rank_positives(e_u, e_i, pairs, seen, 5)
         assert hits.shape == (3, 5)

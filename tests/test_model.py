@@ -408,7 +408,7 @@ class TestScore:
 
     @staticmethod
     def ranked(user_vec, item_vecs):
-        return top_k(np.atleast_2d(user_vec), np.asarray(item_vecs), k=len(item_vecs))[0].tolist()
+        return top_k(np.atleast_2d(user_vec), np.asarray(item_vecs), k=len(item_vecs))[0][0].tolist()
 
     def test_orthogonal_unit_vectors(self):
         # scores 0 and 1: the aligned item first
