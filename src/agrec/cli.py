@@ -26,7 +26,7 @@ from .ingest import (MANIFEST_NAME, TEXT_ATTRS_NAME, atomic_write,
 
 # Run as a program (`python -m agrec.cli`, `python -m agrec`, the `agrec`
 # script), each command imports the model layers it runs inside its own
-# function: `prepare` loads none of them, and `extract` does not load numpy.
+# function: `prepare` and `extract` load none of them, nor numpy.
 # Imported as a module, agrec.cli loads every layer and binds `forward`, as
 # it always has, for callers and for tools that wrap agrec's functions.
 if __name__ != "__main__":
@@ -75,7 +75,7 @@ SETTINGS = {
     "prepare": {
         "min_users": (_at_least(0), 10),
         "split": (_split, (0.8, 0.1, 0.1)),
-        "seed": (int, 0),
+        "seed": (_at_least(0), 0),
         "price_buckets": (_at_least(1), 10),
     },
     "extract": {
@@ -94,7 +94,7 @@ SETTINGS = {
         "l2": (float, 1e-4),
         "neg": (int, 1),
         "epochs": (_at_least(1), 50),
-        "seed": (int, 0),
+        "seed": (_at_least(0), 0),
         "batch": (_at_least(1), 256),
         "val_k": (_at_least(1), 50),
         "patience": (_at_least(0), 5),

@@ -14,8 +14,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
@@ -23,9 +24,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ConfigError, DataError
 
-# numpy is imported only inside split_dataset and fit_price_buckets, which
-# use it: `extract` reads items through this module and never needs numpy,
-# whose import takes about 0.2 s.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -259,23 +257,96 @@ def split_ratios(ratios: Sequence[float]) -> tuple[float, ...]:
     return ratios
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_state(seed: int) -> tuple[int, int, int, int]:
+    """The four uint64 words of numpy's SeedSequence(seed).generate_state(4,
+    np.uint64), which seed its PCG64: the seed's little-endian uint32 words
+    hashed into a 4-word pool, and the pool hashed out into 8 words."""
+    entropy = [(seed >> s) & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    h = 0x43B0D7E5
+
+    def hashmix(v):
+        nonlocal h
+        v ^= h
+        h = h * 0x931E8875 & _M32
+        v = v * h & _M32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h, words = 0x8B51F9DD, []
+    for i in range(8):
+        v = pool[i % 4] ^ h
+        h = h * 0x58F38DED & _M32
+        v = v * h & _M32
+        words.append(v ^ v >> 16)
+    return tuple(words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
+
+
+def _permutation(n: int, seed: int) -> list[int]:
+    """numpy's ``np.random.default_rng(seed).permutation(n).tolist()`` for a
+    seed >= 0, computed here so that a split depends on neither numpy's
+    import time nor its release: NEP 19 lets Generator streams change.
+
+    PCG64 (XSL-RR 128/64) seeded through SeedSequence, and the Fisher-Yates
+    shuffle of Generator.shuffle: for i from n-1 down to 1, draw 32-bit
+    words (the low then the high half of each 64-bit output) masked to the
+    smallest all-ones value >= i until one is <= i, and swap a[i] with it.
+    Only this 32-bit draw is ported, so n must be at most 2**32.
+    """
+    s0, s1, s2, s3 = _seed_state(seed)
+    inc = ((s2 << 64 | s3) << 1 | 1) & _M128
+    state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _M128
+    order = list(range(n))
+    high = None  # the unused high half of the last 64-bit output
+    for i in range(n - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        while True:
+            if high is None:
+                state = (state * _PCG64_MULT + inc) & _M128
+                rot, x = state >> 122, ((state >> 64) ^ state) & _M64
+                out = (x >> rot | x << (64 - rot)) & _M64
+                j, high = out & mask, out >> 32
+            else:
+                j, high = high & mask, None
+            if j <= i:
+                break
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
 def split_dataset(interactions: Sequence, ratios: Sequence[float] = (0.8, 0.1, 0.1),
                   seed: int = 0) -> SplitDataset:
-    """Seeded shuffle-split into train/validation/test.
+    """Seeded shuffle-split into train/validation/test. The shuffle is
+    numpy's ``default_rng(seed).permutation``, ported in _permutation; the
+    seed is an integer >= 0.
 
     Users that would appear only in validation/test are pulled into train
     (they have no propagation edges otherwise), and the displaced counts are
     rebalanced by moving safely removable rows back out of train.
     """
     ratios = split_ratios(ratios)
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     n = len(interactions)
     if n < 3:
         raise ConfigError("need at least 3 interactions to split")
 
-    import numpy as np
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    shuffled = [interactions[j] for j in order]
+    shuffled = [interactions[j] for j in _permutation(n, seed)]
 
     n_train, n_val = _split_sizes(n, ratios)
     train = shuffled[:n_train]
@@ -327,18 +398,22 @@ def fit_price_buckets(prices: Sequence[float], n_p: int) -> PriceBuckets:
     labels. Without prices there are no boundaries."""
     if n_p < 1:
         raise ConfigError(f"price_buckets must be >= 1, got {n_p}")
-    import numpy as np
-    values, counts = np.unique(np.asarray(prices, dtype=np.float64), return_counts=True)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])  # first occurrence ranks
-    n = int(counts.sum())
+    ranked = sorted(map(float, prices))
+    n = len(ranked)
+    values: list[float] = []  # each distinct price, ascending,
+    starts: list[int] = []  # and n_p times the rank of its first occurrence
+    for rank, v in enumerate(ranked):
+        if not values or v != values[-1]:
+            values.append(v)
+            starts.append(rank * n_p)
     boundaries: list[float] = []
     for j in range(1, n_p):
         # smallest distinct value whose rank reaches j*n/n_p, compared in
         # integer arithmetic to dodge float quantile fuzz
-        k = int(np.searchsorted(starts * n_p, j * n, side="left"))
+        k = bisect_left(starts, j * n)
         if k >= len(values):
             continue
-        v = float(values[k])
+        v = values[k]
         if not boundaries or v > boundaries[-1]:
             boundaries.append(v)
     return PriceBuckets(boundaries)

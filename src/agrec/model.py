@@ -73,6 +73,8 @@ class ModelConfig:
             raise ConfigError("n_negatives must be >= 1")
         if self.init_scale <= 0:
             raise ConfigError("init_scale must be > 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -315,6 +315,30 @@ def finite_difference_gradients(tables, loss_fn, h=1e-5):
     return grad
 
 
+def reference_permutation(n, seed):
+    """The split's shuffle as numpy computes it, for the pure-Python port in
+    ingest to equal bit for bit."""
+    return np.random.default_rng(seed).permutation(n).tolist()
+
+
+def reference_price_buckets(prices, n_p):
+    """fit_price_buckets' boundaries as the numpy version computed them:
+    np.unique with counts, and the first distinct value whose first-
+    occurrence rank r has r * n_p >= j * n, by searchsorted."""
+    values, counts = np.unique(np.asarray(prices, dtype=np.float64), return_counts=True)
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    n = int(counts.sum())
+    boundaries = []
+    for j in range(1, n_p):
+        k = int(np.searchsorted(starts * n_p, j * n, side="left"))
+        if k >= len(values):
+            continue
+        v = float(values[k])
+        if not boundaries or v > boundaries[-1]:
+            boundaries.append(v)
+    return boundaries
+
+
 def reference_manifest_bytes(*, seed, ratios, split, config=None, extra=None):
     """The manifest write_manifest must produce, as bytes: the document
     dumped whole by json.dump(doc, fh, indent=2, sort_keys=True) and a

@@ -275,15 +275,20 @@ class TestImportFootprint:
 
     @pytest.mark.parametrize("command,run", [
         ("extract", AS_MODULE_MAIN), ("--version", AS_MODULE_MAIN),
-        ("extract", ENTRY_POINT)], ids=["extract", "version", "entry-point-extract"])
+        ("extract", ENTRY_POINT), ("prepare", AS_MODULE_MAIN)],
+        ids=["extract", "version", "entry-point-extract", "prepare"])
     def test_loads_no_numpy(self, world_dir, tmp_path, command, run):
-        out = tmp_path / "a.jsonl"
+        out = tmp_path / "out"
         argv = [command]
         if command == "extract":
             argv += ["--items", world_dir["items"], "--backend", "fixture",
                      "--fixture", world_dir["fixture"], "--out", str(out)]
+        elif command == "prepare":
+            argv += ["--interactions", world_dir["interactions"],
+                     "--items", world_dir["items"], "--min-users", "2",
+                     "--out", str(out)]
         assert program_modules_loaded(argv, ("numpy",), run=run) == [0, []]
-        assert out.exists() == (command == "extract")
+        assert out.exists() == (command != "--version")
 
     def test_prepare_loads_no_model_layer(self, world_dir, tmp_path):
         argv = ["prepare", "--interactions", world_dir["interactions"],
@@ -1050,8 +1055,12 @@ class TestRefusedSettings:
          "val_k must be >= 1, got 0"),
         (["prepare", "--interactions", "{missing}.tsv", "--items", "{missing}.jsonl",
           "--out", "{out}", "--min-users", "-1"], "min_users must be >= 0, got -1"),
+        (["prepare", "--interactions", "{missing}.tsv", "--items", "{missing}.jsonl",
+          "--out", "{out}", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["train", "--data", "{missing}", "--out", "{out}", "--seed", "-3"],
+         "seed must be >= 0, got -3"),
     ], ids=["extract-threads", "extract-kinds", "evaluate-k", "recommend-k",
-            "train-val-k", "prepare-min-users"])
+            "train-val-k", "prepare-min-users", "prepare-seed", "train-seed"])
     def test_bad_setting_named_before_missing_input(self, tmp_path, argv, message):
         missing, out = tmp_path / "missing", tmp_path / "out"
         proc = run_cli(*(a.format(missing=missing, out=out) for a in argv))

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 from agrec import ingest
 from agrec.errors import ConfigError, DataError
-from agrec.ingest import (SplitDataset, ItemMetadata, PriceBuckets, _split_sizes,
-                          atomic_write, filter_min_popularity, fit_price_buckets,
-                          manifest_split, parse_interactions, parse_items,
-                          read_interactions, read_items, split_dataset,
+from agrec.ingest import (SplitDataset, ItemMetadata, PriceBuckets, _permutation,
+                          _split_sizes, atomic_write, filter_min_popularity,
+                          fit_price_buckets, manifest_split, parse_interactions,
+                          parse_items, read_interactions, read_items, split_dataset,
                           text_attributes_line, tokenize_text_attributes,
                           write_manifest, read_manifest)
-from helpers import reference_manifest_bytes, snapshot, tear_nth_write
+from helpers import (reference_manifest_bytes, reference_permutation,
+                     reference_price_buckets, snapshot, tear_nth_write)
 
 # IDs and keywords that exercise every escape the JSON string encoder makes
 ODD_TEXT = (st.text(min_size=1, max_size=8)
@@ -96,6 +97,28 @@ class TestSplitDataset:
         with pytest.raises(ConfigError):
             split_dataset([("u", "i")] * 10, ratios=(0.5, 0.5, 0.5))
 
+    @pytest.mark.parametrize("seed", [-1, -(2 ** 70)], ids=["-1", "-2**70"])
+    def test_negative_seed_refused(self, seed):
+        with pytest.raises(ConfigError, match=f"seed must be >= 0, got {seed}"):
+            split_dataset([("u", "i")] * 10, seed=seed)
+
+    # Seeds past 2**128 have more uint32 words than SeedSequence's 4-word
+    # pool, and it mixes the rest in after the pool. n = 257 starts the
+    # shuffle at i = 256, where the mask has just widened to 511.
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 300) | st.sampled_from([0, 1, 2 ** 32 - 1, 2 ** 32,
+                                                        2 ** 128 - 1, 2 ** 128]),
+           st.integers(0, 3000) | st.sampled_from([0, 1, 2, 3, 256, 257]))
+    def test_shuffle_is_numpys_permutation(self, seed, n):
+        assert _permutation(n, seed) == reference_permutation(n, seed)
+
+    @pytest.mark.parametrize("seed", [11, np.int64(11)], ids=["int", "numpy-int"])
+    def test_split_order_is_numpys_permutation(self, seed):
+        rows = [(f"u{k % 7}", f"i{k}") for k in range(50)]
+        order = reference_permutation(len(rows), seed)
+        s = split_dataset(rows, ratios=(0.6, 0.2, 0.2), seed=seed)
+        assert s.train + s.validation + s.test == [rows[j] for j in order]
+
     def test_users_not_cold_in_val_test(self):
         # u9 appears once: wherever it lands, it must end up in train
         rows = [("u0", f"i{k}") for k in range(40)] + [("u9", "i99")]
@@ -168,6 +191,16 @@ class TestPriceBuckets:
         for price in prices:
             want = int(np.searchsorted(boundaries, price, side="right"))
             assert b.assign(float(price)) == want, price
+
+    # repeats, both zeros and subnormals among prices up to 1e9
+    @settings(max_examples=200)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 2.2e-308, 1.0, 1.5, 99.99])
+                    | st.floats(0, 1e9), max_size=60),
+           st.integers(1, 12))
+    def test_boundaries_are_numpys(self, prices, n_p):
+        got = fit_price_buckets(prices, n_p).boundaries
+        # the manifest writes the boundaries: equal as JSON text, too
+        assert json.dumps(got) == json.dumps(reference_price_buckets(prices, n_p))
 
     @settings(max_examples=60)
     @given(st.lists(st.floats(0, 1e6, allow_nan=False), min_size=1, max_size=40),

@@ -58,6 +58,7 @@ class TestModelConfig:
         dict(l2_weight=float("nan")),
         dict(init_scale=float("inf")),
         dict(layers=1, layer_weights=(float("nan"), 1.0)),
+        dict(seed=-1),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
